@@ -5,10 +5,12 @@ arriving packet is enqueued), down one unit otherwise (a service unit
 leaves). At the walls the blocked move is a hold: an arrival into a full
 buffer is dropped (that step is a loss event) and a service slot on an empty
 buffer idles. Detailed balance holds with weights q^l, q = p/(1-p), so the
-transition matrix is similar to a symmetric tridiagonal matrix; all exact
-evaluators below run off that spectral decomposition, which turns the
-time sums appearing in window variances and correlators into closed
-geometric sums.
+transition matrix is similar to a symmetric tridiagonal matrix whose
+spectrum is known in closed form (Feller, vol. 1, XVI.3): with
+theta_k = pi k/(L+1), the transient eigenvalues are 2 sqrt(p(1-p)) cos theta_k
+and the eigenvectors are sinusoids. All exact evaluators below run off that
+spectrum in O(L) work, which turns the time sums appearing in window
+variances and correlators into closed geometric sums.
 """
 
 from __future__ import annotations
@@ -71,18 +73,21 @@ class DiscreteQueueParams:
 
 @dataclass(frozen=True)
 class _Spectrum:
-    """Eigendecomposition of the symmetrized kernel.
+    """Spectrum of the symmetrized kernel.
 
-    ``eigvals`` are sorted descending (the first is 1 up to round-off);
-    ``boundary_weights[j]`` is the squared top-row component of eigenvector j,
-    so that the n-step return probability to the full state is
+    ``eigvals`` are sorted descending, the first being the stationary mode's
+    1; ``boundary_weights[j]`` is the squared top-row component of the
+    normalized eigenvector j (pi(L) for the stationary mode), so that the
+    n-step return probability to the full state is
     sum_j boundary_weights[j] * eigvals[j]**n.
     """
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray
-    pi: np.ndarray
     boundary_weights: np.ndarray
+
+    @property
+    def pi_L(self) -> float:
+        return float(self.boundary_weights[0])
 
     @property
     def transient_eigvals(self) -> np.ndarray:
@@ -95,18 +100,10 @@ class _Spectrum:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Row-stochastic one-step transition matrix with lazy spectral data."""
+    """Row-stochastic one-step transition matrix."""
 
     params: DiscreteQueueParams
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.params.L + 1
-
-    @property
-    def spectrum(self) -> _Spectrum:
-        return _spectrum(self.params)
 
 
 def build_kernel(params: DiscreteQueueParams) -> TransitionKernel:
@@ -150,24 +147,46 @@ def stationary_distribution(params: DiscreteQueueParams) -> np.ndarray:
     return w / w.sum()
 
 
-@functools.lru_cache(maxsize=128)
+def _angles(L: int) -> np.ndarray:
+    """theta_k = pi k/(L+1) for k = 1..L."""
+    return (np.pi / (L + 1)) * np.arange(1, L + 1)
+
+
 def _spectrum(params: DiscreteQueueParams) -> _Spectrum:
-    """Eigendecomposition of D^{1/2} K D^{-1/2}, D = diag(stationary law).
+    """Closed-form spectrum of D^{1/2} K D^{-1/2}, D = diag(stationary law).
 
     The similarity transform makes the kernel symmetric tridiagonal with
-    off-diagonal sqrt(p(1-p)) and diagonal (1-p, 0, ..., 0, p).
+    off-diagonal sqrt(p(1-p)) and diagonal (1-p, 0, ..., 0, p). Besides the
+    stationary eigenvalue 1 it has lam_k = 2 sqrt(p(1-p)) cos theta_k,
+    theta_k = pi k/(L+1), k = 1..L, with boundary weights
+
+        w_k = 2 sin^2 theta_k / ((L+1) ((1 - sqrt q)^2 + 4 sqrt q sin^2(theta_k/2))),
+
+    a denominator of non-negative terms that cannot cancel near q = 1.
     """
     if params.is_degenerate:
         raise DegenerateParamsError("spectral form requires 0 < p < 1")
     L, p = params.L, params.p
-    diag = np.zeros(L + 1)
-    diag[0] = 1.0 - p
-    diag[L] = p
-    off = np.full(L, math.sqrt(p * (1.0 - p)))
-    vals, vecs = numerics.tridiag_eigen(diag, off)
-    pi = stationary_distribution(params)
-    weights = vecs[L, :] ** 2
-    return _Spectrum(eigvals=vals, eigvecs=vecs, pi=pi, boundary_weights=weights)
+    theta = _angles(L)
+    lam = 2.0 * math.sqrt(p * (1.0 - p)) * np.cos(theta)
+    rq = math.sqrt(params.q)
+    half = np.sin(0.5 * theta)
+    weights = 2.0 * np.sin(theta) ** 2 / ((L + 1) * ((1.0 - rq) ** 2 + 4.0 * rq * half * half))
+    pi_L = float(stationary_distribution(params)[-1])
+    return _Spectrum(
+        eigvals=np.concatenate(([1.0], lam)),
+        boundary_weights=np.concatenate(([pi_L], weights)),
+    )
+
+
+def _eigvec_row(params: DiscreteQueueParams, ell: int) -> np.ndarray:
+    """Component ell of the transient eigenvectors, before normalization:
+    u_ell(k) = sin((ell+1) theta_k) - q^{-1/2} sin(ell theta_k).
+
+    The squared norm of eigenvector k is u_L(k)^2 / w_k.
+    """
+    theta = _angles(params.L)
+    return np.sin((ell + 1) * theta) - np.sin(ell * theta) / math.sqrt(params.q)
 
 
 def green_function(
@@ -180,7 +199,8 @@ def green_function(
     """n-step transition probability from state ``frm`` to state ``to``.
 
     Small step counts use the exact matrix power; large ones the spectral
-    sum. The two agree to 1e-9 where they overlap.
+    sum over closed-form eigenvector rows. The two agree to 1e-9 where they
+    overlap.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -193,11 +213,13 @@ def green_function(
         kernel = build_kernel(params)
         return float(np.linalg.matrix_power(kernel.matrix, n)[frm, to])
     spec = _spectrum(params)
-    # K^n = D^{-1/2} (V Lam^n V^T) D^{1/2} with D = diag(pi).
-    lam_n = _int_power(spec.eigvals, n)
-    amp = float(np.dot(spec.eigvecs[frm, :] * spec.eigvecs[to, :], lam_n))
+    # K^n = D^{-1/2} (V Lam^n V^T) D^{1/2} with D = diag(pi); the stationary
+    # mode contributes pi(to) and each transient mode u_frm u_to lam^n / |u|^2.
+    norm2 = _eigvec_row(params, L) ** 2 / spec.transient_boundary_weights
+    rows = _eigvec_row(params, frm) * _eigvec_row(params, to) / norm2
+    amp = float(np.dot(rows, np.power(spec.transient_eigvals, int(n))))
     ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
-    return ratio * amp
+    return float(stationary_distribution(params)[to]) + ratio * amp
 
 
 def mean_loss_rate_exact(params: DiscreteQueueParams) -> float:
@@ -219,11 +241,6 @@ def mean_loss_rate_exact(params: DiscreteQueueParams) -> float:
     logq = math.log(q)
     rate = p * math.expm1(logq) / (q - math.exp(-L * logq))
     return max(rate, 0.0)
-
-
-def _int_power(lam: np.ndarray, n: int) -> np.ndarray:
-    """lam**n for integer n, valid for negative eigenvalues."""
-    return np.power(lam, int(n))
 
 
 def _window_weight_sum(lam: np.ndarray, N: int) -> np.ndarray:
@@ -249,7 +266,7 @@ def _window_weight_sum(lam: np.ndarray, N: int) -> np.ndarray:
     if np.any(big):
         lb = lam[big]
         xb = x[big]
-        lam_pow = _int_power(lb, N - 1)
+        lam_pow = np.power(lb, N - 1)
         out[big] = (nm1 * xb - lb * (1.0 - lam_pow)) / (xb * xb)
     return out
 
@@ -272,7 +289,7 @@ def loss_variance_exact(params: DiscreteQueueParams, N: int) -> float:
         return 0.0
     spec = _spectrum(params)
     p = params.p
-    pi_L = float(spec.pi[-1])
+    pi_L = spec.pi_L
     m = pi_L * p
     lam = spec.transient_eigvals
     w = spec.transient_boundary_weights
@@ -331,7 +348,7 @@ def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:
         out[small] = N * (1.0 - (N - 1.0) * xs / 2.0)
     big = ~small
     if np.any(big):
-        out[big] = (1.0 - _int_power(lam[big], N)) / x[big]
+        out[big] = (1.0 - np.power(lam[big], N)) / x[big]
     return out
 
 
@@ -371,11 +388,11 @@ def correlator_r2(
         raise DegenerateParamsError("correlator undefined at degenerate p")
     spec = _spectrum(params)
     p = params.p
-    pi_L = float(spec.pi[-1])
+    pi_L = spec.pi_L
     lam = spec.transient_eigvals
     w = spec.transient_boundary_weights
     geom = _geometric_window_factor(lam, N)
-    cov = pi_L * p * p * float(np.dot(w, _int_power(lam, M - N) * geom * geom))
+    cov = pi_L * p * p * float(np.dot(w, np.power(lam, M - N) * geom * geom))
     return cov / loss_variance_exact(params, N)
 
 

@@ -175,9 +175,11 @@ def _series_pieces(params: FpParams, ctrl: SeriesControl, t: float):
     decay = np.exp(-rate * tau)
     coeff = 2.0 / rate
     # Geometric tail bound: remaining modes are below
-    # 2 e^{|v|} e^{-pi^2 k^2 tau} summed over k > kmax.
+    # 2 e^{|v| - pi^2 k^2 tau} summed over k > kmax. The exponents are
+    # combined first so a large drift cannot overflow when the decay wins.
     k1 = kmax + 1
-    tail = 2.0 * math.exp(abs(v)) * math.exp(-np.pi**2 * k1 * k1 * tau)
+    expo = abs(v) - np.pi**2 * k1 * k1 * tau
+    tail = 2.0 * math.exp(expo) if expo < 700.0 else math.inf
     tail *= 1.0 / max(np.pi**2 * 2.0 * k1 * tau, 1e-300)
     return tau, n, coeff * decay, tail
 
@@ -542,25 +544,29 @@ def loss_correlator(
     """Covariance of lost volumes in two windows of lengths t1 and t2 whose
     closest edges are T apart.
 
-    Reduces the window double integral to a single convolution against the
-    overlap length:
+    The window double integral of the wall density reduces to a convolution
+    against the overlap length ovl(s) = min(s, t1, t2, t1 + t2 - s),
 
         corr = r^2 p(1) * integral_0^{t1+t2} ovl(s) [w(1, T+s; 1) - p(1)] ds,
-        ovl(s) = min(s, t1, t2, t1 + t2 - s),  r = sigma^2 / 2.
+
+    with r = sigma^2 / 2. Integrated mode by mode against the eigenseries
+    w(1, s; 1) - p(1) = sum_n A_n e^{-k_n s} it is the closed form
+
+        corr = r^2 p(1) sum_n A_n e^{-k_n T} (1 - e^{-k_n t1}) (1 - e^{-k_n t2}) / k_n^2,
+        A_n = 2 pi^2 n^2 / (pi^2 n^2 + v^2),  k_n = (pi^2 n^2 + v^2) sigma^2 / 2,
+
+    truncated at the mode count of the series density at separation T.
     """
     if min(t1, t2, T) <= 0.0:
         raise ValueError("window lengths and separation must be positive")
     r = loss_rate_coefficient(params)
     p1 = float(stationary_density(params, 1.0))
-    ctrl_local = ctrl
-
-    def integrand(s: float) -> float:
-        ovl = min(s, t1, t2, t1 + t2 - s)
-        wb = float(transition_density(params, ctrl_local, 1.0, T + s, 1.0))
-        return ovl * (wb - p1)
-
-    res = numerics.integrate(integrand, 0.0, t1 + t2, tol=1e-12, limit=400)
-    return r * r * p1 * res.value
+    n = np.arange(1, ctrl.modes_for(params.tau(T)) + 1, dtype=float)
+    pn2 = (np.pi * n) ** 2
+    rate = pn2 + params.v**2
+    k = r * rate
+    terms = (2.0 * pn2 / rate) * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
+    return r * r * p1 * float(np.sum(terms))
 
 
 def loss_correlator_asymptotic(

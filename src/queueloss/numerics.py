@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Adaptive quadrature and the tridiagonal eigensolver wrap SciPy behind the
-error reporting the rest of the package relies on; the fixed-contour Laplace
-inversion and the overflow-safe hyperbolic ratios are implemented here.
-All kernels are pure functions and safe for concurrent use.
+Adaptive quadrature wraps SciPy behind the error reporting the rest of the
+package relies on; the fixed-contour Laplace inversion and the overflow-safe
+hyperbolic ratios are implemented here. All kernels are pure functions and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate as _quadpack
-from scipy import linalg as _linalg
 from scipy.special import erfc, erfcx  # noqa: F401  (re-exported for callers)
 
 
@@ -28,10 +27,6 @@ class QuadratureError(NumericsError):
 
 class InversionError(NumericsError):
     """Numerical Laplace inversion did not converge."""
-
-
-class EigenError(NumericsError):
-    """Eigendecomposition failed or exceeded its residual budget."""
 
 
 @dataclass(frozen=True)
@@ -113,48 +108,6 @@ def laplace_invert(
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise InversionError(f"non-finite inversion at tau={tau} with {nodes} nodes")
     return v1, abs(v1 - v2)
-
-
-# ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolve
-# ---------------------------------------------------------------------------
-
-
-def tridiag_eigen(
-    diag: np.ndarray,
-    offdiag: np.ndarray,
-    residual_tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors in the matching columns. Every pair is
-    checked against the residual budget ``|A v - lambda v| <= tol * |A|``.
-    """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    if offdiag.size != diag.size - 1:
-        raise ValueError("offdiag must have one fewer entry than diag")
-    if diag.size == 1:
-        return diag.copy(), np.ones((1, 1))
-    try:
-        vals, vecs = _linalg.eigh_tridiagonal(diag, offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails
-        raise EigenError(f"tridiagonal eigensolve failed: {exc}") from exc
-
-    av = diag[:, None] * vecs
-    av[:-1] += offdiag[:, None] * vecs[1:]
-    av[1:] += offdiag[:, None] * vecs[:-1]
-    residual = np.abs(av - vecs * vals[None, :]).max(axis=0)
-    scale = max(np.abs(vals).max(), 1e-300)
-    worst = int(np.argmax(residual))
-    if residual[worst] > residual_tol * scale:
-        raise EigenError(
-            f"eigenpair {worst} residual {residual[worst]:.3g} exceeds "
-            f"{residual_tol:.1g} * |A|"
-        )
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from queueloss import discrete as D
 from queueloss import stats as ST
+from reference_numerics import walk_eigen
 
 
 def brute_force_variance(params: D.DiscreteQueueParams, N: int) -> float:
@@ -104,6 +105,16 @@ class TestStationary:
         assert pi.sum() == pytest.approx(1.0)
 
 
+class TestClosedFormSpectrum:
+    @given(p=st.floats(0.02, 0.98), L=st.integers(1, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_eigensolve(self, p, L):
+        spec = D._spectrum(D.DiscreteQueueParams(p=p, L=L))
+        vals, weights = walk_eigen(p, L)
+        assert np.abs(spec.eigvals - vals).max() <= 1e-12
+        assert np.abs(spec.boundary_weights - weights).max() <= 1e-12
+
+
 class TestGreenFunction:
     def test_zero_steps_is_identity(self):
         params = D.DiscreteQueueParams(p=0.3, L=5)
@@ -128,6 +139,24 @@ class TestGreenFunction:
             via_power = D.green_function(params, n, frm, to, method="power")
             via_spectrum = D.green_function(params, n, frm, to, method="spectral")
             assert via_spectrum == pytest.approx(via_power, abs=1e-9)
+
+    def test_spectral_branch_matches_matrix_power_grid(self):
+        # Past 64 steps the default path takes the spectral branch. Its rows
+        # must stay accurate where the similarity ratio q^{(to-frm)/2} is
+        # large, e.g. p = 0.1, L = 40, from the full to the empty state.
+        worst = 0.0
+        for L in range(1, 41):
+            states = sorted({0, L // 2, L})
+            for p in np.linspace(0.1, 0.9, 9):
+                params = D.DiscreteQueueParams(p=float(p), L=L)
+                matrix = D.build_kernel(params).matrix
+                for n in (65, 100, 300):
+                    power = np.linalg.matrix_power(matrix, n)
+                    for frm in states:
+                        for to in states:
+                            got = D.green_function(params, n, frm, to)
+                            worst = max(worst, abs(got - power[frm, to]))
+        assert worst <= 1e-9
 
 
 class TestMeanLossRate:
@@ -255,6 +284,15 @@ class TestCriticalCoefficient:
         ratios = [D.compressibility(params, int(n)) / math.sqrt(n) for n in ns]
         fitted = math.exp(float(np.mean(np.log(ratios))))
         assert fitted == pytest.approx(D.critical_coefficient(), rel=0.05)
+
+    def test_growth_fit_at_a_million_states(self):
+        # The closed-form spectrum makes L = 10^6 an O(L) evaluation; the
+        # growth window then spans four decades of N.
+        params = D.DiscreteQueueParams(p=0.5, L=10**6)
+        ns = np.unique(np.round(np.logspace(2, 6, 9)).astype(int))
+        ratios = [D.compressibility(params, int(n)) / math.sqrt(n) for n in ns]
+        fitted = math.exp(float(np.mean(np.log(ratios))))
+        assert fitted == pytest.approx(D.critical_coefficient(), rel=0.01)
 
 
 class TestCorrelatorR2:

@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 from queueloss import discrete as D
 from queueloss import fokker_planck as F
 from queueloss import numerics
+from reference_numerics import mode_sum_loss_correlator, quadrature_loss_correlator
 
 
 CTRL = F.SeriesControl()
@@ -137,6 +140,20 @@ class TestTransitionDensity:
     def test_rejects_zero_time(self):
         with pytest.raises(ValueError):
             F.transition_density(F.FpParams(a=0.0, sigma2=1.0), CTRL, 0.5, 0.0, 0.5)
+
+    def test_large_drift_wall_density(self):
+        # v = 800: e^{|v|} alone overflows a double, the tail bound must not.
+        params = F.FpParams(a=800.0, sigma2=1.0)
+        v = params.v
+        got, bound = F.transition_density(params, CTRL, 1.0, 1.0, 1.0, return_tail_bound=True)
+        assert got == pytest.approx(2.0 * v / -math.expm1(-2.0 * v), rel=1e-9)
+        assert 0.0 <= bound < 1e-100
+        # At v = 2000, tau = 1e-3 the bound itself exceeds a double and is
+        # reported as infinite; the value is still the stationary 2v.
+        steep = F.FpParams(a=2000.0, sigma2=1.0)
+        got, bound = F.transition_density(steep, CTRL, 1.0, 0.002, 1.0, return_tail_bound=True)
+        assert got == pytest.approx(4000.0, rel=1e-9)
+        assert bound == math.inf
 
 
 class TestProbabilityCurrent:
@@ -516,6 +533,37 @@ class TestLossCorrelator:
         var = m2 - m1 * m1
         corr = F.loss_correlator(params, CTRL, t, t, t / 50.0)
         assert 0.1 * corr < var < 50.0 * corr
+
+
+    def test_large_drift_is_finite(self):
+        params = F.FpParams(a=800.0, sigma2=1.0)
+        assert math.isfinite(F.loss_correlator(params, CTRL, 0.5, 2.0, 1.0))
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestLossCorrelatorOracles:
+    """The closed-form mode sum against quadrature and a long fixed sum."""
+
+    @given(a=st.floats(-4.0, 4.0), sigma2=_log_uniform(0.25, 4.0), t1=_log_uniform(0.01, 5.0),
+           t2=_log_uniform(0.01, 5.0), T=_log_uniform(0.01, 10.0))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_quadrature(self, a, sigma2, t1, t2, T):
+        params = F.FpParams(a=a, sigma2=sigma2)
+        got = F.loss_correlator(params, CTRL, t1, t2, T)
+        want = quadrature_loss_correlator(params, CTRL, t1, t2, T)
+        assert got == pytest.approx(want, rel=1e-5, abs=1e-13)
+
+    @given(a=st.floats(-4.0, 4.0), sigma2=_log_uniform(0.25, 4.0), t1=_log_uniform(1e-4, 5.0),
+           t2=_log_uniform(1e-4, 5.0), T=_log_uniform(1e-4, 10.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_long_mode_sum(self, a, sigma2, t1, t2, T):
+        params = F.FpParams(a=a, sigma2=sigma2)
+        got = F.loss_correlator(params, CTRL, t1, t2, T)
+        want = mode_sum_loss_correlator(a, sigma2, t1, t2, T)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
 class TestIdlenessSymmetry:

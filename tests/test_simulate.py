@@ -262,7 +262,7 @@ class TestContinuumBridgeGrid:
 class TestContinuumCorrelationDecay:
     def test_window_correlations_follow_quadrature_decay(self):
         # Balanced run, short windows: inter-window covariances at growing
-        # separations track the quadrature correlator, whose decay in this
+        # separations track the continuum correlator, whose decay in this
         # regime is the inverse square root of the separation.
         traffic = poisson_traffic()
         log = S.run(traffic, duration=150_000.0, seed=77)
@@ -282,7 +282,7 @@ class TestContinuumCorrelationDecay:
             preds.append(pred)
         # the separation decay itself (slow inverse-square-root fall-off in
         # this regime) is pinned deterministically in the continuum tests;
-        # here the quadrature values must at least decay monotonically
+        # here the predicted values must at least decay monotonically
         assert preds[0] > preds[1] > preds[2] > 0.0
 
 
