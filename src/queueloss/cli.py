@@ -262,8 +262,12 @@ _HEADERS = {
 def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> int:
     """Execute a configured grid and write one CSV; returns the exit status.
 
-    The exit status is nonzero only when a hard invariant fails (volume
-    conservation, degenerate evaluator errors); disagreement flags are data.
+    The exit status is 1 only when a continuous-model row fails volume
+    conservation; disagreement flags are data. A grid point whose evaluator
+    raises is left out of the body and named on stderr and in a
+    ``failed_point_<i>`` metadata line; it does not change the status.
+    Invalid grids, including discrete window lengths that are not integers
+    >= 1, raise :class:`ConfigError` before any point runs.
     """
     seeds = [config.seed + 1000003 * r for r in range(config.replicas)]
     tasks: list[tuple] = []
@@ -272,6 +276,9 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
         ls = config.grid.get("l") or config.grid.get("L")
         if not ps or not ls:
             raise ConfigError("[grid] needs p and L for the discrete model")
+        bad = [N for N in config.windows if not (float(N).is_integer() and N >= 1)]
+        if bad:
+            raise ConfigError(f"[windows] discrete window lengths must be integers >= 1, got {bad}")
         if config.steps:
             kind = "discrete-sim"
             for p in ps:

@@ -189,6 +189,27 @@ def _eigvec_row(params: DiscreteQueueParams, ell: int) -> np.ndarray:
     return np.sin((ell + 1) * theta) - np.sin(ell * theta) / math.sqrt(params.q)
 
 
+#: log10 of the largest round-off scale (see :func:`_spectral_scale_log10`)
+#: the spectral branch of :func:`green_function` accepts. Measured errors stay
+#: below 6.3e-16 times the scale (L <= 400, p in 0.05..0.95, n in 65..1000),
+#: so below 1e-9 here.
+_SPECTRAL_SCALE_LOG10_MAX = 6.0
+
+
+def _spectral_scale_log10(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
+    """log10 of (L+1) q^{(to-frm)/2} (2 sqrt(p(1-p)))^n, the scale of the
+    round-off in the spectral sum for the n-step probability frm -> to.
+
+    The sum's terms are bounded by q^{(to-frm)/2} (2 sqrt(p(1-p)))^n, since
+    products of orthonormal eigenvector components sum to at most 1 in
+    absolute value; each term carries the round-off of sine arguments up to
+    (L+1) theta_k.
+    """
+    p = params.p
+    return (math.log10(params.L + 1.0) + 0.5 * (to - frm) * math.log10(params.q)
+            + n * math.log10(2.0 * math.sqrt(p * (1.0 - p))))
+
+
 def green_function(
     params: DiscreteQueueParams,
     n: int,
@@ -200,7 +221,10 @@ def green_function(
 
     Small step counts use the exact matrix power; large ones the spectral
     sum over closed-form eigenvector rows. The two agree to 1e-9 where they
-    overlap.
+    overlap. Where the spectral sum would have to cancel terms too large for
+    that (q^{(to-frm)/2} huge and n too short for the modes to decay),
+    ``auto`` takes the matrix power and ``spectral`` raises
+    :class:`DegenerateParamsError`.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -209,10 +233,20 @@ def green_function(
         raise ValueError("states must lie in 0..L")
     if method not in ("auto", "power", "spectral"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "power" or (method == "auto" and (n <= 64 or params.is_degenerate)):
+    if method == "auto":
+        exact = (n <= 64 or params.is_degenerate
+                 or _spectral_scale_log10(params, n, frm, to) > _SPECTRAL_SCALE_LOG10_MAX)
+        method = "power" if exact else "spectral"
+    if method == "power":
         kernel = build_kernel(params)
         return float(np.linalg.matrix_power(kernel.matrix, n)[frm, to])
     spec = _spectrum(params)
+    scale = _spectral_scale_log10(params, n, frm, to)
+    if scale > _SPECTRAL_SCALE_LOG10_MAX:
+        raise DegenerateParamsError(
+            f"spectral sum for {n} steps {frm} -> {to} at p={params.p}, L={L} would cancel "
+            f"below double precision (round-off scale 1e{scale:.0f}); use method='power'"
+        )
     # K^n = D^{-1/2} (V Lam^n V^T) D^{1/2} with D = diag(pi); the stationary
     # mode contributes pi(to) and each transient mode u_frm u_to lam^n / |u|^2.
     norm2 = _eigvec_row(params, L) ** 2 / spec.transient_boundary_weights
@@ -393,7 +427,13 @@ def correlator_r2(
     w = spec.transient_boundary_weights
     geom = _geometric_window_factor(lam, N)
     cov = pi_L * p * p * float(np.dot(w, np.power(lam, M - N) * geom * geom))
-    return cov / loss_variance_exact(params, N)
+    var = loss_variance_exact(params, N)
+    if var == 0.0:
+        raise DegenerateParamsError(
+            f"correlator undefined at p={p}, L={params.L}, N={N}: the window loss "
+            "variance underflows to 0 (pi(L) is below the smallest double)"
+        )
+    return cov / var
 
 
 def critical_r2(N: int, M: int) -> float:

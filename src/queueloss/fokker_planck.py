@@ -242,6 +242,14 @@ def probability_current(
     return j if np.ndim(ell_to) else float(j[0])
 
 
+def _shaped_like(eps, out):
+    """A transform evaluated at ``eps``: the complex array for array input,
+    a float for a real scalar and a complex number for a complex scalar."""
+    if np.ndim(eps):
+        return out
+    return complex(out) if np.iscomplexobj(eps) else complex(out).real
+
+
 def laplace_propagator(params: FpParams, ell_to: float, eps, ell_from: float):
     """Closed-form Laplace transform (over tau) of the transition density.
 
@@ -259,21 +267,15 @@ def laplace_propagator(params: FpParams, ell_to: float, eps, ell_from: float):
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError("positions must lie in [0, 1]")
     v = params.v
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=complex))
+    eps_arr = np.asarray(eps, dtype=complex)
     s_arg = x + y - 1.0
     d_arg = abs(x - y) - 1.0
-    out = np.empty_like(eps_arr)
-    for i, e in enumerate(eps_arr):
-        kappa = np.sqrt(e + v * v)
-        bracket = (2.0 * v * v / e) * numerics.cosh_ratio(kappa, s_arg)
-        bracket += (2.0 * kappa * v / e) * numerics.sinh_ratio(kappa, s_arg)
-        bracket += numerics.cosh_ratio(kappa, d_arg)
-        bracket += numerics.cosh_ratio(kappa, s_arg)
-        out[i] = np.exp(v * (x - y)) * bracket / (2.0 * kappa)
-    if np.ndim(eps):
-        return out
-    value = complex(out[0])
-    return value.real if not np.iscomplexobj(np.asarray(eps)) else value
+    kappa = np.sqrt(eps_arr + v * v)
+    bracket = (2.0 * v * v / eps_arr) * numerics.cosh_ratio(kappa, s_arg)
+    bracket += (2.0 * kappa * v / eps_arr) * numerics.sinh_ratio(kappa, s_arg)
+    bracket += numerics.cosh_ratio(kappa, d_arg)
+    bracket += numerics.cosh_ratio(kappa, s_arg)
+    return _shaped_like(eps, np.exp(v * (x - y)) * bracket / (2.0 * kappa))
 
 
 def boundary_return_transform(params: FpParams, eps):
@@ -281,15 +283,9 @@ def boundary_return_transform(params: FpParams, eps):
     W(1, eps; 1) = [kappa coth(kappa) + v] / eps, kappa = sqrt(eps + v^2).
     """
     v = params.v
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=complex))
-    out = np.empty_like(eps_arr)
-    for i, e in enumerate(eps_arr):
-        kappa = np.sqrt(e + v * v)
-        out[i] = (kappa * numerics.coth(kappa) + v) / e
-    if np.ndim(eps):
-        return out
-    value = complex(out[0])
-    return value.real if not np.iscomplexobj(np.asarray(eps)) else value
+    eps_arr = np.asarray(eps, dtype=complex)
+    kappa = np.sqrt(eps_arr + v * v)
+    return _shaped_like(eps, (kappa * numerics.coth(kappa) + v) / eps_arr)
 
 
 def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):
@@ -337,14 +333,20 @@ def loss_rate_coefficient(params: FpParams) -> float:
     return 0.5 * params.sigma2
 
 
-def _wall_density_tau(params: FpParams, ctrl: SeriesControl, tau: float) -> float:
-    """w(1, tau; 1) as a function of reduced time."""
-    t = params.time_from_tau(tau)
-    return float(transition_density(params, ctrl, 1.0, t, 1.0))
+def _invert_wall(params: FpParams, ctrl: SeriesControl, t: float, what: str, g) -> float:
+    """Invert g(eps, W, p(1)) over reduced time, W = W(1, eps; 1).
 
-
-def _invert(params: FpParams, ctrl: SeriesControl, F, tau: float, what: str) -> float:
-    value, err = numerics.laplace_invert(F, tau, nodes=ctrl.laplace_nodes)
+    W is evaluated once per contour, on all of its nodes together.
+    """
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    tau = params.tau(t)
+    p1 = float(stationary_density(params, 1.0))
+    value, err = numerics.laplace_invert(
+        lambda eps: g(eps, boundary_return_transform(params, eps), p1),
+        tau,
+        nodes=ctrl.laplace_nodes,
+    )
     # The guard catches genuine non-convergence (wild contour-to-contour
     # drift, non-finite nodes); accuracy at the package's working scales is
     # pinned separately by the validation suite against known inverses and
@@ -366,19 +368,13 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    tau = params.tau(t)
-    p1 = float(stationary_density(params, 1.0))
     if k == 1:
-        return p1 * tau
+        if t <= 0.0:
+            raise ValueError("t must be positive")
+        return float(stationary_density(params, 1.0)) * params.tau(t)
     kfac = math.factorial(k)
-
-    def transform(eps):
-        w = boundary_return_transform(params, eps)
-        return kfac * p1 * np.asarray(w) ** (k - 1) / np.asarray(eps) ** 2
-
-    return _invert(params, ctrl, transform, tau, f"loss moment k={k}")
+    return _invert_wall(params, ctrl, t, f"loss moment k={k}",
+                        lambda eps, w, p1: kfac * p1 * w ** (k - 1) / eps**2)
 
 
 def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> float:
@@ -400,17 +396,8 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
 def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
     """Probability that any traffic is lost during [0, t], inverted from
     p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    tau = params.tau(t)
-    p1 = float(stationary_density(params, 1.0))
-
-    def transform(eps):
-        eps = np.asarray(eps)
-        w = boundary_return_transform(params, eps)
-        return p1 / (eps * eps * w)
-
-    value = _invert(params, ctrl, transform, tau, "loss probability")
+    value = _invert_wall(params, ctrl, t, "loss probability",
+                         lambda eps, w, p1: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
 
 
@@ -462,12 +449,8 @@ def loss_pdf(
     if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
         return (0.0, "tail-cutoff") if return_regime else 0.0
 
-    def transform(eps):
-        eps = np.asarray(eps)
-        w = boundary_return_transform(params, eps)
-        return p1 * np.exp(-x / w) / (eps * eps * w * w)
-
-    value = _invert(params, ctrl, transform, tau, "loss pdf")
+    value = _invert_wall(params, ctrl, t, "loss pdf",
+                         lambda eps, w, p1: p1 * np.exp(-x / w) / (eps * eps * w * w))
     return (value, "inverted") if return_regime else value
 
 

@@ -75,15 +75,16 @@ def compensated_sum(values) -> float:
 
 def _talbot_once(F: Callable, tau: float, m: int) -> float:
     # Contour s(theta) = r*theta*(cot(theta) + i), theta in (-pi, pi),
-    # with the customary radius r = 2m/(5 tau).
+    # with the customary radius r = 2m/(5 tau); node 0 is the real axis
+    # crossing s = r, the rest the upper half (the lower half is conjugate).
     r = 2.0 * m / (5.0 * tau)
     theta = np.arange(1, m) * (np.pi / m)
     cot = 1.0 / np.tan(theta)
-    s = r * theta * (cot + 1j)
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
     sigma = theta + (theta * cot - 1.0) * cot
     fs = np.asarray(F(s), dtype=complex)
-    terms = np.exp(s * tau) * fs * (1.0 + 1j * sigma)
-    head = 0.5 * math.exp(r * tau) * complex(F(complex(r, 0.0))).real
+    terms = np.exp(s[1:] * tau) * fs[1:] * (1.0 + 1j * sigma)
+    head = 0.5 * math.exp(r * tau) * fs[0].real
     return (r / m) * (head + compensated_sum(terms.real))
 
 
@@ -115,41 +116,44 @@ def laplace_invert(
 # ---------------------------------------------------------------------------
 
 
+def _shifted_ratio(kappa, a, sign: float, series: Callable):
+    """(e^{kappa(a-1)} + sign e^{-kappa(a+1)}) / (1 - e^{-2 kappa}) elementwise,
+    replaced by ``series(kappa, (kappa a)^2, kappa^2)`` where |kappa| < 1e-4."""
+    k = np.asarray(kappa)
+    small = np.abs(k) < 1e-4
+    safe = np.where(small, 1.0, k)
+    num = np.exp(safe * (a - 1.0)) + sign * np.exp(-safe * (a + 1.0))
+    out = np.asarray(num / (1.0 - np.exp(-2.0 * safe)))
+    if small.any():
+        ks = k[small]
+        out[small] = series(ks, (ks * a) ** 2, ks * ks)
+    return out[()]
+
+
 def cosh_ratio(kappa, a):
     """cosh(kappa * a) / sinh(kappa) for |a| <= 1 without overflow.
 
-    Valid for real or complex ``kappa`` with Re(kappa) >= 0; every exponent
-    in the shifted form is non-positive. A short series covers |kappa| -> 0.
+    Valid for real or complex, scalar or array ``kappa`` with
+    Re(kappa) >= 0; every exponent in the shifted form is non-positive. A
+    short series covers |kappa| -> 0.
     """
-    if abs(kappa) < 1e-4:
-        ka2 = (kappa * a) ** 2
-        k2 = kappa * kappa
-        return (1.0 + ka2 / 2.0 + ka2 * ka2 / 24.0) / (
-            kappa * (1.0 + k2 / 6.0 + k2 * k2 / 120.0)
-        )
-    num = np.exp(kappa * (a - 1.0)) + np.exp(-kappa * (a + 1.0))
-    den = 1.0 - np.exp(-2.0 * kappa)
-    return num / den
+    return _shifted_ratio(
+        kappa, a, 1.0,
+        lambda k, ka2, k2: (1.0 + ka2 / 2.0 + ka2 * ka2 / 24.0)
+        / (k * (1.0 + k2 / 6.0 + k2 * k2 / 120.0)),
+    )
 
 
 def sinh_ratio(kappa, a):
     """sinh(kappa * a) / sinh(kappa) for |a| <= 1 without overflow."""
-    if abs(kappa) < 1e-4:
-        ka2 = (kappa * a) ** 2
-        k2 = kappa * kappa
-        return a * (1.0 + ka2 / 6.0) / (1.0 + k2 / 6.0)
-    num = np.exp(kappa * (a - 1.0)) - np.exp(-kappa * (a + 1.0))
-    den = 1.0 - np.exp(-2.0 * kappa)
-    return num / den
+    return _shifted_ratio(
+        kappa, a, -1.0, lambda k, ka2, k2: a * (1.0 + ka2 / 6.0) / (1.0 + k2 / 6.0)
+    )
 
 
 def coth(z):
-    """Hyperbolic cotangent, stable for large |Re z| and accurate near 0."""
-    z = complex(z) if np.iscomplexobj(z) or isinstance(z, complex) else float(z)
-    re = z.real if isinstance(z, complex) else z
-    if re < 0:
-        return -coth(-z)
-    if abs(z) < 1e-4:
-        return 1.0 / z + z / 3.0 - z**3 / 45.0
-    e = np.exp(-2.0 * z)
-    return (1.0 + e) / (1.0 - e)
+    """Hyperbolic cotangent, stable for large |Re z| and accurate near 0:
+    cosh_ratio(z, 1), mirrored as -coth(-z) where Re z < 0."""
+    z = np.asarray(z)
+    sign = np.where(z.real < 0.0, -1.0, 1.0)
+    return (sign * cosh_ratio(sign * z, 1.0))[()]

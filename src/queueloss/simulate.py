@@ -258,10 +258,6 @@ class EventLog:
     cum_idle: np.ndarray = field(repr=False)
     events: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
-    @property
-    def mean_interarrival(self) -> float:
-        return self.duration / max(self.n_arrivals, 1)
-
     def conservation_residual(self) -> float:
         """arrived - (serviced + dropped + final - initial); ~0 by volume
         conservation."""

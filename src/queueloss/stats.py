@@ -41,14 +41,11 @@ class WindowedSeries:
 
     ``window_length`` is in steps for discrete paths and in time units for
     continuous logs; ``spacing`` is the gap between consecutive windows.
-    Overlapping windows are allowed only where the consumer explicitly
-    supports them (correlation resolution) and are flagged here.
     """
 
     values: np.ndarray = field(repr=False)
     window_length: float
     spacing: float = 0.0
-    overlapping: bool = False
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)

@@ -116,6 +116,16 @@ class TestExactDiscrete:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["exact-discrete", "sim-discrete"])
+    @pytest.mark.parametrize("window", ["100.5", "0"])
+    def test_rejects_non_integer_windows(self, tmp_path, command, window):
+        rc = cli.main(
+            [command, "--p", "0.5", "--L", "9", "--N", window, "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimDiscrete:
     def test_agreement_columns(self, tmp_path):
         rc = cli.main(

@@ -159,6 +159,25 @@ class TestGreenFunction:
         assert worst <= 1e-9
 
 
+    @pytest.mark.parametrize("p", [0.1, 0.9])
+    def test_large_buffer_matches_matrix_power(self, p):
+        # At L = 1000 the spectral sum for 500 -> 0 and 1000 -> 0 at p = 0.1
+        # (and the reflected pairs at p = 0.9) would cancel terms near
+        # q^{(to-frm)/2} ~ 1e238 and 1e477; auto must not take it there.
+        params = D.DiscreteQueueParams(p=p, L=1000)
+        power = np.linalg.matrix_power(D.build_kernel(params).matrix, 100)
+        pairs = ((500, 0), (1000, 0), (0, 500), (0, 1000), (500, 1000), (1000, 1000), (0, 0))
+        for frm, to in pairs:
+            got = D.green_function(params, 100, frm, to)
+            assert got == pytest.approx(power[frm, to], abs=1e-9)
+
+    def test_spectral_refuses_cancelling_sum(self):
+        params = D.DiscreteQueueParams(p=0.1, L=1000)
+        for frm in (500, 1000):
+            with pytest.raises(D.DegenerateParamsError, match="cancel"):
+                D.green_function(params, 100, frm, 0, method="spectral")
+
+
 class TestMeanLossRate:
     def test_matches_boundary_weight_identity(self):
         for p in (0.1, 0.4, 0.5, 0.62, 0.9):
@@ -344,6 +363,13 @@ class TestCorrelatorR2:
         est = ST.correlation_estimate(series, [5])[0]  # lag 5 windows = 100 steps
         exact = D.correlator_r2(params, 20, 100, branch="exact")
         assert abs(est.value - exact) <= 3.0 * est.se
+
+    @pytest.mark.parametrize("L,N,M", [(3000, 100, 1000), (1000, 1000, 10000)])
+    def test_underflowed_variance_is_named(self, L, N, M):
+        # pi(L) ~ q^L is below the smallest double, so the window variance
+        # the correlator is normalized by is 0.
+        with pytest.raises(D.DegenerateParamsError, match="underflow"):
+            D.correlator_r2(D.DiscreteQueueParams(p=0.3, L=L), N, M)
 
     def test_rejects_overlapping_windows(self):
         with pytest.raises(ValueError):

@@ -122,3 +122,21 @@ class TestHelpers:
         assert numerics.coth(-5.0) == pytest.approx(-numerics.coth(5.0))
         z = numerics.coth(complex(900.0, 2.0))
         assert abs(z - 1.0) < 1e-10
+
+    def test_hyperbolic_helpers_on_arrays(self):
+        # Small, large and complex nodes in one array must give what the
+        # scalar calls give (to round-off); coth also mirrors a negative
+        # real part.
+        kappa = np.array([1e-6, 30.0, 800.0, 1e-6 + 2e-6j, 2.5 - 1.5j, 40.0 + 7.0j])
+        a = 0.37
+        for f in (numerics.cosh_ratio, numerics.sinh_ratio):
+            got = f(kappa, a)
+            assert got.shape == kappa.shape
+            for g, k in zip(got, kappa):
+                assert g == pytest.approx(f(k, a), rel=1e-15)
+        z = np.concatenate((kappa, -kappa, [-3.0 + 0.5j]))
+        got = numerics.coth(z)
+        for g, zi in zip(got, z):
+            assert g == pytest.approx(numerics.coth(zi), rel=1e-15)
+        want = 1.0 / math.tanh(5.0)
+        assert numerics.coth(np.array([-5.0, 5.0])) == pytest.approx([-want, want], rel=1e-12)

@@ -197,20 +197,22 @@ class TestWindowLosses:
             log.cum_lost[int(sample.n_windows * 25.0 / log.sample_dt)], rel=1e-12
         )
 
-    def test_mean_rate_bridges_to_continuum(self):
-        log = S.run(poisson_traffic(), duration=100_000.0, seed=21)
-        est = S.estimate_drift_diffusion(log, dt=0.2)
+    @pytest.fixture(scope="class")
+    def long_log(self):
+        return S.run(poisson_traffic(), duration=100_000.0, seed=21)
+
+    def test_mean_rate_bridges_to_continuum(self, long_log):
+        est = S.estimate_drift_diffusion(long_log, dt=0.2)
         params = est.as_fp_params()
-        sample = S.window_losses(log, t_window=20.0)
+        sample = S.window_losses(long_log, t_window=20.0)
         series = ST.WindowedSeries.from_loss_sample(sample)
         summary = ST.mean_and_variance(series)
         predicted = F.loss_moment(params, F.SeriesControl(), 1, sample.window_length)
         assert abs(summary.mean - predicted) <= 3.0 * summary.mean_se
 
-    def test_zero_loss_probability_bridges_to_continuum(self):
-        log = S.run(poisson_traffic(), duration=100_000.0, seed=21)
-        est = S.estimate_drift_diffusion(log, dt=0.2)
-        sample = S.window_losses(log, t_window=20.0)
+    def test_zero_loss_probability_bridges_to_continuum(self, long_log):
+        est = S.estimate_drift_diffusion(long_log, dt=0.2)
+        sample = S.window_losses(long_log, t_window=20.0)
         p_hit = float((sample.values > 0).mean())
         se = math.sqrt(p_hit * (1 - p_hit) / sample.n_windows)
         predicted = F.loss_probability(est.as_fp_params(), F.SeriesControl(), sample.window_length)
