@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError("[windows] is empty")
         if self.replicas < 1:
             raise ConfigError("[experiment] replicas must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("[experiment] seed must be >= 0")
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -259,6 +261,12 @@ _HEADERS = {
 }
 
 
+def _replica_seeds(root: int, replicas: int) -> list[int]:
+    """64-bit replica seeds hashed from the root by ``SeedSequence``; unlike
+    ``root + c * r``, the seed lists of different roots do not overlap."""
+    return [int(s) for s in np.random.SeedSequence(root).generate_state(replicas, np.uint64)]
+
+
 def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> int:
     """Execute a configured grid and write one CSV; returns the exit status.
 
@@ -269,7 +277,7 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     Invalid grids, including discrete window lengths that are not integers
     >= 1, raise :class:`ConfigError` before any point runs.
     """
-    seeds = [config.seed + 1000003 * r for r in range(config.replicas)]
+    seeds = _replica_seeds(config.seed, config.replicas)
     tasks: list[tuple] = []
     if config.model == "discrete":
         ps = config.grid.get("p")

@@ -189,6 +189,28 @@ def _eigvec_row(params: DiscreteQueueParams, ell: int) -> np.ndarray:
     return np.sin((ell + 1) * theta) - np.sin(ell * theta) / math.sqrt(params.q)
 
 
+def _propagate_row(params: DiscreteQueueParams, n: int, frm: int) -> np.ndarray:
+    """Row ``frm`` of the n-step kernel K^n, by n steps of the walk's law.
+
+    Each step moves mass p up and 1-p down, holding the blocked share at
+    the walls, in O(L); a row that a step leaves unchanged is final.
+    """
+    L, p = params.L, params.p
+    row = np.zeros(L + 1)
+    row[frm] = 1.0
+    for _ in range(n):
+        nxt = np.empty_like(row)
+        np.multiply(row[:-1], p, out=nxt[1:])
+        nxt[0] = 0.0
+        nxt[:-1] += (1.0 - p) * row[1:]
+        nxt[0] += (1.0 - p) * row[0]
+        nxt[L] += p * row[L]
+        if np.array_equal(nxt, row):
+            break
+        row = nxt
+    return row
+
+
 #: log10 of the largest round-off scale (see :func:`_spectral_scale_log10`)
 #: the spectral branch of :func:`green_function` accepts. Measured errors stay
 #: below 6.3e-16 times the scale (L <= 400, p in 0.05..0.95, n in 65..1000),
@@ -219,12 +241,13 @@ def green_function(
 ) -> float:
     """n-step transition probability from state ``frm`` to state ``to``.
 
-    Small step counts use the exact matrix power; large ones the spectral
-    sum over closed-form eigenvector rows. The two agree to 1e-9 where they
-    overlap. Where the spectral sum would have to cancel terms too large for
-    that (q^{(to-frm)/2} huge and n too short for the modes to decay),
-    ``auto`` takes the matrix power and ``spectral`` raises
-    :class:`DegenerateParamsError`.
+    Small step counts propagate the row of ``frm`` through n steps of the
+    walk (``method="power"``, O(nL), the row of the matrix power); large
+    ones take the spectral sum over closed-form eigenvector rows. The two
+    agree to 1e-9 where they overlap. Where the spectral sum would have to
+    cancel terms too large for that (q^{(to-frm)/2} huge and n too short
+    for the modes to decay), ``auto`` propagates the row and ``spectral``
+    raises :class:`DegenerateParamsError`.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -238,8 +261,7 @@ def green_function(
                  or _spectral_scale_log10(params, n, frm, to) > _SPECTRAL_SCALE_LOG10_MAX)
         method = "power" if exact else "spectral"
     if method == "power":
-        kernel = build_kernel(params)
-        return float(np.linalg.matrix_power(kernel.matrix, n)[frm, to])
+        return float(_propagate_row(params, n, frm)[to])
     spec = _spectrum(params)
     scale = _spectral_scale_log10(params, n, frm, to)
     if scale > _SPECTRAL_SCALE_LOG10_MAX:
@@ -473,26 +495,67 @@ class DiscretePath:
         return trimmed.reshape(n_windows, N).sum(axis=1).astype(np.int64)
 
 
-def _walk_chunk_py(l0, L, p, u, lengths, losses):
-    ell = l0
-    for i in range(u.size):
-        if u[i] < p:
-            if ell == L:
-                losses[i] = True
-            else:
-                ell += 1
-        elif ell > 0:
-            ell -= 1
-        lengths[i + 1] = ell
-    return ell
+#: Steps drawn and walked per pass of :func:`simulate_path`: its uniforms
+#: exist one chunk at a time (PCG64 gives the same stream in any chunking).
+_CHUNK = 1 << 20
+#: Steps per block of the clip-map scan; near the square root of a chunk,
+#: so the row passes and the scalar pass over the block maps cost alike.
+_BLOCK = 256
 
 
-try:  # pragma: no cover - exercised indirectly
-    import numba as _numba
+def _walk_chunk(l0, L, p, u, lengths=None, losses=None):
+    """Walk ``u.size`` steps from ``l0``, up where ``u < p`` and down
+    otherwise; returns the end state.
 
-    _walk_chunk = _numba.njit(cache=True)(_walk_chunk_py)
-except Exception:  # pragma: no cover - numba is a hard dependency in practice
-    _walk_chunk = _walk_chunk_py
+    When given, ``lengths[1:]`` receives the state after each step and
+    ``losses`` the steps that hit a full buffer. A step is the clip map
+    x -> min(max(x + c, 0), L), c = +-1, and clip maps compose to clip maps
+    x -> min(max(x + C, lo), hi). The steps are laid out as ``b`` rows of
+    one step from each of ``n/b`` contiguous blocks: ``b`` whole-row passes
+    compose each block's map, a scalar pass over the block maps gives each
+    block's start state, and ``b`` more row passes replay the states.
+    """
+    n = u.size
+    b = min(_BLOCK, math.isqrt(n - 1) + 1)
+    nb = -(-n // b)
+    # int16 holds every state and block shift up to L = 32766 and moves a
+    # quarter of int64's bytes through the final transpose.
+    dtype = np.int16 if L < np.iinfo(np.int16).max else np.int64
+    # Steps +1/-1, padded with 0 (the identity on 0..L) to whole blocks.
+    steps = np.zeros(nb * b, dtype=np.int8)
+    steps[:n] = u < p
+    steps[:n] += steps[:n] - 1
+    rows = np.ascontiguousarray(steps.reshape(nb, b).T)
+    shift = np.zeros(nb, dtype=dtype)
+    bounds = np.zeros((2, nb), dtype=dtype)
+    bounds[1] = L
+    for c in rows:
+        shift += c
+        bounds += c
+        np.maximum(bounds, 0, out=bounds)
+        np.minimum(bounds, L, out=bounds)
+    starts = []
+    x = int(l0)
+    for s, lo, hi in zip(shift.tolist(), *bounds.tolist()):
+        starts.append(x)
+        x = min(max(x + s, lo), hi)
+    if lengths is None:
+        return x
+    states = np.empty((b, nb), dtype=dtype)
+    full = np.empty((b, nb), dtype=np.bool_)
+    prev = np.array(starts, dtype=dtype)
+    for c, row, hit in zip(rows, states, full):
+        np.add(prev, c, out=row)
+        np.greater(row, L, out=hit)
+        np.maximum(row, 0, out=row)
+        np.minimum(row, L, out=row)
+        prev = row
+    whole = (nb - 1) * b
+    lengths[1 : whole + 1].reshape(nb - 1, b)[...] = states[:, : nb - 1].T
+    lengths[whole + 1 : n + 1] = states[: n - whole, nb - 1]
+    losses[:whole].reshape(nb - 1, b)[...] = full[:, : nb - 1].T
+    losses[whole:n] = full[: n - whole, nb - 1]
+    return x
 
 
 def simulate_path(
@@ -508,24 +571,26 @@ def simulate_path(
     with ``burn_in > 0`` the walk starts empty and the first ``burn_in``
     steps are discarded. Identical seeds give identical paths (the generator
     is the counter-based PCG64 behind a 64-bit seed).
+
+    The uniforms are drawn and walked one chunk at a time, each chunk as
+    blocks of composed clip maps (see :func:`_walk_chunk`), so the path
+    holds 9 bytes per step: the queue length and the loss flag.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    L = params.L
+    L, p = params.L, params.p
     if burn_in > 0:
         ell = 0
-        u = rng.random(burn_in)
-        scratch_len = np.zeros(burn_in + 1, dtype=np.int64)
-        scratch_loss = np.zeros(burn_in, dtype=np.bool_)
-        scratch_len[0] = ell
-        ell = int(_walk_chunk(ell, L, params.p, u, scratch_len, scratch_loss))
+        for s in range(0, burn_in, _CHUNK):
+            ell = _walk_chunk(ell, L, p, rng.random(min(_CHUNK, burn_in - s)))
     else:
         pi = stationary_distribution(params)
         ell = int(rng.choice(L + 1, p=pi))
-    lengths = np.zeros(n_steps + 1, dtype=np.int64)
-    losses = np.zeros(n_steps, dtype=np.bool_)
+    lengths = np.empty(n_steps + 1, dtype=np.int64)
+    losses = np.empty(n_steps, dtype=np.bool_)
     lengths[0] = ell
-    u = rng.random(n_steps)
-    _walk_chunk(ell, L, params.p, u, lengths, losses)
+    for s in range(0, n_steps, _CHUNK):
+        e = min(s + _CHUNK, n_steps)
+        ell = _walk_chunk(ell, L, p, rng.random(e - s), lengths[s : e + 1], losses[s:e])
     return DiscretePath(params=params, seed=seed, lengths=lengths, loss_events=losses)

@@ -1,9 +1,11 @@
-"""Generic numerics kept as oracles for the package's closed forms.
+"""Generic numerics kept as oracles for the package's closed forms and kernels.
 
 The package evaluates the bounded walk's spectrum and the continuum window
 correlator in closed form; the dense eigensolve and the adaptive quadrature
 they replaced live on here, where they check those closed forms from an
-independent direction.
+independent direction. The same goes for the two Monte Carlo kernels: the
+package runs them as NumPy block kernels, and the per-step loops they
+replaced are kept here as the bit-identity oracles.
 """
 
 from __future__ import annotations
@@ -107,3 +109,149 @@ def mode_sum_loss_correlator(
     terms = (2.0 * pn2 / (pn2 + v * v)) * np.exp(-k * T) \
         * -np.expm1(-k * t1) * -np.expm1(-k * t2) / (k * k)
     return r * r * p1 * math.fsum(terms)
+
+
+# ---------------------------------------------------------------------------
+# Per-step Monte Carlo loops
+# ---------------------------------------------------------------------------
+
+
+def walk_chunk_py(l0, L, p, u, lengths, losses):
+    ell = l0
+    for i in range(u.size):
+        if u[i] < p:
+            if ell == L:
+                losses[i] = True
+            else:
+                ell += 1
+        elif ell > 0:
+            ell -= 1
+        lengths[i + 1] = ell
+    return ell
+
+
+def simulate_path_py(params, n_steps: int, burn_in: int = 0, seed: int = 0):
+    """``(lengths, loss_events)`` of ``discrete.simulate_path`` by the
+    per-step loop, with every uniform drawn at once."""
+    from queueloss import discrete as D
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    L = params.L
+    if burn_in > 0:
+        ell = 0
+        u = rng.random(burn_in)
+        scratch_len = np.zeros(burn_in + 1, dtype=np.int64)
+        scratch_loss = np.zeros(burn_in, dtype=np.bool_)
+        scratch_len[0] = ell
+        ell = int(walk_chunk_py(ell, L, params.p, u, scratch_len, scratch_loss))
+    else:
+        pi = D.stationary_distribution(params)
+        ell = int(rng.choice(L + 1, p=pi))
+    lengths = np.zeros(n_steps + 1, dtype=np.int64)
+    losses = np.zeros(n_steps, dtype=np.bool_)
+    lengths[0] = ell
+    u = rng.random(n_steps)
+    walk_chunk_py(ell, L, params.p, u, lengths, losses)
+    return lengths, losses
+
+
+def advance_chunk_py(
+    etas,
+    sizes,
+    r_out,
+    duration,
+    sample_dt,
+    state,
+    grid_idx,
+    queue_samples,
+    cum_lost,
+    cum_idle,
+    ev_time,
+    ev_size,
+    ev_accepted,
+    ev_q_before,
+    ev_q_after,
+    record,
+):
+    ell = state[0]
+    t = state[1]
+    serviced = state[2]
+    dropped = state[3]
+    arrived = state[4]
+    idle = state[5]
+    n_drops = state[6]
+    # Kahan compensation terms: the volume totals grow to ~duration while the
+    # per-event increments are tiny, and the conservation identity is checked
+    # at 1e-9, which naive accumulation cannot hold over 1e7 events.
+    c_serv = state[7]
+    c_drop = state[8]
+    c_arr = state[9]
+    c_idle = state[10]
+    n_grid = queue_samples.size
+    consumed = 0
+    for i in range(etas.size):
+        p = sizes[i]
+        eta = etas[i]
+        if ell + p <= 1.0:
+            ell_plus = ell + p
+            accepted = True
+        else:
+            ell_plus = ell
+            accepted = False
+            yk = p - c_drop
+            tk = dropped + yk
+            c_drop = (tk - dropped) - yk
+            dropped = tk
+            n_drops += 1.0
+        yk = p - c_arr
+        tk = arrived + yk
+        c_arr = (tk - arrived) - yk
+        arrived = tk
+        if record:
+            ev_time[i] = t
+            ev_size[i] = p
+            ev_accepted[i] = accepted
+            ev_q_before[i] = ell
+            ev_q_after[i] = ell_plus
+        seg_end = t + eta
+        while grid_idx < n_grid and grid_idx * sample_dt <= seg_end:
+            tg = grid_idx * sample_dt
+            dtg = tg - t
+            q = ell_plus - dtg * r_out
+            if q < 0.0:
+                q = 0.0
+            queue_samples[grid_idx] = q
+            cum_lost[grid_idx] = dropped
+            part_idle = dtg - ell_plus / r_out
+            if part_idle < 0.0:
+                part_idle = 0.0
+            cum_idle[grid_idx] = idle + part_idle
+            grid_idx += 1
+        drained = eta * r_out
+        if drained > ell_plus:
+            yk = (eta - ell_plus / r_out) - c_idle
+            tk = idle + yk
+            c_idle = (tk - idle) - yk
+            idle = tk
+            drained = ell_plus
+        yk = drained - c_serv
+        tk = serviced + yk
+        c_serv = (tk - serviced) - yk
+        serviced = tk
+        ell = ell_plus - drained
+        t = seg_end
+        consumed = i + 1
+        if t >= duration:
+            break
+    state[0] = ell
+    state[1] = t
+    state[2] = serviced
+    state[3] = dropped
+    state[4] = arrived
+    state[5] = idle
+    state[6] = n_drops
+    state[7] = c_serv
+    state[8] = c_drop
+    state[9] = c_arr
+    state[10] = c_idle
+    return consumed, grid_idx

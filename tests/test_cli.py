@@ -160,6 +160,34 @@ class TestSimDiscrete:
         assert len(seeds) == 3
 
 
+    def test_replica_seeds_do_not_collide_across_roots(self, tmp_path):
+        # Seeds of the form root + 1000003 r gave root 0 replica 1 the seed
+        # of root 1000003 replica 0.
+        low = cli._replica_seeds(0, 4)
+        high = cli._replica_seeds(1000003, 4)
+        assert len(set(low)) == 4
+        assert set(low).isdisjoint(high)
+        cli.main(
+            [
+                "sim-discrete",
+                "--p", "0.5", "--L", "15", "--N", "100",
+                "--steps", "5000", "--seed", "0", "--replicas", "2",
+                "--out", str(tmp_path),
+            ]
+        )
+        text = (tmp_path / "sim_discrete.csv").read_text()
+        assert f"# seeds: {low[0]} {low[1]}\n" in text
+        body = read_body(tmp_path / "sim_discrete.csv")
+        header = body[0].split(",")
+        seeds = sorted(int(dict(zip(header, ln.split(",")))["seed"]) for ln in body[1:])
+        assert seeds == sorted(low[:2])
+
+    def test_negative_seed_rejected(self, tmp_path):
+        rc = cli.main(["sim-discrete", "--p", "0.5", "--L", "15", "--N", "100",
+                       "--steps", "1000", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+
+
 class TestFpEval:
     def test_moment_columns(self, tmp_path):
         rc = cli.main(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from queueloss import discrete as D
 from queueloss import stats as ST
-from reference_numerics import walk_eigen
+from reference_numerics import simulate_path_py, walk_chunk_py, walk_eigen
 
 
 def brute_force_variance(params: D.DiscreteQueueParams, N: int) -> float:
@@ -170,6 +170,40 @@ class TestGreenFunction:
         for frm, to in pairs:
             got = D.green_function(params, 100, frm, to)
             assert got == pytest.approx(power[frm, to], abs=1e-9)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.77, 1.0])
+    def test_row_propagation_matches_matrix_power(self, p):
+        worst = 0.0
+        for L in (1, 2, 7, 40):
+            params = D.DiscreteQueueParams(p=p, L=L)
+            matrix = D.build_kernel(params).matrix
+            for n in (0, 1, 5, 64, 200):
+                power = np.linalg.matrix_power(matrix, n)
+                for frm in sorted({0, L // 2, L}):
+                    row = D._propagate_row(params, n, frm)
+                    worst = max(worst, np.abs(row - power[frm]).max())
+                    got = D.green_function(params, n, frm, L, method="power")
+                    worst = max(worst, abs(got - power[frm, L]))
+        assert worst <= 1e-13
+
+    def test_large_buffer_short_and_cancelling_cases(self):
+        # p = 0.1, L = 1000: within 64 steps no state farther than 64 away
+        # is reachable, and at 100 steps 500 -> 0 and 1000 -> 0 are the
+        # cancelling spectral sums that auto must leave; all are exactly 0.
+        params = D.DiscreteQueueParams(p=0.1, L=1000)
+        for n in (64, 100):
+            assert D.green_function(params, n, 500, 0) == 0.0
+            assert D.green_function(params, n, 1000, 0) == 0.0
+        power = np.linalg.matrix_power(D.build_kernel(params).matrix, 64)
+        for frm, to in ((0, 0), (0, 30), (1000, 1000), (980, 1000)):
+            assert D.green_function(params, 64, frm, to) == pytest.approx(power[frm, to], abs=1e-13)
+
+    def test_degenerate_long_run_is_a_point_mass(self):
+        # p = 0 drives every state to 0 within L steps; the propagation
+        # stops once the row is fixed, so a huge n costs no more than L.
+        params = D.DiscreteQueueParams(p=0.0, L=5)
+        assert D.green_function(params, 10**9, 3, 0) == 1.0
+        assert D.green_function(params, 10**9, 3, 1) == 0.0
 
     def test_spectral_refuses_cancelling_sum(self):
         params = D.DiscreteQueueParams(p=0.1, L=1000)
@@ -434,6 +468,45 @@ class TestSimulatePath:
         summary = ST.mean_and_variance(series)
         exact = D.mean_loss_rate_exact(params)
         assert abs(summary.mean / 100 - exact) <= 3.0 * summary.mean_se / 100
+
+
+class TestWalkKernel:
+    """The clip-map block kernel against the per-step loop, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("L", [1, 2, 20, 300, 40000])
+    def test_path_matches_loop(self, monkeypatch, p, L):
+        # A 4096-step chunk makes the paths cross chunk boundaries; 10007 is
+        # prime, so neither the chunks nor the blocks divide it. L = 40000
+        # takes the int64 states.
+        monkeypatch.setattr(D, "_CHUNK", 4096)
+        params = D.DiscreteQueueParams(p=p, L=L)
+        for n_steps, burn_in in ((1, 0), (1, 5), (10007, 0), (10007, 4099)):
+            path = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
+            lengths, losses = simulate_path_py(params, n_steps, burn_in=burn_in, seed=17)
+            assert np.array_equal(path.lengths, lengths)
+            assert np.array_equal(path.loss_events, losses)
+
+    def test_default_chunk_matches_loop(self):
+        params = D.DiscreteQueueParams(p=0.5, L=20)
+        path = D.simulate_path(params, 1_000_003, seed=202)
+        lengths, losses = simulate_path_py(params, 1_000_003, seed=202)
+        assert np.array_equal(path.lengths, lengths)
+        assert np.array_equal(path.loss_events, losses)
+
+    @pytest.mark.parametrize("l0", [0, 3, 7])
+    def test_chunk_kernel_matches_loop(self, l0):
+        u = np.random.default_rng(5).random(3001)
+        got_len = np.zeros(u.size + 1, dtype=np.int64)
+        got_loss = np.zeros(u.size, dtype=np.bool_)
+        ref_len = np.zeros(u.size + 1, dtype=np.int64)
+        ref_loss = np.zeros(u.size, dtype=np.bool_)
+        got_len[0] = ref_len[0] = l0
+        end = D._walk_chunk(l0, 7, 0.55, u, got_len, got_loss)
+        assert end == walk_chunk_py(l0, 7, 0.55, u, ref_len, ref_loss)
+        assert D._walk_chunk(l0, 7, 0.55, u) == end
+        assert np.array_equal(got_len, ref_len)
+        assert np.array_equal(got_loss, ref_loss)
 
 
 class TestParamValidation:

@@ -6,6 +6,7 @@ import pytest
 from queueloss import fokker_planck as F
 from queueloss import simulate as S
 from queueloss import stats as ST
+from reference_numerics import advance_chunk_py
 
 
 def poisson_traffic(mean_gap=0.01, size=0.01, r_out=1.0):
@@ -139,6 +140,79 @@ class TestRun:
     def test_duration_guard(self):
         with pytest.raises(ValueError):
             S.run(poisson_traffic(), duration=0.1, seed=0)
+
+
+def _law(kind, mean):
+    if kind == "uniform":
+        return S.Distribution(kind="uniform", low=0.5 * mean, high=1.5 * mean)
+    return S.Distribution(kind=kind, mean=mean)
+
+
+def _run_both(monkeypatch, traffic, duration, seed, **kwargs):
+    """The run by the block kernel, then by the per-arrival loop."""
+    new = S.run(traffic, duration=duration, seed=seed, **kwargs)
+    monkeypatch.setattr(S, "_advance_chunk", advance_chunk_py)
+    ref = S.run(traffic, duration=duration, seed=seed, **kwargs)
+    return new, ref
+
+
+def _assert_same_log(new, ref):
+    for name in ("queue_samples", "cum_lost", "cum_idle"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    for name in ("final_queue", "dropped", "idle_time", "n_arrivals", "n_drops"):
+        assert getattr(new, name) == getattr(ref, name), name
+    # The block kernel adds offered and serviced volume in larger steps.
+    assert new.arrived == pytest.approx(ref.arrived, rel=1e-12, abs=0.0)
+    assert new.serviced == pytest.approx(ref.serviced, rel=1e-12, abs=0.0)
+    assert (new.events is None) == (ref.events is None)
+    if ref.events is not None:
+        for name, column in ref.events.items():
+            assert np.array_equal(new.events[name], column), name
+
+
+class TestKernelMatchesLoop:
+    """The free-path block kernel against the per-arrival loop."""
+
+    @pytest.mark.parametrize("law", ["exponential", "uniform", "deterministic"])
+    @pytest.mark.parametrize("r_out", [0.98, 1.0, 1.02, 50.0])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_bit_identical_across_chunks(self, monkeypatch, law, r_out, record):
+        # 3001-arrival chunks: a 300-unit run crosses about ten of them.
+        monkeypatch.setattr(S, "_CHUNK", 3001)
+        traffic = S.TrafficModel(
+            interarrival=_law(law, 0.01), packet_size=_law(law, 0.01), r_out=r_out
+        )
+        new, ref = _run_both(monkeypatch, traffic, 300.0, 7,
+                             record_events=record, initial_queue=0.96)
+        _assert_same_log(new, ref)
+
+    def test_interior_arrivals_run_in_blocks(self):
+        # Deterministic traffic in balance keeps the queue at 0.5, far from
+        # both walls; after the first quiet arrivals the kernel must take
+        # blocks, which write the event record by slices, not per arrival.
+        class CountingArray(np.ndarray):
+            per_arrival_writes = 0
+
+            def __setitem__(self, key, value):
+                if isinstance(key, int):
+                    CountingArray.per_arrival_writes += 1
+                super().__setitem__(key, value)
+
+        n = 20_000
+        gaps = np.full(n, 0.01)
+        state = np.zeros(11)
+        state[0] = 0.5
+        grid = [np.zeros(1001) for _ in range(3)]
+        times = np.zeros(n).view(CountingArray)
+        events = [times, np.zeros(n), np.zeros(n, dtype=np.bool_), np.zeros(n), np.zeros(n)]
+        consumed, _ = S._advance_chunk(gaps, gaps, 1.0, 1e9, 0.2, state, 0, *grid, *events, True)
+        assert consumed == n
+        assert CountingArray.per_arrival_writes < n // 100
+
+    def test_bit_identical_at_default_chunk(self, monkeypatch):
+        new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.02), 2000.0, 7,
+                             sample_dt=0.05)
+        _assert_same_log(new, ref)
 
 
 class TestDriftDiffusionEstimate:
