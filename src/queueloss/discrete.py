@@ -15,7 +15,6 @@ variances and correlators into closed geometric sums.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -367,30 +366,19 @@ def crossover_window(params: DiscreteQueueParams) -> float:
     return 1.0 / (b * b + (math.pi / params.L) ** 2)
 
 
-def _growth_integrand(x: float) -> float:
-    """(x^2 - 1 + exp(-x^2)) / x^4, continuously extended to 1/2 at 0."""
-    if x < 0.05:
-        u = x * x
-        return 0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0
-    return (x * x - 1.0 + math.exp(-x * x)) / x**4
-
-
-@functools.lru_cache(maxsize=1)
-def critical_coefficient(tol: float = 1e-12) -> float:
+def critical_coefficient() -> float:
     """Amplitude c of the critical square-root growth of the compressibility.
 
-    c = (2 sqrt(2)/pi) * integral_0^inf dx/x^2 (1 - (1 - e^{-x^2})/x^2),
-    by adaptive quadrature split at x = 2 for uniform error control.
+    c = (2 sqrt(2)/pi) I with I = integral_0^inf (x^2 - 1 + e^{-x^2}) / x^4 dx.
+    Integrating by parts twice, with boundary terms that vanish at both
+    ends (the numerator is x^4/2 + O(x^6) near 0):
+
+        I = (2/3) integral_0^inf (1 - e^{-x^2}) / x^2 dx
+          = (2/3) integral_0^inf 2 e^{-x^2} dx = 2 sqrt(pi) / 3,
+
+    so c = (4/3) sqrt(2/pi).
     """
-    head = numerics.integrate(_growth_integrand, 0.0, 2.0, tol=tol)
-    tail = numerics.integrate(_growth_integrand, 2.0, np.inf, tol=tol)
-    total_err = head.error + tail.error
-    value = head.value + tail.value
-    if total_err > 1e-8 * abs(value):
-        raise numerics.QuadratureError(
-            f"growth-coefficient quadrature error {total_err:.3g} too large"
-        )
-    return (2.0 * math.sqrt(2.0) / math.pi) * value
+    return (4.0 / 3.0) * math.sqrt(2.0 / math.pi)
 
 
 def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:

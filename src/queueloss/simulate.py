@@ -415,7 +415,11 @@ def run(
                 ev["time"], ev["size"], ev["accepted"],
                 ev["queue_before"], ev["queue_after"], True,
             )
-            ev_chunks.append({k: v[:consumed] for k, v in ev.items()})
+            # A partial (last) chunk keeps a copy, so the unused tail of its
+            # full-size arrays is freed now.
+            ev_chunks.append(
+                {k: v[:consumed].copy() if consumed < _CHUNK else v for k, v in ev.items()}
+            )
         else:
             consumed, grid_idx = _advance_chunk(
                 etas, sizes, traffic.r_out, duration, sample_dt, state, grid_idx,
@@ -425,9 +429,11 @@ def run(
         n_arrivals += consumed
     events = None
     if record_events:
-        events = {
-            k: np.concatenate([c[k] for c in ev_chunks]) for k in ev_chunks[0]
-        }
+        # One column at a time, each chunk's column dropped once joined: the
+        # peak is the record plus one column rather than twice the record.
+        events = {}
+        for k in list(ev_chunks[0]):
+            events[k] = np.concatenate([c.pop(k) for c in ev_chunks])
     return EventLog(
         traffic=traffic,
         duration=duration,

@@ -1,11 +1,12 @@
 """Generic numerics kept as oracles for the package's closed forms and kernels.
 
-The package evaluates the bounded walk's spectrum and the continuum window
-correlator in closed form; the dense eigensolve and the adaptive quadrature
-they replaced live on here, where they check those closed forms from an
-independent direction. The same goes for the two Monte Carlo kernels: the
-package runs them as NumPy block kernels, and the per-step loops they
-replaced are kept here as the bit-identity oracles.
+The package evaluates the bounded walk's spectrum, the critical growth
+coefficient and the continuum window correlator in closed form; the dense
+eigensolve and the adaptive quadratures they replaced live on here, where
+they check those closed forms from an independent direction. The same goes
+for the two Monte Carlo kernels: the package runs them as NumPy block
+kernels, and the per-step loops they replaced are kept here as the
+bit-identity oracles.
 """
 
 from __future__ import annotations
@@ -69,6 +70,28 @@ def walk_eigen(p: float, L: int) -> tuple[np.ndarray, np.ndarray]:
     off = np.full(L, math.sqrt(p * (1.0 - p)))
     vals, vecs = tridiag_eigen(diag, off)
     return vals, vecs[L, :] ** 2
+
+
+def growth_integrand(x: float) -> float:
+    """(x^2 - 1 + exp(-x^2)) / x^4, continuously extended to 1/2 at 0."""
+    if x < 0.05:
+        u = x * x
+        return 0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0
+    return (x * x - 1.0 + math.exp(-x * x)) / x**4
+
+
+def quadrature_critical_coefficient(tol: float = 1e-12) -> float:
+    """Critical growth amplitude (2 sqrt(2)/pi) * integral_0^inf growth_integrand,
+    by adaptive quadrature split at x = 2 for uniform error control."""
+    head = numerics.integrate(growth_integrand, 0.0, 2.0, tol=tol)
+    tail = numerics.integrate(growth_integrand, 2.0, np.inf, tol=tol)
+    total_err = head.error + tail.error
+    value = head.value + tail.value
+    if total_err > 1e-8 * abs(value):
+        raise numerics.QuadratureError(
+            f"growth-coefficient quadrature error {total_err:.3g} too large"
+        )
+    return (2.0 * math.sqrt(2.0) / math.pi) * value
 
 
 def quadrature_loss_correlator(params, ctrl, t1: float, t2: float, T: float) -> float:

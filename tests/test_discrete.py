@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from queueloss import discrete as D
 from queueloss import stats as ST
-from reference_numerics import simulate_path_py, walk_chunk_py, walk_eigen
+from reference_numerics import growth_integrand, simulate_path_py, walk_chunk_py, walk_eigen
 
 
 def brute_force_variance(params: D.DiscreteQueueParams, N: int) -> float:
@@ -259,7 +259,8 @@ class TestLossVariance:
             m = D.mean_loss_rate_exact(params)
             assert D.loss_variance_exact(params, 1) == pytest.approx(m * (1 - m), abs=1e-14)
 
-    @pytest.mark.parametrize("p,L,N", [(0.5, 8, 50), (0.65, 6, 37), (0.35, 10, 80)])
+    @given(p=st.floats(0.05, 0.95), L=st.integers(1, 12), N=st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
     def test_matches_matrix_power_oracle(self, p, L, N):
         params = D.DiscreteQueueParams(p=p, L=L)
         want = brute_force_variance(params, N)
@@ -319,8 +320,8 @@ class TestCompressibility:
 
 class TestCriticalCoefficient:
     def test_integrand_limits(self):
-        assert D._growth_integrand(1e-9) == pytest.approx(0.5, abs=1e-12)
-        assert D._growth_integrand(30.0) == pytest.approx(
+        assert growth_integrand(1e-9) == pytest.approx(0.5, abs=1e-12)
+        assert growth_integrand(30.0) == pytest.approx(
             1.0 / 900.0 - 1.0 / 810000.0, rel=1e-12
         )
 
@@ -349,10 +350,14 @@ class TestCriticalCoefficient:
 
 
 class TestCorrelatorR2:
-    def test_matches_matrix_power_oracle(self):
-        params = D.DiscreteQueueParams(p=0.6, L=6)
-        want = brute_force_r2(params, 4, 7)
-        got = D.correlator_r2(params, 4, 7, branch="exact")
+    @given(p=st.floats(0.05, 0.95), L=st.integers(1, 12), N=st.integers(1, 60),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_matrix_power_oracle(self, p, L, N, data):
+        M = data.draw(st.integers(N + 1, 3 * N), label="M")
+        params = D.DiscreteQueueParams(p=p, L=L)
+        want = brute_force_r2(params, N, M)
+        got = D.correlator_r2(params, N, M, branch="exact")
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_critical_closed_form_reduction(self):

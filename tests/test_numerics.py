@@ -1,12 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from queueloss import numerics
-from queueloss.discrete import DiscreteQueueParams, stationary_distribution
+from queueloss.discrete import DiscreteQueueParams, critical_coefficient, stationary_distribution
 from queueloss.fokker_planck import FpParams, stationary_density
-from reference_numerics import tridiag_eigen
+from reference_numerics import quadrature_critical_coefficient, tridiag_eigen
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestIntegrate:
@@ -140,3 +148,60 @@ class TestHelpers:
             assert g == pytest.approx(numerics.coth(zi), rel=1e-15)
         want = 1.0 / math.tanh(5.0)
         assert numerics.coth(np.array([-5.0, 5.0])) == pytest.approx([-want, want], rel=1e-12)
+
+
+class TestErrorFunctions:
+    def test_erfc_against_mpmath(self):
+        xs = np.linspace(0.0, 26.0, 2601)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.erfc(mpmath.mpf(x))) for x in xs])
+        got = numerics.erfc(xs)
+        assert got.shape == xs.shape
+        assert np.abs(got / want - 1.0).max() <= 1e-15
+        for x, w in zip(xs[::100], want[::100]):
+            g = numerics.erfc(float(x))
+            assert np.ndim(g) == 0
+            assert abs(g / w - 1.0) <= 1e-15
+
+    def test_erfc_against_scipy(self):
+        # SciPy's erfc rounds x^2 inside exp(-x^2), which leaves it up to
+        # 5.7e-14 off near x = 24; math.erfc is within 3.3e-16 there.
+        xs = np.linspace(0.0, 26.0, 26001)
+        assert np.abs(numerics.erfc(xs) / special.erfc(xs) - 1.0).max() <= 1e-13
+        assert numerics.erfc(-2.0) == pytest.approx(special.erfc(-2.0), rel=1e-15)
+
+    def test_erfc_keeps_subnormal_tail(self):
+        # SciPy flushes erfc to 0 past x = 26.6.
+        with mpmath.workdps(40):
+            want = float(mpmath.erfc(27))
+        assert 0.0 < numerics.erfc(27.0) == pytest.approx(want, rel=1e-3)
+
+    def test_erfcx_against_scipy(self):
+        xs = np.concatenate((np.logspace(-3.0, 6.0, 9001), [25.0, np.nextafter(25.0, 0.0)]))
+        got = numerics.erfcx(xs)
+        assert got.shape == xs.shape
+        assert np.abs(got / special.erfcx(xs) - 1.0).max() <= 1e-13
+        for x in (1e-3, 1.0, 24.9, 25.0, 400.0, 1e6):
+            g = numerics.erfcx(x)
+            assert np.ndim(g) == 0
+            assert g == pytest.approx(special.erfcx(x), rel=1e-13)
+        assert numerics.erfcx(np.inf) == 0.0
+
+
+class TestCriticalCoefficientOracle:
+    def test_closed_form_matches_quadrature(self):
+        want = quadrature_critical_coefficient()
+        assert critical_coefficient() == pytest.approx(want, rel=1e-12)
+
+
+def test_package_import_loads_no_scipy():
+    # Importing the package and its CLI must need NumPy alone; SciPy is
+    # loaded by numerics.integrate on its first call.
+    code = (
+        "import sys, queueloss, queueloss.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,42 @@ class TestKernelMatchesLoop:
         new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.02), 2000.0, 7,
                              sample_dt=0.05)
         _assert_same_log(new, ref)
+
+
+class TestEventRecord:
+    def test_record_assembly_peak_and_bits(self, monkeypatch):
+        # 4096-arrival chunks: a 1000-unit run fills 24 of them and ends
+        # in a partial one. Joining the record must not hold the chunks and
+        # the joined record at once, and must give exactly what the kernel
+        # wrote.
+        monkeypatch.setattr(S, "_CHUNK", 4096)
+        traffic = poisson_traffic()
+        S.run(traffic, duration=1.0, seed=0, record_events=True)  # first-call allocations
+        tracemalloc.start()
+        try:
+            log = S.run(traffic, duration=1000.0, seed=5, record_events=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record_bytes = sum(column.nbytes for column in log.events.values())
+        assert log.n_arrivals > 3 * S._CHUNK
+        assert peak < 1.5 * record_bytes
+
+        kernel = S._advance_chunk
+        written = []
+
+        def spy(*args):
+            consumed, grid_idx = kernel(*args)
+            written.append([np.array(column[:consumed]) for column in args[10:15]])
+            return consumed, grid_idx
+
+        monkeypatch.setattr(S, "_advance_chunk", spy)
+        S.run(traffic, duration=1000.0, seed=5, record_events=True)
+        assert len(written) == math.ceil(log.n_arrivals / S._CHUNK)
+        for i, name in enumerate(("time", "size", "accepted", "queue_before", "queue_after")):
+            want = np.concatenate([chunk[i] for chunk in written])
+            assert log.events[name].dtype == want.dtype
+            assert np.array_equal(log.events[name], want), name
 
 
 class TestDriftDiffusionEstimate:
