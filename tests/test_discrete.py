@@ -259,9 +259,16 @@ class TestLossVariance:
             m = D.mean_loss_rate_exact(params)
             assert D.loss_variance_exact(params, 1) == pytest.approx(m * (1 - m), abs=1e-14)
 
+    @pytest.mark.parametrize("p,L,N", [(0.5, 8, 50), (0.65, 6, 37), (0.35, 10, 80)])
+    def test_matches_matrix_power_oracle(self, p, L, N):
+        params = D.DiscreteQueueParams(p=p, L=L)
+        want = brute_force_variance(params, N)
+        got = D.loss_variance_exact(params, N)
+        assert got == pytest.approx(want, abs=1e-9)
+
     @given(p=st.floats(0.05, 0.95), L=st.integers(1, 12), N=st.integers(1, 60))
     @settings(max_examples=100, deadline=None)
-    def test_matches_matrix_power_oracle(self, p, L, N):
+    def test_matches_matrix_power_oracle_random(self, p, L, N):
         params = D.DiscreteQueueParams(p=p, L=L)
         want = brute_force_variance(params, N)
         got = D.loss_variance_exact(params, N)
