@@ -9,9 +9,18 @@ sim-continuous   packet simulator runs bridged to the continuum predictions
 sweep            run any of the above from a config file across its grid
 check            fast invariant suite; nonzero exit on any failure
 
+Every experiment writes one of four CSV kinds, each one entry of
+:data:`KINDS` (its grid axes, worker, header and whether each grid point
+runs once per replica seed). A config picks its kind by ``model``, and a
+discrete config with ``steps`` is the Monte Carlo kind. Each subcommand
+other than ``sweep`` writes only its own kind and rejects a config of
+another kind; ``sweep`` runs any.
+
 Configs are INI-style ``key = value`` files with sections (see README for
 the schema); every CSV starts with ``#``-prefixed metadata (config hash,
-seed list, package version) so a run can be reproduced byte-for-byte.
+seed list, package version). The config hash covers every config field
+except the output directory, so one experiment written to two directories
+gives byte-for-byte identical files.
 """
 
 from __future__ import annotations
@@ -19,11 +28,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +57,6 @@ class ExperimentConfig:
     out: str = "results"
     duration: float | None = None
     steps: int | None = None
-    laplace_nodes: int = 48
 
     def __post_init__(self) -> None:
         if self.model not in ("discrete", "continuous", "fp"):
@@ -61,6 +71,10 @@ class ExperimentConfig:
             raise ConfigError("[experiment] seed must be >= 0")
 
 
+#: The keys ``load_config`` accepts in ``[experiment]``.
+_EXPERIMENT_KEYS = ("model", "replicas", "seed", "out")
+
+
 def _parse_float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
@@ -72,36 +86,27 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     try:
         exp = parser["experiment"]
-        model = exp.get("model", "discrete").strip()
-        grid_sec = parser["grid"] if parser.has_section("grid") else {}
-        grid = {key: _parse_float_list(val) for key, val in dict(grid_sec).items()
-                if key not in ("duration", "steps")}
-        win_sec = parser["windows"] if parser.has_section("windows") else {}
-        windows: list[float] = []
-        for key in ("n", "t"):
-            if key in win_sec:
-                windows = _parse_float_list(win_sec[key])
-        duration = None
-        steps = None
-        if parser.has_section("grid"):
-            if "duration" in parser["grid"]:
-                duration = float(parser["grid"]["duration"])
-            if "steps" in parser["grid"]:
-                steps = int(float(parser["grid"]["steps"]))
+        unknown = sorted(set(exp) - set(_EXPERIMENT_KEYS))
+        if unknown:
+            raise ConfigError(f"config {path!r}: unknown [experiment] key(s) {', '.join(unknown)}"
+                              f"; expected {', '.join(_EXPERIMENT_KEYS)}")
+        grid = dict(parser["grid"]) if parser.has_section("grid") else {}
+        duration = grid.pop("duration", None)
+        steps = grid.pop("steps", None)
+        windows = dict(parser["windows"]) if parser.has_section("windows") else {}
         return ExperimentConfig(
-            model=model,
-            grid=grid,
-            windows=windows,
+            model=exp.get("model", "discrete").strip(),
+            grid={key: _parse_float_list(val) for key, val in grid.items()},
+            windows=_parse_float_list(windows.get("t", windows.get("n", ""))),
             replicas=exp.getint("replicas", 1),
             seed=exp.getint("seed", 0),
             out=exp.get("out", "results"),
-            duration=duration,
-            steps=steps,
-            laplace_nodes=exp.getint("laplace_nodes", 48),
+            duration=None if duration is None else float(duration),
+            steps=None if steps is None else int(float(steps)),
         )
+    except ConfigError:
+        raise
     except (KeyError, ValueError, configparser.Error) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"config {path!r}: {exc}") from exc
 
 
@@ -129,14 +134,18 @@ PRESETS: dict[str, ExperimentConfig] = {
 
 
 def _config_hash(config: ExperimentConfig) -> str:
-    canon = repr(sorted(config.__dict__.items(), key=lambda kv: kv[0]))
+    """Digest of every config field except ``out``, the output directory;
+    the order in which the grid axes were listed does not count."""
+    fields = {k: v for k, v in config.__dict__.items() if k != "out"}
+    fields["grid"] = sorted(config.grid.items())
+    canon = repr(sorted(fields.items()))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> None:
+def _write_csv(path: Path, header: str, rows: list[list], meta: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(",".join(header))
+    lines.append(header)
     for row in rows:
         lines.append(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
@@ -152,16 +161,25 @@ def _rate_asymptote(p: float, L: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Grid-point workers (module-level so process pools can pickle them)
+# Grid-point workers: worker(point, config, seed) -> rows. ``point`` holds
+# the kind's axis values; ``seed`` is a :class:`Seed` for seeded kinds and
+# None otherwise. Module-level so process pools can pickle them.
 # ---------------------------------------------------------------------------
 
 
-def _exact_discrete_point(args) -> list[list]:
-    p, L, windows = args
+class Seed(NamedTuple):
+    """One replica of a seeded grid point: its index and its 64-bit seed."""
+
+    replica: int
+    value: int
+
+
+def _exact_discrete_point(point, config: ExperimentConfig, seed: Seed | None) -> list[list]:
+    p, L = point
     params = discrete.DiscreteQueueParams(p=p, L=int(L))
     rate = discrete.mean_loss_rate_exact(params)
     rows = []
-    for N in windows:
+    for N in config.windows:
         N = int(N)
         var = discrete.loss_variance_exact(params, N)
         chi = var / (N * rate) if rate > 0 else float("nan")
@@ -170,13 +188,13 @@ def _exact_discrete_point(args) -> list[list]:
     return rows
 
 
-def _sim_discrete_point(args) -> list[list]:
-    p, L, windows, steps, seed, replica = args
+def _sim_discrete_point(point, config: ExperimentConfig, seed: Seed | None) -> list[list]:
+    p, L = point
     params = discrete.DiscreteQueueParams(p=p, L=int(L))
-    path = discrete.simulate_path(params, n_steps=steps, seed=seed)
+    path = discrete.simulate_path(params, n_steps=config.steps, seed=seed.value)
     rate_exact = discrete.mean_loss_rate_exact(params)
     rows = []
-    for N in windows:
+    for N in config.windows:
         N = int(N)
         series = stats.WindowedSeries.from_counts(path.window_counts(N), N)
         st = stats.mean_and_variance(series)
@@ -185,17 +203,17 @@ def _sim_discrete_point(args) -> list[list]:
         var_exact = discrete.loss_variance_exact(params, N)
         rate_ok = abs(rate - rate_exact) <= 3.0 * rate_se if rate_se > 0 else True
         var_ok = abs(st.variance - var_exact) <= 3.0 * st.variance_se
-        rows.append([p, int(L), N, replica, seed, rate, rate_se, rate_exact,
+        rows.append([p, int(L), N, seed.replica, seed.value, rate, rate_se, rate_exact,
                      int(rate_ok), st.variance, st.variance_se, var_exact, int(var_ok)])
     return rows
 
 
-def _fp_point(args) -> list[list]:
-    a, sigma2, windows, nodes = args
+def _fp_point(point, config: ExperimentConfig, seed: Seed | None) -> list[list]:
+    a, sigma2 = point
     params = fokker_planck.FpParams(a=a, sigma2=sigma2)
-    ctrl = fokker_planck.SeriesControl(laplace_nodes=nodes)
+    ctrl = fokker_planck.SeriesControl()
     rows = []
-    for t in windows:
+    for t in config.windows:
         tau = params.tau(t)
         m1 = fokker_planck.loss_moment(params, ctrl, 1, t)
         m2 = fokker_planck.loss_moment(params, ctrl, 2, t)
@@ -206,20 +224,20 @@ def _fp_point(args) -> list[list]:
     return rows
 
 
-def _sim_continuous_point(args) -> list[list]:
-    ia_mean, size, r_out, windows, duration, seed, replica = args
+def _sim_continuous_point(point, config: ExperimentConfig, seed: Seed | None) -> list[list]:
+    ia_mean, size, r_out = point
     traffic = simulate.TrafficModel(
         interarrival=simulate.Distribution(kind="exponential", mean=ia_mean),
         packet_size=simulate.Distribution(kind="deterministic", mean=size),
         r_out=r_out,
     )
-    log = simulate.run(traffic, duration=duration, seed=seed)
+    log = simulate.run(traffic, duration=config.duration, seed=seed.value)
     conserved = abs(log.conservation_residual()) <= 1e-9 * max(1.0, log.arrived)
     est = simulate.estimate_drift_diffusion(log, dt=20.0 * ia_mean)
     params = est.as_fp_params()
     ctrl = fokker_planck.SeriesControl()
     rows = []
-    for t_w in windows:
+    for t_w in config.windows:
         sample = simulate.window_losses(log, t_window=t_w)
         series = stats.WindowedSeries.from_loss_sample(sample)
         st = stats.mean_and_variance(series)
@@ -228,7 +246,7 @@ def _sim_continuous_point(args) -> list[list]:
         var_pred = m2 - m1 * m1
         mean_ok = abs(st.mean - m1) <= 3.0 * st.mean_se
         var_ok = abs(st.variance - var_pred) <= 3.0 * st.variance_se
-        rows.append([ia_mean, size, r_out, duration, replica, seed, t_w,
+        rows.append([ia_mean, size, r_out, config.duration, seed.replica, seed.value, t_w,
                      est.a, est.a_se, est.sigma2, est.sigma2_se,
                      st.mean, st.mean_se, m1, int(mean_ok),
                      st.variance, st.variance_se, var_pred, int(var_ok),
@@ -236,29 +254,62 @@ def _sim_continuous_point(args) -> list[list]:
     return rows
 
 
-def _run_point(work):
+@dataclass(frozen=True)
+class TableKind:
+    """One CSV kind: the config model that writes it, the grid axes it ranges
+    over (in task order), its worker and header, and whether each point runs
+    once per replica seed. ``needs`` names the other config fields it
+    requires."""
+
+    model: str
+    axes: tuple[str, ...]
+    worker: Callable
+    header: str
+    seeded: bool = False
+    needs: tuple[str, ...] = ()
+    integer_windows: bool = False
+
+
+KINDS: dict[str, TableKind] = {
+    "discrete-exact": TableKind(
+        "discrete", ("p", "l"), _exact_discrete_point,
+        "p,L,N,mean_loss_rate,rate_asymptote,loss_variance,compressibility,crossover_window",
+        integer_windows=True,
+    ),
+    "discrete-sim": TableKind(
+        "discrete", ("p", "l"), _sim_discrete_point,
+        "p,L,N,replica,seed,rate_mc,rate_se,rate_exact,rate_within_3se,"
+        "variance_mc,variance_se,variance_exact,variance_within_3se",
+        seeded=True, integer_windows=True,
+    ),
+    "fp": TableKind(
+        "fp", ("a", "sigma2"), _fp_point,
+        "a,sigma2,t,tau,m1,m2,loss_variance,p_loss,m2_short_branch,m2_long_branch",
+    ),
+    "continuous-sim": TableKind(
+        "continuous", ("interarrival_mean", "packet_size", "r_out"), _sim_continuous_point,
+        "interarrival_mean,packet_size,r_out,duration,replica,seed,t_window,a_hat,a_se,"
+        "sigma2_hat,sigma2_se,mean_mc,mean_se,mean_fp,mean_within_3se,"
+        "variance_mc,variance_se,variance_fp,variance_within_3se,volume_conserved",
+        seeded=True, needs=("duration",),
+    ),
+}
+
+
+def table_kind(config: ExperimentConfig) -> str:
+    """The CSV kind a config writes; ``steps`` makes a discrete run Monte Carlo."""
+    if config.model == "discrete":
+        return "discrete-sim" if config.steps else "discrete-exact"
+    return next(kind for kind, table in KINDS.items() if table.model == config.model)
+
+
+def _run_point(task):
     """Run one grid point, capturing its failure instead of killing the run."""
-    worker, task = work
+    worker, point, config, seed = task
     try:
-        return "ok", worker(task)
+        return "ok", worker(point, config, seed)
     except Exception as exc:  # noqa: BLE001 - per-point status reporting
         return "error", f"{type(exc).__name__}: {exc}"
-
-
-_HEADERS = {
-    "discrete-exact": ["p", "L", "N", "mean_loss_rate", "rate_asymptote",
-                       "loss_variance", "compressibility", "crossover_window"],
-    "discrete-sim": ["p", "L", "N", "replica", "seed", "rate_mc", "rate_se",
-                     "rate_exact", "rate_within_3se", "variance_mc", "variance_se",
-                     "variance_exact", "variance_within_3se"],
-    "fp": ["a", "sigma2", "t", "tau", "m1", "m2", "loss_variance", "p_loss",
-           "m2_short_branch", "m2_long_branch"],
-    "continuous-sim": ["interarrival_mean", "packet_size", "r_out", "duration",
-                       "replica", "seed", "t_window", "a_hat", "a_se",
-                       "sigma2_hat", "sigma2_se", "mean_mc", "mean_se",
-                       "mean_fp", "mean_within_3se", "variance_mc", "variance_se",
-                       "variance_fp", "variance_within_3se", "volume_conserved"],
-}
 
 
 def _replica_seeds(root: int, replicas: int) -> list[int]:
@@ -273,97 +324,49 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     The exit status is 1 only when a continuous-model row fails volume
     conservation; disagreement flags are data. A grid point whose evaluator
     raises is left out of the body and named on stderr and in a
-    ``failed_point_<i>`` metadata line; it does not change the status.
-    Invalid grids, including discrete window lengths that are not integers
-    >= 1, raise :class:`ConfigError` before any point runs.
+    ``failed_point_<i>`` metadata line (its axis values, its replica and
+    seed where the kind is seeded, and the exception); it does not change
+    the status. Invalid grids, including discrete window lengths that are
+    not integers >= 1, raise :class:`ConfigError` before any point runs.
     """
-    seeds = _replica_seeds(config.seed, config.replicas)
-    tasks: list[tuple] = []
-    if config.model == "discrete":
-        ps = config.grid.get("p")
-        ls = config.grid.get("l") or config.grid.get("L")
-        if not ps or not ls:
-            raise ConfigError("[grid] needs p and L for the discrete model")
+    kind = table_kind(config)
+    table = KINDS[kind]
+    missing = [axis for axis in table.axes if not config.grid.get(axis)]
+    missing += [field for field in table.needs if not getattr(config, field)]
+    if missing:
+        raise ConfigError(f"[grid] the {kind} table needs {', '.join(missing)}")
+    if table.integer_windows:
         bad = [N for N in config.windows if not (float(N).is_integer() and N >= 1)]
         if bad:
             raise ConfigError(f"[windows] discrete window lengths must be integers >= 1, got {bad}")
-        if config.steps:
-            kind = "discrete-sim"
-            for p in ps:
-                for L in ls:
-                    for r, seed in enumerate(seeds):
-                        tasks.append((p, L, config.windows, config.steps, seed, r))
-            worker = _sim_discrete_point
-        else:
-            kind = "discrete-exact"
-            for p in ps:
-                for L in ls:
-                    tasks.append((p, L, config.windows))
-            worker = _exact_discrete_point
-    elif config.model == "fp":
-        kind = "fp"
-        a_list = config.grid.get("a")
-        s_list = config.grid.get("sigma2")
-        if not a_list or not s_list:
-            raise ConfigError("[grid] needs a and sigma2 for the fp model")
-        for a in a_list:
-            for s2 in s_list:
-                tasks.append((a, s2, config.windows, config.laplace_nodes))
-        worker = _fp_point
-    else:
-        kind = "continuous-sim"
-        ia = config.grid.get("interarrival_mean")
-        size = config.grid.get("packet_size")
-        r_out = config.grid.get("r_out")
-        if not (ia and size and r_out):
-            raise ConfigError(
-                "[grid] needs interarrival_mean, packet_size, r_out for the continuous model"
-            )
-        if not config.duration:
-            raise ConfigError("[grid] duration is required for the continuous model")
-        for m in ia:
-            for s in size:
-                for ro in r_out:
-                    for r, seed in enumerate(seeds):
-                        tasks.append((m, s, ro, config.windows, config.duration, seed, r))
-        worker = _sim_continuous_point
-
-    wrapped = [(worker, t) for t in tasks]
+    seeds = _replica_seeds(config.seed, config.replicas)
+    replicas = [Seed(r, s) for r, s in enumerate(seeds)] if table.seeded else [None]
+    points = itertools.product(*(config.grid[axis] for axis in table.axes))
+    tasks = [(table.worker, point, config, seed)
+             for point, seed in itertools.product(points, replicas)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_point, wrapped))
+            outcomes = list(pool.map(_run_point, tasks))
     else:
-        outcomes = [_run_point(w) for w in wrapped]
-    chunks = []
+        outcomes = [_run_point(task) for task in tasks]
+    rows: list[list] = []
     failures: list[str] = []
-    for task, outcome in zip(tasks, outcomes):
-        status, payload = outcome
+    for (_, point, _, seed), (status, payload) in zip(tasks, outcomes):
         if status == "ok":
-            chunks.append(payload)
-        else:
-            failures.append(f"{task}: {payload}")
-            print(f"grid point failed: {task}: {payload}", file=sys.stderr)
-    rows: list[list] = [row for chunk in chunks for row in chunk]
-    rows.sort(
-        key=lambda r: tuple(
-            (0, float(x), "") if isinstance(x, (int, float)) else (1, 0.0, str(x))
-            for x in r
-        )
-    )
+            rows.extend(payload)
+            continue
+        where = [f"{axis}={value!r}" for axis, value in zip(table.axes, point)]
+        where += [] if seed is None else [f"replica={seed.replica}", f"seed={seed.value}"]
+        failures.append(f"{' '.join(where)}: {payload}")
+        print(f"grid point failed: {failures[-1]}", file=sys.stderr)
+    rows.sort(key=lambda row: tuple(map(float, row)))
 
-    status = 0
-    if kind == "continuous-sim" and any(int(r[-1]) == 0 for r in rows):
-        status = 1
-    meta = {
-        "tool": f"queueloss {__version__}",
-        "config_hash": _config_hash(config),
-        "model": config.model,
-        "seeds": " ".join(str(s) for s in seeds),
-    }
-    for i, failure in enumerate(failures):
-        meta[f"failed_point_{i}"] = failure
-    _write_csv(out_path, _HEADERS[kind], rows, meta)
-    return status
+    conserved = not table.header.endswith("volume_conserved") or all(row[-1] for row in rows)
+    meta = {"tool": f"queueloss {__version__}", "config_hash": _config_hash(config),
+            "model": config.model, "seeds": " ".join(str(s) for s in seeds)}
+    meta.update((f"failed_point_{i}", failure) for i, failure in enumerate(failures))
+    _write_csv(out_path, table.header, rows, meta)
+    return 0 if conserved else 1
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +443,68 @@ def run_checks() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", type=str, default=None, help="INI config file")
-    sp.add_argument("--preset", type=str, default=None, choices=sorted(PRESETS))
-    sp.add_argument("--out", type=str, default=None, help="output directory")
-    sp.add_argument("--seed", type=int, default=None, help="root 64-bit seed")
-    sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+class _Flag(NamedTuple):
+    """A grid flag of a subcommand. ``target`` is a grid axis, ``windows`` or
+    a config field; an ``override`` flag applies over --config/--preset too."""
+
+    name: str
+    target: str
+    default: object = None
+    type: Callable = str
+    override: bool = False
 
 
-def _materialize(args: argparse.Namespace, **overrides) -> ExperimentConfig:
-    fallback = overrides.pop("fallback", None)
+_P = _Flag("--p", "p")
+_L = _Flag("--L", "l")
+
+#: subcommand: (help, the CSV kind it writes or None for any, CSV name, grid flags)
+_SUBCOMMANDS = {
+    "exact-discrete": ("closed-form discrete-model tables", "discrete-exact",
+                       "exact_discrete.csv", (_P, _L, _Flag("--N", "windows", "1000"))),
+    "sim-discrete": ("Monte Carlo discrete paths vs exact", "discrete-sim", "sim_discrete.csv",
+                     (_P, _L, _Flag("--N", "windows", "100"),
+                      _Flag("--steps", "steps", 10**6, int, override=True))),
+    "fp-eval": ("continuum-model evaluator tables", "fp", "fp_eval.csv",
+                (_Flag("--a", "a"), _Flag("--sigma2", "sigma2"), _Flag("--t", "windows", "1.0"))),
+    "sim-continuous": ("packet simulator bridged to the continuum", "continuous-sim",
+                       "sim_continuous.csv",
+                       (_Flag("--interarrival-mean", "interarrival_mean", "0.01"),
+                        _Flag("--packet-size", "packet_size", "0.01"),
+                        _Flag("--r-out", "r_out", "1.0"), _Flag("--t-window", "windows", "20"),
+                        _Flag("--duration", "duration", 20000.0, float))),
+    "sweep": ("run the full grid from a config file", None, "sweep_{model}.csv", ()),
+}
+
+
+def _resolve(args: argparse.Namespace, kind: str | None, flags) -> ExperimentConfig:
+    """The config a subcommand runs: --config, else --preset, else its grid
+    flags; then --out/--seed/--replicas and the override flags on top. A
+    config of another kind than the subcommand's is a :class:`ConfigError`."""
+    given = {flag.target: getattr(args, flag.target) for flag in flags}
     if args.config:
         config = load_config(args.config)
     elif args.preset:
         config = PRESETS[args.preset]
+    elif flags and all(value is not None for value in given.values()):
+        table = KINDS[kind]
+        fields = {k: v for k, v in given.items() if k not in table.axes and k != "windows"}
+        config = ExperimentConfig(
+            model=table.model,
+            grid={axis: _parse_float_list(given[axis]) for axis in table.axes},
+            windows=_parse_float_list(given["windows"]),
+            **fields,
+        )
     else:
-        config = fallback
-        if config is None:
-            raise ConfigError("need --config, --preset, or explicit grid flags")
-    updates = {}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.replicas is not None:
-        updates["replicas"] = args.replicas
-    updates.update(overrides)
-    if updates:
-        config = ExperimentConfig(**{**config.__dict__, **updates})
+        raise ConfigError("need --config, --preset, or explicit grid flags")
+    updates = {k: getattr(args, k) for k in ("out", "seed", "replicas")
+               if getattr(args, k) is not None}
+    updates.update({flag.target: given[flag.target] for flag in flags if flag.override})
+    config = replace(config, **updates)
+    if kind is not None and table_kind(config) != kind:
+        raise ConfigError(
+            f"{args.command} writes only the {kind} table, but the config describes "
+            f"a {table_kind(config)} table; run it with sweep"
+        )
     return config
 
 
@@ -478,101 +514,29 @@ def main(argv: list[str] | None = None) -> int:
         description="Finite-buffer queue loss statistics: exact, continuum, and Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("exact-discrete", help="closed-form discrete-model tables")
-    _add_common(sp)
-    sp.add_argument("--p", type=str, default=None, help="comma list of arrival probabilities")
-    sp.add_argument("--L", type=str, default=None, help="comma list of capacities")
-    sp.add_argument("--N", type=str, default=None, help="comma list of window lengths")
-
-    sp = sub.add_parser("sim-discrete", help="Monte Carlo discrete paths vs exact")
-    _add_common(sp)
-    sp.add_argument("--p", type=str, default=None)
-    sp.add_argument("--L", type=str, default=None)
-    sp.add_argument("--N", type=str, default=None)
-    sp.add_argument("--steps", type=int, default=10**6)
-
-    sp = sub.add_parser("fp-eval", help="continuum-model evaluator tables")
-    _add_common(sp)
-    sp.add_argument("--a", type=str, default=None)
-    sp.add_argument("--sigma2", type=str, default=None)
-    sp.add_argument("--t", type=str, default=None)
-
-    sp = sub.add_parser("sim-continuous", help="packet simulator bridged to the continuum")
-    _add_common(sp)
-    sp.add_argument("--interarrival-mean", type=str, default="0.01")
-    sp.add_argument("--packet-size", type=str, default="0.01")
-    sp.add_argument("--r-out", type=str, default="1.0")
-    sp.add_argument("--t-window", type=str, default="20")
-    sp.add_argument("--duration", type=float, default=20000.0)
-
-    sp = sub.add_parser("sweep", help="run the full grid from a config file")
-    _add_common(sp)
-
+    for name, (help_, _, _, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--config", type=str, default=None, help="INI config file")
+        sp.add_argument("--preset", type=str, default=None, choices=sorted(PRESETS))
+        sp.add_argument("--out", type=str, default=None, help="output directory")
+        sp.add_argument("--seed", type=int, default=None, help="root 64-bit seed")
+        sp.add_argument("--replicas", type=int, default=None)
+        sp.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+        for flag in flags:
+            sp.add_argument(flag.name, dest=flag.target, type=flag.type, default=flag.default)
     sub.add_parser("check", help="run the hard-invariant suite")
 
     args = parser.parse_args(argv)
-
     if args.command == "check":
         return run_checks()
-
+    _, kind, csv_name, flags = _SUBCOMMANDS[args.command]
     try:
-        if args.command == "exact-discrete":
-            fallback = None
-            if args.p and args.L:
-                fallback = ExperimentConfig(
-                    model="discrete",
-                    grid={"p": _parse_float_list(args.p), "l": _parse_float_list(args.L)},
-                    windows=_parse_float_list(args.N or "1000"),
-                )
-            config = _materialize(args, fallback=fallback)
-            out = Path(config.out) / "exact_discrete.csv"
-            return run_experiment(config, out.absolute(), jobs=args.jobs)
-        if args.command == "sim-discrete":
-            fallback = None
-            if args.p and args.L:
-                fallback = ExperimentConfig(
-                    model="discrete",
-                    grid={"p": _parse_float_list(args.p), "l": _parse_float_list(args.L)},
-                    windows=_parse_float_list(args.N or "100"),
-                    steps=args.steps,
-                )
-            config = _materialize(args, fallback=fallback, steps=args.steps)
-            out = Path(config.out) / "sim_discrete.csv"
-            return run_experiment(config, out.absolute(), jobs=args.jobs)
-        if args.command == "fp-eval":
-            fallback = None
-            if args.a and args.sigma2:
-                fallback = ExperimentConfig(
-                    model="fp",
-                    grid={"a": _parse_float_list(args.a), "sigma2": _parse_float_list(args.sigma2)},
-                    windows=_parse_float_list(args.t or "1.0"),
-                )
-            config = _materialize(args, fallback=fallback)
-            out = Path(config.out) / "fp_eval.csv"
-            return run_experiment(config, out.absolute(), jobs=args.jobs)
-        if args.command == "sim-continuous":
-            fallback = ExperimentConfig(
-                model="continuous",
-                grid={
-                    "interarrival_mean": _parse_float_list(args.interarrival_mean),
-                    "packet_size": _parse_float_list(args.packet_size),
-                    "r_out": _parse_float_list(args.r_out),
-                },
-                windows=_parse_float_list(args.t_window),
-                duration=args.duration,
-            )
-            config = _materialize(args, fallback=fallback)
-            out = Path(config.out) / "sim_continuous.csv"
-            return run_experiment(config, out.absolute(), jobs=args.jobs)
-        if args.command == "sweep":
-            config = _materialize(args)
-            out = Path(config.out) / f"sweep_{config.model}.csv"
-            return run_experiment(config, out.absolute(), jobs=args.jobs)
+        config = _resolve(args, kind, flags)
+        out = Path(config.out) / csv_name.format(model=config.model)
+        return run_experiment(config, out.absolute(), jobs=args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

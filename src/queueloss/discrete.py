@@ -396,6 +396,31 @@ def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+#: ``_erfcx_gap`` switches from the erfcx form to the asymptotic series here.
+_GAP_SERIES_FROM = 7.0
+
+
+def _erfcx_gap(x: float) -> float:
+    """1 - sqrt(pi) x erfcx(x) for x >= 0, which falls off as 1/(2x^2).
+
+    Below x = 7, the erfcx form, whose rounding error the subtraction
+    magnifies by about 2x^2 (to a few 1e-13 relative near x = 7).
+    From 7 on, the asymptotic series sum_{n>=1} (-1)^{n+1} (2n-1)!! / (2x^2)^n,
+    summed until a term drops below 1e-17 of the total (29 terms at
+    x = 7, long before the terms start to grow near n = x^2).
+    """
+    if x < _GAP_SERIES_FROM:
+        return 1.0 - math.sqrt(math.pi) * x * float(numerics.erfcx(x))
+    t = 0.5 / (x * x)
+    term = total = t
+    n = 1
+    while abs(term) > 1e-17 * total:
+        term *= -(2 * n + 1) * t
+        total += term
+        n += 1
+    return total
+
+
 def correlator_r2(
     params: DiscreteQueueParams,
     N: int,
@@ -411,20 +436,21 @@ def correlator_r2(
     the closed half-line asymptote
 
         (p N / chi_N) [exp(-M (2p-1)^2 / 2) sqrt(2/(pi M))
-                       - |2p-1| erfc(|2p-1| sqrt(M/2))],
+                       - |2p-1| erfc(|2p-1| sqrt(M/2))]
+      = (p N / chi_N) sqrt(2/(pi M)) e^{-x^2} (1 - sqrt(pi) x erfcx(x)),
 
-    valid deep in the growth regime (window and separation both far below
-    the crossover window and far above 1); outside it the exact branch is
-    authoritative.
+    x = |2p-1| sqrt(M/2), in the second form, whose bracket does not cancel
+    (see :func:`_erfcx_gap`). It is valid deep in the growth regime (window
+    and separation both far below the crossover window and far above 1);
+    outside it the exact branch is authoritative.
     """
     if N < 1 or M <= N:
         raise ValueError("need separation M > window N >= 1")
     if branch == "analytic":
         p = params.p
-        b = abs(2.0 * p - 1.0)
+        x = abs(2.0 * p - 1.0) * math.sqrt(M / 2.0)
         chi = compressibility(params, N)
-        bracket = math.exp(-M * b * b / 2.0) * math.sqrt(2.0 / (math.pi * M))
-        bracket -= b * float(numerics.erfc(b * math.sqrt(M / 2.0)))
+        bracket = math.sqrt(2.0 / (math.pi * M)) * math.exp(-x * x) * _erfcx_gap(x)
         return (p * N / chi) * bracket
     if branch != "exact":
         raise ValueError(f"unknown branch {branch!r}")

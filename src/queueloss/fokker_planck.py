@@ -39,7 +39,6 @@ from .numerics import InversionError
 __all__ = [
     "FpParams",
     "SeriesControl",
-    "LossMoments",
     "SeriesTruncationError",
     "InversionError",
     "stationary_density",
@@ -100,15 +99,12 @@ class SeriesControl:
     """Truncation and inversion knobs shared by the series evaluators."""
 
     k_max: int | None = None
-    tol: float = 1e-10
     laplace_nodes: int = 48
     mode_cap: int = 100_000
 
     def __post_init__(self) -> None:
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
     def modes_for(self, tau: float) -> int:
         """Mode count ceil(6/sqrt(tau)) + 8, capped; raises below the floor."""
@@ -122,18 +118,6 @@ class SeriesControl:
                 f"tau={tau:.3g} needs {need} modes, above the cap {self.mode_cap}"
             )
         return need
-
-
-@dataclass(frozen=True)
-class LossMoments:
-    """k-th moment of the lost volume after observation time t."""
-
-    k: int
-    t: float
-    value: float
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 def stationary_density(params: FpParams, ell) -> np.ndarray | float:

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from queueloss import cli
+
+DATA = Path(__file__).parent / "data" / "cli"
+CONFIGS = DATA / "configs"
 
 
 def read_body(path):
@@ -45,6 +50,66 @@ class TestConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.ExperimentConfig(model="quantum", grid={"p": [0.5]}, windows=[1.0])
+
+    def test_unknown_experiment_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = fp\nlaplace_nodes = 30\n"
+            "[grid]\na = 0\nsigma2 = 2\n[windows]\nt = 0.5\n"
+        )
+        out = tmp_path / "res"
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "laplace_nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hash_ignores_output_directory(self, tmp_path):
+        argv = ["sweep", "--config", str(CONFIGS / "fp.ini"), "--out"]
+        assert cli.main(argv + [str(tmp_path / "a")]) == 0
+        assert cli.main(argv + [str(tmp_path / "b" / "c")]) == 0
+        text = (tmp_path / "a" / "sweep_fp.csv").read_text()
+        assert "# config_hash: " in text
+        assert (tmp_path / "b" / "c" / "sweep_fp.csv").read_text() == text
+
+    def test_hash_ignores_grid_key_order(self):
+        one = cli.ExperimentConfig(model="discrete", grid={"p": [0.5], "l": [9.0]}, windows=[10.0])
+        two = cli.ExperimentConfig(model="discrete", grid={"l": [9.0], "p": [0.5]}, windows=[10.0])
+        assert cli._config_hash(one) == cli._config_hash(two)
+
+
+class TestSubcommandKind:
+    """Each subcommand writes only its own CSV kind; sweep runs any."""
+
+    @pytest.mark.parametrize("argv", [
+        ["exact-discrete", "--config", str(CONFIGS / "fp.ini")],
+        ["exact-discrete", "--config", str(CONFIGS / "continuous.ini")],
+        ["sim-discrete", "--config", str(CONFIGS / "fp.ini")],
+        ["fp-eval", "--preset", "loss-asymptotes"],
+        ["fp-eval", "--config", str(CONFIGS / "discrete.ini")],
+        ["sim-continuous", "--preset", "fig2-desk"],
+        ["sim-continuous", "--config", str(CONFIGS / "fp.ini")],
+    ])
+    def test_other_kind_rejected(self, tmp_path, capsys, argv):
+        rc = cli.main(argv + ["--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert "sweep" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_steps_config_rejected_by_exact_discrete(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = discrete\n[grid]\np = 0.5\nl = 9\nsteps = 20000\n"
+            "[windows]\nn = 10\n"
+        )
+        rc = cli.main(["exact-discrete", "--config", str(cfg), "--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert not (tmp_path / "res").exists()
+
+    def test_sim_discrete_steps_flag_overrides_config(self, tmp_path):
+        rc = cli.main(["sim-discrete", "--config", str(CONFIGS / "discrete.ini"),
+                       "--steps", "20000", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(read_body(tmp_path / "sim_discrete.csv")) == 1 + 3 * 3
 
 
 class TestExactDiscrete:
@@ -289,3 +354,29 @@ class TestCheck:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+
+
+#: case id -> argv (without --out); the expected file is DATA/<case id>/<csv>.
+#: After a deliberate output change, rewrite a case's file with
+#: ``PYTHONPATH=src python -m queueloss.cli <argv> --out tests/data/cli/<case id>``.
+GOLDEN = {
+    "exact-discrete": ["exact-discrete", "--p=0.3,0.5,0.7", "--L=9,20", "--N=1,10,100"],
+    "sim-discrete": ["sim-discrete", "--p=0.5,1.5", "--L=9", "--N=10,20", "--steps", "20000",
+                     "--seed", "5", "--replicas", "2", "--jobs", "2"],
+    "fp-eval": ["fp-eval", "--a=-1,0,1", "--sigma2=2", "--t=0.01,0.5"],
+    "sim-continuous": ["sim-continuous", "--duration", "400", "--t-window", "4", "--seed", "3"],
+    "sweep-discrete": ["sweep", "--config", str(CONFIGS / "discrete.ini")],
+    "sweep-fp": ["sweep", "--config", str(CONFIGS / "fp.ini")],
+    "sweep-continuous": ["sweep", "--config", str(CONFIGS / "continuous.ini"), "--jobs", "2"],
+}
+
+
+class TestGoldenOutput:
+    """Whole files, metadata included, against checked-in outputs. Covers
+    every subcommand and sweep model, replicas, failed points and --jobs 2."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_matches_golden_file(self, tmp_path, case):
+        assert cli.main(GOLDEN[case] + ["--out", str(tmp_path)]) == 0
+        (written,) = tmp_path.iterdir()
+        assert written.read_text() == (DATA / case / written.name).read_text()

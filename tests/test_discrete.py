@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,6 +381,23 @@ class TestCorrelatorR2:
         assert closed == pytest.approx(
             math.sqrt(n / (2 * math.pi * m)) / D.critical_coefficient(), rel=1e-12
         )
+
+    @pytest.mark.parametrize("N,M", [(10, 100), (20, 264), (20, 400), (50, 1000),
+                                     (100, 1000), (100, 2000), (50, 3000)])
+    def test_analytic_branch_matches_mpmath(self, N, M):
+        # The bracket exp(-M b^2/2) sqrt(2/(pi M)) - b erfc(b sqrt(M/2))
+        # cancels to a relative 1/(2x^2), x = b sqrt(M/2) (here up to 23);
+        # evaluated without the cancellation it keeps 5e-13 against the
+        # bracket at 60 digits, over both sides of the series switch at x = 7.
+        mpmath.mp.dps = 60
+        for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+            params = D.DiscreteQueueParams(p=p, L=100)
+            b = abs(2 * mpmath.mpf(p) - 1)
+            bracket = (mpmath.exp(-M * b * b / 2) * mpmath.sqrt(2 / (mpmath.pi * M))
+                       - b * mpmath.erfc(b * mpmath.sqrt(mpmath.mpf(M) / 2)))
+            want = float(p * N / mpmath.mpf(D.compressibility(params, N)) * bracket)
+            got = D.correlator_r2(params, N, M, branch="analytic")
+            assert got == pytest.approx(want, rel=5e-13, abs=0.0)
 
     def test_analytic_branch_halves_per_quadrupling(self):
         params = D.DiscreteQueueParams(p=0.5, L=50)
