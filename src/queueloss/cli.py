@@ -94,6 +94,9 @@ def load_config(path: str) -> ExperimentConfig:
         duration = grid.pop("duration", None)
         steps = grid.pop("steps", None)
         windows = dict(parser["windows"]) if parser.has_section("windows") else {}
+        if len(windows) > 1 or not set(windows) <= {"n", "t"}:
+            raise ConfigError(f"config {path!r}: [windows] takes one key, n or t, "
+                              f"got {', '.join(windows)}")
         return ExperimentConfig(
             model=exp.get("model", "discrete").strip(),
             grid={key: _parse_float_list(val) for key, val in grid.items()},
@@ -259,7 +262,7 @@ class TableKind:
     """One CSV kind: the config model that writes it, the grid axes it ranges
     over (in task order), its worker and header, and whether each point runs
     once per replica seed. ``needs`` names the other config fields it
-    requires."""
+    requires (of ``duration`` and ``steps``; the other one must be unset)."""
 
     model: str
     axes: tuple[str, ...]
@@ -280,7 +283,7 @@ KINDS: dict[str, TableKind] = {
         "discrete", ("p", "l"), _sim_discrete_point,
         "p,L,N,replica,seed,rate_mc,rate_se,rate_exact,rate_within_3se,"
         "variance_mc,variance_se,variance_exact,variance_within_3se",
-        seeded=True, integer_windows=True,
+        seeded=True, needs=("steps",), integer_windows=True,
     ),
     "fp": TableKind(
         "fp", ("a", "sigma2"), _fp_point,
@@ -321,13 +324,15 @@ def _replica_seeds(root: int, replicas: int) -> list[int]:
 def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> int:
     """Execute a configured grid and write one CSV; returns the exit status.
 
-    The exit status is 1 only when a continuous-model row fails volume
-    conservation; disagreement flags are data. A grid point whose evaluator
-    raises is left out of the body and named on stderr and in a
-    ``failed_point_<i>`` metadata line (its axis values, its replica and
-    seed where the kind is seeded, and the exception); it does not change
-    the status. Invalid grids, including discrete window lengths that are
-    not integers >= 1, raise :class:`ConfigError` before any point runs.
+    The exit status is 1 when a continuous-model row fails volume
+    conservation or when no grid point produced a row; disagreement flags
+    are data. A grid point whose evaluator raises is left out of the body
+    and named on stderr and in a ``failed_point_<i>`` metadata line (its
+    axis values, its replica and seed where the kind is seeded, and the
+    exception); while other points produce rows it does not change the
+    status. Invalid grids, including grid keys the kind does not use and
+    discrete window lengths that are not integers >= 1, raise
+    :class:`ConfigError` before any point runs.
     """
     kind = table_kind(config)
     table = KINDS[kind]
@@ -335,6 +340,12 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     missing += [field for field in table.needs if not getattr(config, field)]
     if missing:
         raise ConfigError(f"[grid] the {kind} table needs {', '.join(missing)}")
+    unknown = sorted(set(config.grid) - set(table.axes))
+    unknown += [field for field in ("duration", "steps")
+                if getattr(config, field) is not None and field not in table.needs]
+    if unknown:
+        raise ConfigError(f"[grid] {', '.join(unknown)} not used by the {kind} table, "
+                          f"whose axes are {', '.join(table.axes)}")
     if table.integer_windows:
         bad = [N for N in config.windows if not (float(N).is_integer() and N >= 1)]
         if bad:
@@ -366,7 +377,7 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
             "model": config.model, "seeds": " ".join(str(s) for s in seeds)}
     meta.update((f"failed_point_{i}", failure) for i, failure in enumerate(failures))
     _write_csv(out_path, table.header, rows, meta)
-    return 0 if conserved else 1
+    return 0 if rows and conserved else 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +410,20 @@ def run_checks() -> int:
 
     fpp = fokker_planck.FpParams(a=1.0, sigma2=2.0)
     ctrl = fokker_planck.SeriesControl()
-    norm = numerics.integrate(
-        lambda x: float(fokker_planck.transition_density(fpp, ctrl, x, 0.05, 0.4)), 0.0, 1.0
-    )
-    report("transition density normalized", abs(norm.value - 1.0) < 1e-8)
+    density = fokker_planck.transition_density
+    # The densities are smooth on [0, 1]: a 32-node Gauss-Legendre rule
+    # integrates them to round-off.
+    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    mids, weights = 0.5 * (gl_x + 1.0), 0.5 * gl_w
+    norm = math.fsum(weights * density(fpp, ctrl, mids, 0.05, 0.4))
+    report("transition density normalized", abs(norm - 1.0) < 1e-8)
     j0 = abs(fokker_planck.probability_current(fpp, ctrl, 0.0, 0.05, 0.4))
     j1 = abs(fokker_planck.probability_current(fpp, ctrl, 1.0, 0.05, 0.4))
     report("boundary flux vanishes", max(j0, j1) < 1e-6)
-    ck = numerics.integrate(
-        lambda mid: float(
-            fokker_planck.transition_density(fpp, ctrl, 0.7, 0.04, mid)
-        ) * float(fokker_planck.transition_density(fpp, ctrl, mid, 0.03, 0.2)),
-        0.0,
-        1.0,
-        tol=1e-11,
-    )
-    direct = float(fokker_planck.transition_density(fpp, ctrl, 0.7, 0.07, 0.2))
-    report("Chapman-Kolmogorov composes", abs(ck.value - direct) < 1e-5)
+    last_leg = np.array([density(fpp, ctrl, 0.7, 0.04, mid) for mid in mids])
+    ck = math.fsum(weights * last_leg * density(fpp, ctrl, mids, 0.03, 0.2))
+    direct = density(fpp, ctrl, 0.7, 0.07, 0.2)
+    report("Chapman-Kolmogorov composes", abs(ck - direct) < 1e-5)
     v1, _ = numerics.laplace_invert(lambda s: 1.0 / s**2, 1.7)
     v2, _ = numerics.laplace_invert(lambda s: 1.0 / (s + 1.0), 1.7)
     report(

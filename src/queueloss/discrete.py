@@ -211,9 +211,9 @@ def _propagate_row(params: DiscreteQueueParams, n: int, frm: int) -> np.ndarray:
 
 
 #: log10 of the largest round-off scale (see :func:`_spectral_scale_log10`)
-#: the spectral branch of :func:`green_function` accepts. Measured errors stay
-#: below 6.3e-16 times the scale (L <= 400, p in 0.05..0.95, n in 65..1000),
-#: so below 1e-9 here.
+#: that :func:`_spectral_green` accepts. Measured errors stay below 6.3e-16
+#: times the scale (L <= 400, p in 0.05..0.95, n in 65..1000), so below 1e-9
+#: here.
 _SPECTRAL_SCALE_LOG10_MAX = 6.0
 
 
@@ -231,42 +231,17 @@ def _spectral_scale_log10(params: DiscreteQueueParams, n: int, frm: int, to: int
             + n * math.log10(2.0 * math.sqrt(p * (1.0 - p))))
 
 
-def green_function(
-    params: DiscreteQueueParams,
-    n: int,
-    frm: int,
-    to: int,
-    method: str = "auto",
-) -> float:
-    """n-step transition probability from state ``frm`` to state ``to``.
-
-    Small step counts propagate the row of ``frm`` through n steps of the
-    walk (``method="power"``, O(nL), the row of the matrix power); large
-    ones take the spectral sum over closed-form eigenvector rows. The two
-    agree to 1e-9 where they overlap. Where the spectral sum would have to
-    cancel terms too large for that (q^{(to-frm)/2} huge and n too short
-    for the modes to decay), ``auto`` propagates the row and ``spectral``
-    raises :class:`DegenerateParamsError`.
-    """
-    if n < 0:
-        raise ValueError("step count must be non-negative")
+def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
+    """n-step transition probability as the spectral sum over closed-form
+    eigenvector rows; raises :class:`DegenerateParamsError` where the sum
+    would cancel terms too large for double precision."""
     L = params.L
-    if not (0 <= frm <= L and 0 <= to <= L):
-        raise ValueError("states must lie in 0..L")
-    if method not in ("auto", "power", "spectral"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        exact = (n <= 64 or params.is_degenerate
-                 or _spectral_scale_log10(params, n, frm, to) > _SPECTRAL_SCALE_LOG10_MAX)
-        method = "power" if exact else "spectral"
-    if method == "power":
-        return float(_propagate_row(params, n, frm)[to])
     spec = _spectrum(params)
     scale = _spectral_scale_log10(params, n, frm, to)
     if scale > _SPECTRAL_SCALE_LOG10_MAX:
         raise DegenerateParamsError(
             f"spectral sum for {n} steps {frm} -> {to} at p={params.p}, L={L} would cancel "
-            f"below double precision (round-off scale 1e{scale:.0f}); use method='power'"
+            f"below double precision (round-off scale 1e{scale:.0f})"
         )
     # K^n = D^{-1/2} (V Lam^n V^T) D^{1/2} with D = diag(pi); the stationary
     # mode contributes pi(to) and each transient mode u_frm u_to lam^n / |u|^2.
@@ -275,6 +250,27 @@ def green_function(
     amp = float(np.dot(rows, np.power(spec.transient_eigvals, int(n))))
     ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
     return float(stationary_distribution(params)[to]) + ratio * amp
+
+
+def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
+    """n-step transition probability from state ``frm`` to state ``to``.
+
+    Up to 64 steps, for a degenerate walk, and wherever the spectral sum
+    would have to cancel terms too large for double precision
+    (q^{(to-frm)/2} huge and n too short for the modes to decay), the row of
+    ``frm`` is propagated through n steps of the walk (O(nL), the row of the
+    matrix power). Otherwise the spectral sum over closed-form eigenvector
+    rows is taken. The two agree to 1e-9 where they overlap.
+    """
+    if n < 0:
+        raise ValueError("step count must be non-negative")
+    L = params.L
+    if not (0 <= frm <= L and 0 <= to <= L):
+        raise ValueError("states must lie in 0..L")
+    if (n <= 64 or params.is_degenerate
+            or _spectral_scale_log10(params, n, frm, to) > _SPECTRAL_SCALE_LOG10_MAX):
+        return float(_propagate_row(params, n, frm)[to])
+    return _spectral_green(params, n, frm, to)
 
 
 def mean_loss_rate_exact(params: DiscreteQueueParams) -> float:

@@ -96,10 +96,9 @@ class FpParams:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation and inversion knobs shared by the series evaluators."""
+    """Mode-truncation knobs shared by the series evaluators."""
 
     k_max: int | None = None
-    laplace_nodes: int = 48
     mode_cap: int = 100_000
 
     def __post_init__(self) -> None:
@@ -317,7 +316,7 @@ def loss_rate_coefficient(params: FpParams) -> float:
     return 0.5 * params.sigma2
 
 
-def _invert_wall(params: FpParams, ctrl: SeriesControl, t: float, what: str, g) -> float:
+def _invert_wall(params: FpParams, t: float, what: str, g) -> float:
     """Invert g(eps, W, p(1)) over reduced time, W = W(1, eps; 1).
 
     W is evaluated once per contour, on all of its nodes together.
@@ -327,9 +326,7 @@ def _invert_wall(params: FpParams, ctrl: SeriesControl, t: float, what: str, g) 
     tau = params.tau(t)
     p1 = float(stationary_density(params, 1.0))
     value, err = numerics.laplace_invert(
-        lambda eps: g(eps, boundary_return_transform(params, eps), p1),
-        tau,
-        nodes=ctrl.laplace_nodes,
+        lambda eps: g(eps, boundary_return_transform(params, eps), p1), tau
     )
     # The guard catches genuine non-convergence (wild contour-to-contour
     # drift, non-finite nodes); accuracy at the package's working scales is
@@ -339,7 +336,7 @@ def _invert_wall(params: FpParams, ctrl: SeriesControl, t: float, what: str, g) 
     if err > budget:
         raise InversionError(
             f"{what} inversion at tau={tau:.3g} did not settle "
-            f"(estimate {err:.3g} with {ctrl.laplace_nodes} nodes)"
+            f"(estimate {err:.3g} with {numerics.LAPLACE_NODES} nodes)"
         )
     return value
 
@@ -357,7 +354,7 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
             raise ValueError("t must be positive")
         return float(stationary_density(params, 1.0)) * params.tau(t)
     kfac = math.factorial(k)
-    return _invert_wall(params, ctrl, t, f"loss moment k={k}",
+    return _invert_wall(params, t, f"loss moment k={k}",
                         lambda eps, w, p1: kfac * p1 * w ** (k - 1) / eps**2)
 
 
@@ -380,7 +377,7 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
 def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
     """Probability that any traffic is lost during [0, t], inverted from
     p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
-    value = _invert_wall(params, ctrl, t, "loss probability",
+    value = _invert_wall(params, t, "loss probability",
                          lambda eps, w, p1: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
 
@@ -433,7 +430,7 @@ def loss_pdf(
     if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
         return (0.0, "tail-cutoff") if return_regime else 0.0
 
-    value = _invert_wall(params, ctrl, t, "loss pdf",
+    value = _invert_wall(params, t, "loss pdf",
                          lambda eps, w, p1: p1 * np.exp(-x / w) / (eps * eps * w * w))
     return (value, "inverted") if return_regime else value
 

@@ -1,18 +1,15 @@
 """Shared numerical kernels.
 
-Adaptive quadrature wraps SciPy behind the error reporting the rest of the
-package relies on; it is the only kernel that loads SciPy, on its first
-call, and only ``queueloss check`` and the tests call it, so importing the
-package needs NumPy alone. The fixed-contour Laplace inversion, the
+The fixed-contour Laplace inversion, compensated summation, the
 complementary error functions and the overflow-safe hyperbolic ratios are
-implemented here. All kernels are pure functions and safe for concurrent
+implemented here on NumPy and ``math`` alone; the package needs no other
+runtime dependency. All kernels are pure functions and safe for concurrent
 use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,48 +19,8 @@ class NumericsError(RuntimeError):
     """Base class for numerical-kernel failures."""
 
 
-class QuadratureError(NumericsError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
-
-
 class InversionError(NumericsError):
     """Numerical Laplace inversion did not converge."""
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value of an integral together with its reported error bound."""
-
-    value: float
-    error: float
-    neval: int
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    limit: int = 200,
-) -> QuadratureResult:
-    """Adaptive quadrature of ``f`` over [a, b]; b may be ``numpy.inf``.
-
-    Semi-infinite ranges are handled by the integrator's internal variable
-    substitution mapping the tail onto a finite interval. Raises
-    :class:`QuadratureError` if the subdivision limit is hit or the reported
-    error exceeds ``max(tol, 1e-6 * |value|)``.
-    """
-    from scipy import integrate as _quadpack
-
-    out = _quadpack.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
-    value, error, info = out[0], out[1], out[2]
-    if len(out) > 3:
-        raise QuadratureError(f"quadrature failed on [{a}, {b}]: {out[3]}")
-    if not math.isfinite(value) or error > max(tol * 100.0, 1e-6 * abs(value)):
-        raise QuadratureError(
-            f"quadrature error {error:.3g} exceeds budget on [{a}, {b}]"
-        )
-    return QuadratureResult(value=value, error=error, neval=int(info["neval"]))
 
 
 def compensated_sum(values) -> float:
@@ -74,6 +31,11 @@ def compensated_sum(values) -> float:
 # ---------------------------------------------------------------------------
 # Laplace inversion on a fixed deformed contour
 # ---------------------------------------------------------------------------
+
+
+#: Nodes of the inversion contour; the error estimate compares it against a
+#: coarser contour of LAPLACE_NODES - LAPLACE_NODES // 6 = 40 nodes.
+LAPLACE_NODES = 48
 
 
 def _talbot_once(F: Callable, tau: float, m: int) -> float:
@@ -91,26 +53,20 @@ def _talbot_once(F: Callable, tau: float, m: int) -> float:
     return (r / m) * (head + compensated_sum(terms.real))
 
 
-def laplace_invert(
-    F: Callable,
-    tau: float,
-    nodes: int = 48,
-) -> tuple[float, float]:
+def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
     """Invert a Laplace transform at time ``tau`` on a fixed deformed contour.
 
     ``F`` must be analytic to the right of (and off) the negative real axis
     and accept a complex ndarray. Returns ``(value, error_estimate)`` where
-    the estimate is the difference against a coarser contour. Raises
+    the estimate is the difference against the coarser contour. Raises
     :class:`InversionError` on non-finite node values.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    if nodes < 12:
-        raise ValueError("need at least 12 contour nodes")
-    v1 = _talbot_once(F, tau, nodes)
-    v2 = _talbot_once(F, tau, nodes - max(6, nodes // 6))
+    v1 = _talbot_once(F, tau, LAPLACE_NODES)
+    v2 = _talbot_once(F, tau, LAPLACE_NODES - LAPLACE_NODES // 6)
     if not (math.isfinite(v1) and math.isfinite(v2)):
-        raise InversionError(f"non-finite inversion at tau={tau} with {nodes} nodes")
+        raise InversionError(f"non-finite inversion at tau={tau} with {LAPLACE_NODES} nodes")
     return v1, abs(v1 - v2)
 
 

@@ -3,17 +3,21 @@
 The package evaluates the bounded walk's spectrum, the critical growth
 coefficient and the continuum window correlator in closed form; the dense
 eigensolve and the adaptive quadratures they replaced live on here, where
-they check those closed forms from an independent direction. The same goes
-for the two Monte Carlo kernels: the package runs them as NumPy block
-kernels, and the per-step loops they replaced are kept here as the
-bit-identity oracles.
+they check those closed forms from an independent direction. The adaptive
+quadrature itself (:func:`integrate`, on SciPy's QUADPACK) is kept here too,
+so the package needs NumPy alone. The same goes for the two Monte Carlo
+kernels: the package runs them as NumPy block kernels, and the per-step
+loops they replaced are kept here as the bit-identity oracles.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy import integrate as _quadpack
 from scipy import linalg as _linalg
 
 from queueloss import fokker_planck as F
@@ -22,6 +26,44 @@ from queueloss import numerics
 
 class EigenError(numerics.NumericsError):
     """Eigendecomposition failed or exceeded its residual budget."""
+
+
+class QuadratureError(numerics.NumericsError):
+    """Adaptive quadrature did not converge to the requested tolerance."""
+
+
+@dataclass(frozen=True)
+class QuadratureResult:
+    """Value of an integral together with its reported error bound."""
+
+    value: float
+    error: float
+    neval: int
+
+
+def integrate(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    limit: int = 200,
+) -> QuadratureResult:
+    """Adaptive quadrature of ``f`` over [a, b]; b may be ``numpy.inf``.
+
+    Semi-infinite ranges are handled by the integrator's internal variable
+    substitution mapping the tail onto a finite interval. Raises
+    :class:`QuadratureError` if the subdivision limit is hit or the reported
+    error exceeds ``max(tol, 1e-6 * |value|)``.
+    """
+    out = _quadpack.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
+    value, error, info = out[0], out[1], out[2]
+    if len(out) > 3:
+        raise QuadratureError(f"quadrature failed on [{a}, {b}]: {out[3]}")
+    if not math.isfinite(value) or error > max(tol * 100.0, 1e-6 * abs(value)):
+        raise QuadratureError(
+            f"quadrature error {error:.3g} exceeds budget on [{a}, {b}]"
+        )
+    return QuadratureResult(value=value, error=error, neval=int(info["neval"]))
 
 
 def tridiag_eigen(
@@ -83,12 +125,12 @@ def growth_integrand(x: float) -> float:
 def quadrature_critical_coefficient(tol: float = 1e-12) -> float:
     """Critical growth amplitude (2 sqrt(2)/pi) * integral_0^inf growth_integrand,
     by adaptive quadrature split at x = 2 for uniform error control."""
-    head = numerics.integrate(growth_integrand, 0.0, 2.0, tol=tol)
-    tail = numerics.integrate(growth_integrand, 2.0, np.inf, tol=tol)
+    head = integrate(growth_integrand, 0.0, 2.0, tol=tol)
+    tail = integrate(growth_integrand, 2.0, np.inf, tol=tol)
     total_err = head.error + tail.error
     value = head.value + tail.value
     if total_err > 1e-8 * abs(value):
-        raise numerics.QuadratureError(
+        raise QuadratureError(
             f"growth-coefficient quadrature error {total_err:.3g} too large"
         )
     return (2.0 * math.sqrt(2.0) / math.pi) * value
@@ -113,7 +155,7 @@ def quadrature_loss_correlator(params, ctrl, t1: float, t2: float, T: float) -> 
 
     edges = (0.0, min(t1, t2), max(t1, t2), t1 + t2)
     total = math.fsum(
-        numerics.integrate(integrand, lo, hi, tol=1e-12, limit=400).value
+        integrate(integrand, lo, hi, tol=1e-12, limit=400).value
         for lo, hi in zip(edges, edges[1:])
     )
     return r * r * p1 * total

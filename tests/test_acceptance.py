@@ -17,9 +17,9 @@ from scipy import integrate as sci_integrate
 
 from queueloss import discrete as D
 from queueloss import fokker_planck as F
-from queueloss import numerics
 from queueloss import simulate as S
 from queueloss import stats as ST
+from reference_numerics import integrate
 
 CTRL = F.SeriesControl()
 
@@ -273,7 +273,7 @@ class TestCriterion5SolverCorrectness:
             params = F.FpParams(a=2.0 * v, sigma2=2.0)
             for tau in (1e-3, 1e-2, 0.1, 1.0, 10.0):
                 t = params.time_from_tau(tau)
-                res = numerics.integrate(
+                res = integrate(
                     lambda x: float(F.transition_density(params, CTRL, x, t, 0.3)),
                     0.0,
                     1.0,

@@ -63,6 +63,33 @@ class TestConfig:
         assert "laplace_nodes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["sigma", "steps"])
+    def test_unknown_grid_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = fp\n"
+            f"[grid]\na = 0\nsigma2 = 2\n{key} = 5\n[windows]\nt = 0.5\n"
+        )
+        out = tmp_path / "res"
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"[grid] {key} not used by the fp table" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_windows_n_and_t_together_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = discrete\n"
+            "[grid]\np = 0.5\nl = 9\n[windows]\nn = 100\nt = 7\n"
+        )
+        with pytest.raises(cli.ConfigError, match=r"\[windows\]"):
+            cli.load_config(str(cfg))
+        out = tmp_path / "res"
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "[windows]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_ignores_output_directory(self, tmp_path):
         argv = ["sweep", "--config", str(CONFIGS / "fp.ini"), "--out"]
         assert cli.main(argv + [str(tmp_path / "a")]) == 0
@@ -314,6 +341,16 @@ class TestPartialFailure:
         body = read_body(out / "sweep_fp.csv")
         assert len(body) == 2  # header plus the surviving grid point
         assert "grid point failed" in capsys.readouterr().err
+
+    def test_every_point_failed_exits_nonzero(self, tmp_path, capsys):
+        # 5000 steps hold 5 windows of 1000, fewer than the estimators need.
+        rc = cli.main(["sim-discrete", "--preset", "loss-asymptotes", "--steps", "5000",
+                       "--replicas", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        path = tmp_path / "sim_discrete.csv"
+        assert "# failed_point_5" in path.read_text()
+        assert len(read_body(path)) == 1  # the header alone
+        assert capsys.readouterr().err.count("grid point failed") == 6
 
 
 class TestSweep:

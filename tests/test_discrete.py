@@ -137,8 +137,8 @@ class TestGreenFunction:
     def test_spectral_matches_matrix_power(self, n):
         params = D.DiscreteQueueParams(p=0.65, L=9)
         for frm, to in ((0, 0), (9, 9), (2, 7), (8, 1)):
-            via_power = D.green_function(params, n, frm, to, method="power")
-            via_spectrum = D.green_function(params, n, frm, to, method="spectral")
+            via_power = D._propagate_row(params, n, frm)[to]
+            via_spectrum = D._spectral_green(params, n, frm, to)
             assert via_spectrum == pytest.approx(via_power, abs=1e-9)
 
     def test_spectral_branch_matches_matrix_power_grid(self):
@@ -183,8 +183,6 @@ class TestGreenFunction:
                 for frm in sorted({0, L // 2, L}):
                     row = D._propagate_row(params, n, frm)
                     worst = max(worst, np.abs(row - power[frm]).max())
-                    got = D.green_function(params, n, frm, L, method="power")
-                    worst = max(worst, abs(got - power[frm, L]))
         assert worst <= 1e-13
 
     def test_large_buffer_short_and_cancelling_cases(self):
@@ -210,7 +208,7 @@ class TestGreenFunction:
         params = D.DiscreteQueueParams(p=0.1, L=1000)
         for frm in (500, 1000):
             with pytest.raises(D.DegenerateParamsError, match="cancel"):
-                D.green_function(params, 100, frm, 0, method="spectral")
+                D._spectral_green(params, 100, frm, 0)
 
 
 class TestMeanLossRate:

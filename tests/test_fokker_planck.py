@@ -9,8 +9,7 @@ from scipy import integrate as sci_integrate
 
 from queueloss import discrete as D
 from queueloss import fokker_planck as F
-from queueloss import numerics
-from reference_numerics import mode_sum_loss_correlator, quadrature_loss_correlator
+from reference_numerics import integrate, mode_sum_loss_correlator, quadrature_loss_correlator
 
 
 CTRL = F.SeriesControl()
@@ -46,7 +45,7 @@ class TestStationaryDensity:
     @pytest.mark.parametrize("v", [-4.0, -0.3, 1e-7, 0.3, 4.0])
     def test_normalized(self, v):
         params = F.FpParams(a=v, sigma2=1.0)
-        res = numerics.integrate(lambda x: float(F.stationary_density(params, x)), 0.0, 1.0)
+        res = integrate(lambda x: float(F.stationary_density(params, x)), 0.0, 1.0)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_full_wall_value(self):
@@ -67,7 +66,7 @@ class TestTransitionDensity:
     def test_normalization(self, v, tau):
         params = F.FpParams(a=2.0 * v, sigma2=2.0)
         t = params.time_from_tau(tau)
-        res = numerics.integrate(
+        res = integrate(
             lambda x: float(F.transition_density(params, CTRL, x, t, 0.3)), 0.0, 1.0,
             tol=1e-11,
         )
