@@ -27,6 +27,7 @@ forms are exposed as separate asymptotic evaluators.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -316,18 +317,39 @@ def loss_rate_coefficient(params: FpParams) -> float:
     return 0.5 * params.sigma2
 
 
+def _reduced_time(params: FpParams, t: float) -> float:
+    """tau of a window of length t; ValueError unless t > 0 and tau is finite."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    tau = float(params.tau(t))
+    if not math.isfinite(tau):
+        raise ValueError(f"t must be finite, got t={t} (tau={tau})")
+    return tau
+
+
+@functools.lru_cache(maxsize=128)
+def _wall_on_contours(params: FpParams, tau: float) -> np.ndarray:
+    """W(1, eps; 1) on the nodes of both inversion contours at ``tau``,
+    read-only and in the order :func:`numerics.laplace_invert` passes them."""
+    nodes, _ = numerics._talbot_contours(tau)
+    w = boundary_return_transform(params, nodes)
+    w.flags.writeable = False
+    return w
+
+
 def _invert_wall(params: FpParams, t: float, what: str, g) -> float:
     """Invert g(eps, W, p(1)) over reduced time, W = W(1, eps; 1).
 
-    W is evaluated once per contour, on all of its nodes together.
+    W is evaluated once per (params, tau), on the nodes of both contours
+    together, and kept in a bounded cache: every moment, the loss
+    probability and every loss_pdf point at one (params, t) share it.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     p1 = float(stationary_density(params, 1.0))
-    value, err = numerics.laplace_invert(
-        lambda eps: g(eps, boundary_return_transform(params, eps), p1), tau
-    )
+    w = _wall_on_contours(params, tau)
+    # laplace_invert calls the transform once, on exactly the nodes w was
+    # evaluated on.
+    value, err = numerics.laplace_invert(lambda eps: g(eps, w, p1), tau)
     # The guard catches genuine non-convergence (wild contour-to-contour
     # drift, non-finite nodes); accuracy at the package's working scales is
     # pinned separately by the validation suite against known inverses and
@@ -350,9 +372,7 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
     if k < 1:
         raise ValueError("moment order must be >= 1")
     if k == 1:
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-        return float(stationary_density(params, 1.0)) * params.tau(t)
+        return float(stationary_density(params, 1.0)) * _reduced_time(params, t)
     kfac = math.factorial(k)
     return _invert_wall(params, t, f"loss moment k={k}",
                         lambda eps, w, p1: kfac * p1 * w ** (k - 1) / eps**2)
@@ -415,11 +435,11 @@ def loss_pdf(
     is the narrow-Gaussian surrogate with the long-time variance; pass
     ``return_regime`` to receive the ``"inverted"`` / ``"surrogate"`` flag.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"lost volume must be finite, got {x}")
     if x < 0.0:
         raise ValueError("lost volume must be >= 0")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     if tau > PDF_INVERSION_TAU_MAX:
         value = float(loss_pdf_asymptotic(params, x, t, "long"))
         return (value, "surrogate") if return_regime else value

@@ -4,11 +4,14 @@ The fixed-contour Laplace inversion, compensated summation, the
 complementary error functions and the overflow-safe hyperbolic ratios are
 implemented here on NumPy and ``math`` alone; the package needs no other
 runtime dependency. All kernels are pure functions and safe for concurrent
-use.
+use. The inversion keeps each time's contour data in a bounded
+``functools.lru_cache``; its arrays are read-only, so every caller shares
+them without copying and none can change what another reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -38,33 +41,57 @@ def compensated_sum(values) -> float:
 LAPLACE_NODES = 48
 
 
-def _talbot_once(F: Callable, tau: float, m: int) -> float:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=128)
+def _talbot_contours(tau: float):
+    """Both inversion contours at ``tau``: the nodes of the fine (48) and
+    coarse (40) contour concatenated in that order, and per contour the
+    tuple (its slice of the nodes, e^{s tau} and 1 + i sigma on its
+    off-axis nodes, the head factor 0.5 e^{r tau}, the scale r/m).
+    """
     # Contour s(theta) = r*theta*(cot(theta) + i), theta in (-pi, pi),
     # with the customary radius r = 2m/(5 tau); node 0 is the real axis
     # crossing s = r, the rest the upper half (the lower half is conjugate).
-    r = 2.0 * m / (5.0 * tau)
-    theta = np.arange(1, m) * (np.pi / m)
-    cot = 1.0 / np.tan(theta)
-    s = np.concatenate(([r], r * theta * (cot + 1j)))
-    sigma = theta + (theta * cot - 1.0) * cot
-    fs = np.asarray(F(s), dtype=complex)
-    terms = np.exp(s[1:] * tau) * fs[1:] * (1.0 + 1j * sigma)
-    head = 0.5 * math.exp(r * tau) * fs[0].real
-    return (r / m) * (head + compensated_sum(terms.real))
+    nodes, contours, start = [], [], 0
+    for m in (LAPLACE_NODES, LAPLACE_NODES - LAPLACE_NODES // 6):
+        r = 2.0 * m / (5.0 * tau)
+        theta = np.arange(1, m) * (np.pi / m)
+        cot = 1.0 / np.tan(theta)
+        s = np.concatenate(([r], r * theta * (cot + 1j)))
+        sigma = theta + (theta * cot - 1.0) * cot
+        contours.append((slice(start, start + m), _read_only(np.exp(s[1:] * tau)),
+                         _read_only(1.0 + 1j * sigma), 0.5 * math.exp(r * tau), r / m))
+        nodes.append(s)
+        start += m
+    return _read_only(np.concatenate(nodes)), tuple(contours)
 
 
 def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
     """Invert a Laplace transform at time ``tau`` on a fixed deformed contour.
 
     ``F`` must be analytic to the right of (and off) the negative real axis
-    and accept a complex ndarray. Returns ``(value, error_estimate)`` where
-    the estimate is the difference against the coarser contour. Raises
+    and accept a complex ndarray; it is called once, on the read-only
+    nodes of both contours together. Returns ``(value, error_estimate)``
+    where the estimate is the difference against the coarser contour.
+    Raises ``ValueError`` unless ``tau`` is finite and positive, and
     :class:`InversionError` on non-finite node values.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    v1 = _talbot_once(F, tau, LAPLACE_NODES)
-    v2 = _talbot_once(F, tau, LAPLACE_NODES - LAPLACE_NODES // 6)
+    nodes, contours = _talbot_contours(float(tau))
+    fs = np.asarray(F(nodes), dtype=complex)
+    estimates = []
+    for at, exp_s_tau, one_i_sigma, head, scale in contours:
+        f = fs[at]
+        terms = (exp_s_tau * f[1:]) * one_i_sigma
+        estimates.append(scale * (head * f[0].real + compensated_sum(terms.real)))
+    v1, v2 = estimates
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise InversionError(f"non-finite inversion at tau={tau} with {LAPLACE_NODES} nodes")
     return v1, abs(v1 - v2)

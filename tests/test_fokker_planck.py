@@ -449,6 +449,85 @@ class TestLossPdf:
         assert mu == pytest.approx(mean, rel=1e-9)
 
 
+class TestNonFiniteArguments:
+    PARAMS = F.FpParams(a=0.5, sigma2=2.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_times_rejected(self, t):
+        for evaluate in (
+            lambda: F.loss_moment(self.PARAMS, CTRL, 1, t),
+            lambda: F.loss_moment(self.PARAMS, CTRL, 2, t),
+            lambda: F.loss_probability(self.PARAMS, CTRL, t),
+            lambda: F.loss_pdf(self.PARAMS, CTRL, 0.1, t),
+            lambda: F.loss_pdf_conditional(self.PARAMS, CTRL, 0.1, t),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate()
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_volumes_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            F.loss_pdf(self.PARAMS, CTRL, x, 1.0)
+
+
+def clear_inversion_caches():
+    F.numerics._talbot_contours.cache_clear()
+    F._wall_on_contours.cache_clear()
+
+
+class TestWallTransformCache:
+    PARAMS = F.FpParams(a=0.5, sigma2=2.0)
+
+    def pdf_curve(self, t, xs):
+        return [F.loss_pdf(self.PARAMS, CTRL, x, t).hex() for x in xs]
+
+    def test_one_transform_evaluation_per_params_and_time(self, monkeypatch):
+        clear_inversion_caches()
+        calls = []
+        transform = F.boundary_return_transform
+
+        def counted(params, eps):
+            calls.append(np.size(eps))
+            return transform(params, eps)
+
+        monkeypatch.setattr(F, "boundary_return_transform", counted)
+        t = 0.7
+        F.loss_moment(self.PARAMS, CTRL, 2, t)
+        F.loss_probability(self.PARAMS, CTRL, t)
+        for x in np.linspace(0.0, 1.0, 20):
+            F.loss_pdf(self.PARAMS, CTRL, x, t)
+        F.loss_pdf_conditional(self.PARAMS, CTRL, 0.3, t)
+        assert len(calls) == 1
+        F.loss_probability(self.PARAMS, CTRL, 1.4)
+        assert len(calls) == 2
+        fine = F.numerics.LAPLACE_NODES
+        assert calls == [fine + fine - fine // 6] * 2
+
+    def test_cold_and_warm_curves_identical(self):
+        xs = np.linspace(0.0, 1.2, 25)
+        clear_inversion_caches()
+        cold = self.pdf_curve(0.9, xs)
+        backward = self.pdf_curve(0.9, xs[::-1])[::-1]
+        clear_inversion_caches()
+        again = self.pdf_curve(0.9, xs)
+        assert backward == cold
+        assert again == cold
+
+    def test_cached_wall_values_read_only(self):
+        w = F._wall_on_contours(self.PARAMS, 0.45)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_wall_cache_is_bounded(self):
+        clear_inversion_caches()
+        maxsize = F._wall_on_contours.cache_parameters()["maxsize"]
+        for i in range(maxsize + 10):
+            F.loss_probability(self.PARAMS, CTRL, 0.1 + 0.01 * i)
+        info = F._wall_on_contours.cache_info()
+        assert info.misses == maxsize + 10
+        assert info.currsize <= maxsize
+
+
 class TestLossVarianceLongtime:
     def test_driftless_two_thirds(self):
         params = F.FpParams(a=0.0, sigma2=2.0)

@@ -73,6 +73,40 @@ class TestLaplaceInvert:
         with pytest.raises(ValueError):
             numerics.laplace_invert(lambda s: 1.0 / s, 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            numerics.laplace_invert(lambda s: 1.0 / s, tau)
+
+    def test_transform_called_once_on_both_contours(self):
+        seen = []
+
+        def F(s):
+            seen.append(len(s))
+            return 1.0 / (s + 1.0)
+
+        numerics.laplace_invert(F, 0.7)
+        numerics.laplace_invert(F, 0.7)
+        fine = numerics.LAPLACE_NODES
+        assert seen == [fine + fine - fine // 6] * 2
+
+    def test_cached_contour_is_read_only(self):
+        nodes, contours = numerics._talbot_contours(1.3)
+        arrays = [nodes] + [a for c in contours for a in c if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_contour_cache_is_bounded(self):
+        numerics._talbot_contours.cache_clear()
+        maxsize = numerics._talbot_contours.cache_parameters()["maxsize"]
+        for i in range(maxsize + 10):
+            numerics.laplace_invert(lambda s: 1.0 / (s + 1.0), 0.1 + 0.01 * i)
+        info = numerics._talbot_contours.cache_info()
+        assert info.misses == maxsize + 10
+        assert info.currsize <= maxsize
+
 
 class TestTridiagEigen:
     def test_two_by_two_closed_form(self):
