@@ -270,20 +270,18 @@ class TableKind:
     header: str
     seeded: bool = False
     needs: tuple[str, ...] = ()
-    integer_windows: bool = False
 
 
 KINDS: dict[str, TableKind] = {
     "discrete-exact": TableKind(
         "discrete", ("p", "l"), _exact_discrete_point,
         "p,L,N,mean_loss_rate,rate_asymptote,loss_variance,compressibility,crossover_window",
-        integer_windows=True,
     ),
     "discrete-sim": TableKind(
         "discrete", ("p", "l"), _sim_discrete_point,
         "p,L,N,replica,seed,rate_mc,rate_se,rate_exact,rate_within_3se,"
         "variance_mc,variance_se,variance_exact,variance_within_3se",
-        seeded=True, needs=("steps",), integer_windows=True,
+        seeded=True, needs=("steps",),
     ),
     "fp": TableKind(
         "fp", ("a", "sigma2"), _fp_point,
@@ -346,7 +344,7 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     if unknown:
         raise ConfigError(f"[grid] {', '.join(unknown)} not used by the {kind} table, "
                           f"whose axes are {', '.join(table.axes)}")
-    if table.integer_windows:
+    if table.model == "discrete":
         bad = [N for N in config.windows if not (float(N).is_integer() and N >= 1)]
         if bad:
             raise ConfigError(f"[windows] discrete window lengths must be integers >= 1, got {bad}")
@@ -397,9 +395,9 @@ def run_checks() -> int:
 
     params = discrete.DiscreteQueueParams(p=0.6, L=12)
     kernel = discrete.build_kernel(params)
-    report("kernel rows sum to 1", bool(np.abs(kernel.matrix.sum(axis=1) - 1).max() < 1e-12))
+    report("kernel rows sum to 1", bool(np.abs(kernel.sum(axis=1) - 1).max() < 1e-12))
     pi = discrete.stationary_distribution(params)
-    report("stationary law is a fixed point", bool(np.abs(pi @ kernel.matrix - pi).max() < 1e-10))
+    report("stationary law is a fixed point", bool(np.abs(pi @ kernel - pi).max() < 1e-10))
     rate = discrete.mean_loss_rate_exact(params)
     report("rate equals boundary weight times p", abs(rate - pi[-1] * params.p) < 1e-12)
     m = rate

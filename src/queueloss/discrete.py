@@ -24,7 +24,6 @@ from . import numerics
 
 __all__ = [
     "DiscreteQueueParams",
-    "TransitionKernel",
     "DiscretePath",
     "DegenerateParamsError",
     "build_kernel",
@@ -35,6 +34,7 @@ __all__ = [
     "compressibility",
     "critical_coefficient",
     "correlator_r2",
+    "critical_r2",
     "crossover_window",
     "simulate_path",
 ]
@@ -70,59 +70,20 @@ class DiscreteQueueParams:
         return self.p in (0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class _Spectrum:
-    """Spectrum of the symmetrized kernel.
-
-    ``eigvals`` are sorted descending, the first being the stationary mode's
-    1; ``boundary_weights[j]`` is the squared top-row component of the
-    normalized eigenvector j (pi(L) for the stationary mode), so that the
-    n-step return probability to the full state is
-    sum_j boundary_weights[j] * eigvals[j]**n.
-    """
-
-    eigvals: np.ndarray
-    boundary_weights: np.ndarray
-
-    @property
-    def pi_L(self) -> float:
-        return float(self.boundary_weights[0])
-
-    @property
-    def transient_eigvals(self) -> np.ndarray:
-        return self.eigvals[1:]
-
-    @property
-    def transient_boundary_weights(self) -> np.ndarray:
-        return self.boundary_weights[1:]
-
-
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Row-stochastic one-step transition matrix."""
-
-    params: DiscreteQueueParams
-    matrix: np.ndarray = field(repr=False)
-
-
-def build_kernel(params: DiscreteQueueParams) -> TransitionKernel:
-    """One-step transition matrix of the bounded walk.
+def build_kernel(params: DiscreteQueueParams) -> np.ndarray:
+    """One-step (L+1) x (L+1) transition matrix of the bounded walk.
 
     Interior states move up with p and down with 1-p; state 0 holds with
     1-p; state L holds with p. Rows sum to one exactly.
     """
     L, p = params.L, params.p
     m = np.zeros((L + 1, L + 1))
-    for ell in range(L + 1):
-        if ell < L:
-            m[ell, ell + 1] = p
-        else:
-            m[L, L] = p
-        if ell > 0:
-            m[ell, ell - 1] = 1.0 - p
-        else:
-            m[0, 0] = 1.0 - p
-    return TransitionKernel(params=params, matrix=m)
+    ell = np.arange(L)
+    m[ell, ell + 1] = p
+    m[ell + 1, ell] = 1.0 - p
+    m[0, 0] = 1.0 - p
+    m[L, L] = p
+    return m
 
 
 def stationary_distribution(params: DiscreteQueueParams) -> np.ndarray:
@@ -151,13 +112,17 @@ def _angles(L: int) -> np.ndarray:
     return (np.pi / (L + 1)) * np.arange(1, L + 1)
 
 
-def _spectrum(params: DiscreteQueueParams) -> _Spectrum:
-    """Closed-form spectrum of D^{1/2} K D^{-1/2}, D = diag(stationary law).
+def _modes(params: DiscreteQueueParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """Closed-form transient modes of D^{1/2} K D^{-1/2}, D = diag(stationary
+    law): ``(pi_L, lam, w)``.
 
     The similarity transform makes the kernel symmetric tridiagonal with
     off-diagonal sqrt(p(1-p)) and diagonal (1-p, 0, ..., 0, p). Besides the
-    stationary eigenvalue 1 it has lam_k = 2 sqrt(p(1-p)) cos theta_k,
-    theta_k = pi k/(L+1), k = 1..L, with boundary weights
+    stationary eigenvalue 1, whose boundary weight is pi_L = pi(L), it has
+    lam_k = 2 sqrt(p(1-p)) cos theta_k, theta_k = pi k/(L+1), k = 1..L,
+    sorted descending. The boundary weight w_k is the squared top-row
+    component of the normalized eigenvector k, so that the n-step return
+    probability to the full state is pi_L + sum_k w_k lam_k^n; in closed form
 
         w_k = 2 sin^2 theta_k / ((L+1) ((1 - sqrt q)^2 + 4 sqrt q sin^2(theta_k/2))),
 
@@ -170,21 +135,17 @@ def _spectrum(params: DiscreteQueueParams) -> _Spectrum:
     lam = 2.0 * math.sqrt(p * (1.0 - p)) * np.cos(theta)
     rq = math.sqrt(params.q)
     half = np.sin(0.5 * theta)
-    weights = 2.0 * np.sin(theta) ** 2 / ((L + 1) * ((1.0 - rq) ** 2 + 4.0 * rq * half * half))
+    w = 2.0 * np.sin(theta) ** 2 / ((L + 1) * ((1.0 - rq) ** 2 + 4.0 * rq * half * half))
     pi_L = float(stationary_distribution(params)[-1])
-    return _Spectrum(
-        eigvals=np.concatenate(([1.0], lam)),
-        boundary_weights=np.concatenate(([pi_L], weights)),
-    )
+    return pi_L, lam, w
 
 
-def _eigvec_row(params: DiscreteQueueParams, ell: int) -> np.ndarray:
-    """Component ell of the transient eigenvectors, before normalization:
-    u_ell(k) = sin((ell+1) theta_k) - q^{-1/2} sin(ell theta_k).
+def _eigvec_row(params: DiscreteQueueParams, theta: np.ndarray, ell: int) -> np.ndarray:
+    """Component ell of the transient eigenvectors at the angles ``theta``,
+    before normalization: u_ell(k) = sin((ell+1) theta_k) - q^{-1/2} sin(ell theta_k).
 
     The squared norm of eigenvector k is u_L(k)^2 / w_k.
     """
-    theta = _angles(params.L)
     return np.sin((ell + 1) * theta) - np.sin(ell * theta) / math.sqrt(params.q)
 
 
@@ -236,7 +197,7 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
     eigenvector rows; raises :class:`DegenerateParamsError` where the sum
     would cancel terms too large for double precision."""
     L = params.L
-    spec = _spectrum(params)
+    _, lam, w = _modes(params)
     scale = _spectral_scale_log10(params, n, frm, to)
     if scale > _SPECTRAL_SCALE_LOG10_MAX:
         raise DegenerateParamsError(
@@ -245,9 +206,10 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
         )
     # K^n = D^{-1/2} (V Lam^n V^T) D^{1/2} with D = diag(pi); the stationary
     # mode contributes pi(to) and each transient mode u_frm u_to lam^n / |u|^2.
-    norm2 = _eigvec_row(params, L) ** 2 / spec.transient_boundary_weights
-    rows = _eigvec_row(params, frm) * _eigvec_row(params, to) / norm2
-    amp = float(np.dot(rows, np.power(spec.transient_eigvals, int(n))))
+    theta = _angles(L)
+    norm2 = _eigvec_row(params, theta, L) ** 2 / w
+    rows = _eigvec_row(params, theta, frm) * _eigvec_row(params, theta, to) / norm2
+    amp = float(np.dot(rows, np.power(lam, int(n))))
     ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
     return float(stationary_distribution(params)[to]) + ratio * amp
 
@@ -338,12 +300,12 @@ def loss_variance_exact(params: DiscreteQueueParams, N: int) -> float:
         raise ValueError("window length must be >= 1")
     if params.is_degenerate:
         return 0.0
-    spec = _spectrum(params)
-    p = params.p
-    pi_L = spec.pi_L
+    return _window_variance(params.p, N, *_modes(params))
+
+
+def _window_variance(p: float, N: int, pi_L: float, lam: np.ndarray, w: np.ndarray) -> float:
+    """:func:`loss_variance_exact` from the mode table ``(pi_L, lam, w)``."""
     m = pi_L * p
-    lam = spec.transient_eigvals
-    w = spec.transient_boundary_weights
     tail = float(np.dot(w, _window_weight_sum(lam, N)))
     return N * m * (1.0 - m) + 2.0 * pi_L * p * p * tail
 
@@ -452,14 +414,11 @@ def correlator_r2(
         raise ValueError(f"unknown branch {branch!r}")
     if params.is_degenerate:
         raise DegenerateParamsError("correlator undefined at degenerate p")
-    spec = _spectrum(params)
+    pi_L, lam, w = _modes(params)
     p = params.p
-    pi_L = spec.pi_L
-    lam = spec.transient_eigvals
-    w = spec.transient_boundary_weights
     geom = _geometric_window_factor(lam, N)
     cov = pi_L * p * p * float(np.dot(w, np.power(lam, M - N) * geom * geom))
-    var = loss_variance_exact(params, N)
+    var = _window_variance(p, N, pi_L, lam, w)
     if var == 0.0:
         raise DegenerateParamsError(
             f"correlator undefined at p={p}, L={params.L}, N={N}: the window loss "

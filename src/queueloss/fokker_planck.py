@@ -440,10 +440,11 @@ def loss_pdf(
     if x < 0.0:
         raise ValueError("lost volume must be >= 0")
     tau = _reduced_time(params, t)
-    if tau > PDF_INVERSION_TAU_MAX:
-        value = float(loss_pdf_asymptotic(params, x, t, "long"))
-        return (value, "surrogate") if return_regime else value
     p1 = float(stationary_density(params, 1.0))
+    if tau > PDF_INVERSION_TAU_MAX:
+        # With p(1) = 0 there is no loss mass, and the surrogate would be 0/0.
+        value = float(loss_pdf_asymptotic(params, x, t, "long")) if p1 > 0.0 else 0.0
+        return (value, "surrogate") if return_regime else value
     # Deep-tail cutoff: losses beyond tau p(1) by many diffusive spreads have
     # density below double-precision inversion resolution, and the shifted
     # effective time there turns negative, which no contour can represent.
@@ -456,8 +457,17 @@ def loss_pdf(
 
 
 def loss_pdf_conditional(params: FpParams, ctrl: SeriesControl, x: float, t: float) -> float:
-    """Density of the lost volume given that a loss occurred (integrates to 1)."""
-    return loss_pdf(params, ctrl, x, t) / loss_probability(params, ctrl, t)
+    """Density of the lost volume given that a loss occurred (integrates to 1);
+    ValueError where the loss probability is 0 (p(1) underflows at large
+    negative drift) and the condition is empty."""
+    density = loss_pdf(params, ctrl, x, t)
+    prob = loss_probability(params, ctrl, t)
+    if prob == 0.0:
+        raise ValueError(
+            f"conditional loss density undefined at a={params.a}, sigma2={params.sigma2}, "
+            f"t={t}: the loss probability is 0"
+        )
+    return density / prob
 
 
 def loss_pdf_longtime_summary(params: FpParams, t: float) -> tuple[float, float]:

@@ -396,35 +396,25 @@ def run(
     grid_idx = 0
     n_arrivals = 0
     ev_chunks: list[dict[str, np.ndarray]] = []
+    # Unrecorded runs hand the kernel these empty columns; recorded ones get
+    # fresh chunk-sized columns of the same dtypes.
     empty_f = np.zeros(0)
-    empty_b = np.zeros(0, dtype=np.bool_)
+    no_events = {"time": empty_f, "size": empty_f, "accepted": np.zeros(0, dtype=np.bool_),
+                 "queue_before": empty_f, "queue_after": empty_f}
     while state[1] < duration:
         etas = traffic.interarrival.sample(rng, _CHUNK)
         sizes = traffic.packet_size.sample(rng, _CHUNK)
+        ev = ({k: np.zeros(_CHUNK, dtype=v.dtype) for k, v in no_events.items()}
+              if record_events else no_events)
+        consumed, grid_idx = _advance_chunk(
+            etas, sizes, traffic.r_out, duration, sample_dt, state, grid_idx,
+            queue_samples, cum_lost, cum_idle, *ev.values(), bool(record_events),
+        )
         if record_events:
-            ev = {
-                "time": np.zeros(_CHUNK),
-                "size": np.zeros(_CHUNK),
-                "accepted": np.zeros(_CHUNK, dtype=np.bool_),
-                "queue_before": np.zeros(_CHUNK),
-                "queue_after": np.zeros(_CHUNK),
-            }
-            consumed, grid_idx = _advance_chunk(
-                etas, sizes, traffic.r_out, duration, sample_dt, state, grid_idx,
-                queue_samples, cum_lost, cum_idle,
-                ev["time"], ev["size"], ev["accepted"],
-                ev["queue_before"], ev["queue_after"], True,
-            )
             # A partial (last) chunk keeps a copy, so the unused tail of its
             # full-size arrays is freed now.
             ev_chunks.append(
                 {k: v[:consumed].copy() if consumed < _CHUNK else v for k, v in ev.items()}
-            )
-        else:
-            consumed, grid_idx = _advance_chunk(
-                etas, sizes, traffic.r_out, duration, sample_dt, state, grid_idx,
-                queue_samples, cum_lost, cum_idle,
-                empty_f, empty_f, empty_b, empty_f, empty_f, False,
             )
         n_arrivals += consumed
     events = None

@@ -13,7 +13,7 @@ from reference_numerics import growth_integrand, simulate_path_py, walk_chunk_py
 
 def brute_force_variance(params: D.DiscreteQueueParams, N: int) -> float:
     """Window-loss variance by explicit matrix powers (independent oracle)."""
-    kernel = D.build_kernel(params).matrix
+    kernel = D.build_kernel(params)
     pi = D.stationary_distribution(params)
     p, L = params.p, params.L
     m = pi[L] * p
@@ -27,7 +27,7 @@ def brute_force_variance(params: D.DiscreteQueueParams, N: int) -> float:
 
 def brute_force_r2(params: D.DiscreteQueueParams, N: int, M: int) -> float:
     """Window correlator by explicit double sums over matrix powers."""
-    kernel = D.build_kernel(params).matrix
+    kernel = D.build_kernel(params)
     pi = D.stationary_distribution(params)
     p, L = params.p, params.L
     m = pi[L] * p
@@ -44,19 +44,19 @@ def brute_force_r2(params: D.DiscreteQueueParams, N: int, M: int) -> float:
 class TestKernel:
     def test_symmetric_two_state(self):
         kernel = D.build_kernel(D.DiscreteQueueParams(p=0.5, L=1))
-        assert np.allclose(kernel.matrix, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(kernel, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_no_arrivals_keeps_empty_queue(self):
         kernel = D.build_kernel(D.DiscreteQueueParams(p=0.0, L=4))
-        assert kernel.matrix[0, 0] == 1.0
+        assert kernel[0, 0] == 1.0
         pi = D.stationary_distribution(D.DiscreteQueueParams(p=0.0, L=4))
         assert pi[0] == 1.0 and pi[1:].sum() == 0.0
 
     def test_three_state_rows(self):
         kernel = D.build_kernel(D.DiscreteQueueParams(p=0.75, L=2))
         expected = np.array([[0.25, 0.75, 0.0], [0.25, 0.0, 0.75], [0.0, 0.25, 0.75]])
-        assert np.allclose(kernel.matrix, expected)
-        assert np.allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-15)
+        assert np.allclose(kernel, expected)
+        assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-15)
 
     @given(
         p=st.floats(0.05, 0.95),
@@ -65,7 +65,7 @@ class TestKernel:
     @settings(max_examples=25, deadline=None)
     def test_structure_properties(self, p, L):
         params = D.DiscreteQueueParams(p=p, L=L)
-        mat = D.build_kernel(params).matrix
+        mat = D.build_kernel(params)
         assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
         # only the single-step band plus the two corner holds is populated
         off_band = mat.copy()
@@ -97,7 +97,7 @@ class TestStationary:
     def test_fixed_point(self, p, L):
         params = D.DiscreteQueueParams(p=p, L=L)
         pi = D.stationary_distribution(params)
-        kernel = D.build_kernel(params).matrix
+        kernel = D.build_kernel(params)
         assert np.abs(pi @ kernel - pi).max() < 1e-10
 
     def test_large_capacity_does_not_overflow(self):
@@ -110,10 +110,11 @@ class TestClosedFormSpectrum:
     @given(p=st.floats(0.02, 0.98), L=st.integers(1, 400))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_eigensolve(self, p, L):
-        spec = D._spectrum(D.DiscreteQueueParams(p=p, L=L))
+        pi_L, lam, w = D._modes(D.DiscreteQueueParams(p=p, L=L))
         vals, weights = walk_eigen(p, L)
-        assert np.abs(spec.eigvals - vals).max() <= 1e-12
-        assert np.abs(spec.boundary_weights - weights).max() <= 1e-12
+        # The dense solve includes the stationary mode (1, pi(L)) first.
+        assert np.abs(np.concatenate(([1.0], lam)) - vals).max() <= 1e-12
+        assert np.abs(np.concatenate(([pi_L], w)) - weights).max() <= 1e-12
 
 
 class TestGreenFunction:
@@ -150,7 +151,7 @@ class TestGreenFunction:
             states = sorted({0, L // 2, L})
             for p in np.linspace(0.1, 0.9, 9):
                 params = D.DiscreteQueueParams(p=float(p), L=L)
-                matrix = D.build_kernel(params).matrix
+                matrix = D.build_kernel(params)
                 for n in (65, 100, 300):
                     power = np.linalg.matrix_power(matrix, n)
                     for frm in states:
@@ -166,7 +167,7 @@ class TestGreenFunction:
         # (and the reflected pairs at p = 0.9) would cancel terms near
         # q^{(to-frm)/2} ~ 1e238 and 1e477; auto must not take it there.
         params = D.DiscreteQueueParams(p=p, L=1000)
-        power = np.linalg.matrix_power(D.build_kernel(params).matrix, 100)
+        power = np.linalg.matrix_power(D.build_kernel(params), 100)
         pairs = ((500, 0), (1000, 0), (0, 500), (0, 1000), (500, 1000), (1000, 1000), (0, 0))
         for frm, to in pairs:
             got = D.green_function(params, 100, frm, to)
@@ -177,7 +178,7 @@ class TestGreenFunction:
         worst = 0.0
         for L in (1, 2, 7, 40):
             params = D.DiscreteQueueParams(p=p, L=L)
-            matrix = D.build_kernel(params).matrix
+            matrix = D.build_kernel(params)
             for n in (0, 1, 5, 64, 200):
                 power = np.linalg.matrix_power(matrix, n)
                 for frm in sorted({0, L // 2, L}):
@@ -193,7 +194,7 @@ class TestGreenFunction:
         for n in (64, 100):
             assert D.green_function(params, n, 500, 0) == 0.0
             assert D.green_function(params, n, 1000, 0) == 0.0
-        power = np.linalg.matrix_power(D.build_kernel(params).matrix, 64)
+        power = np.linalg.matrix_power(D.build_kernel(params), 64)
         for frm, to in ((0, 0), (0, 30), (1000, 1000), (980, 1000)):
             assert D.green_function(params, 64, frm, to) == pytest.approx(power[frm, to], abs=1e-13)
 
@@ -232,7 +233,7 @@ class TestMeanLossRate:
         params = D.DiscreteQueueParams(p=0.5, L=20)
         got = D.mean_loss_rate_exact(params)
         assert got == pytest.approx(0.5 / 21.0, rel=1e-13)
-        kernel = D.build_kernel(params).matrix
+        kernel = D.build_kernel(params)
         pi = np.full(21, 1.0 / 21.0)
         assert np.abs(pi @ kernel - pi).max() < 1e-15
         assert got == pytest.approx(pi[-1] * 0.5, rel=1e-13)
@@ -436,6 +437,20 @@ class TestCorrelatorR2:
     def test_rejects_overlapping_windows(self):
         with pytest.raises(ValueError):
             D.correlator_r2(D.DiscreteQueueParams(p=0.5, L=10), 10, 10)
+
+    def test_mode_table_built_once_per_call(self, monkeypatch):
+        # The covariance and the variance it is normalized by share one table.
+        modes = D._modes
+        calls = []
+
+        def spy(params):
+            calls.append(params)
+            return modes(params)
+
+        monkeypatch.setattr(D, "_modes", spy)
+        params = D.DiscreteQueueParams(p=0.45, L=30)
+        D.correlator_r2(params, 10, 50, branch="exact")
+        assert calls == [params]
 
 
 class TestSimulatePath:

@@ -470,6 +470,23 @@ class TestNonFiniteArguments:
             F.loss_pdf(self.PARAMS, CTRL, x, 1.0)
 
 
+class TestZeroLossMass:
+    # v = -800: e^{2v} underflows, so p(1) == 0 and no traffic is ever lost.
+    PARAMS = F.FpParams(a=-800.0, sigma2=1.0)
+
+    @pytest.mark.parametrize("t", [1.0, 100.0])
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_density_is_zero(self, x, t):
+        assert F.stationary_density(self.PARAMS, 1.0) == 0.0
+        assert F.loss_pdf(self.PARAMS, CTRL, x, t) == 0.0
+
+    @pytest.mark.parametrize("t", [1.0, 100.0])
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_conditional_density_rejected(self, x, t):
+        with pytest.raises(ValueError, match="loss probability is 0"):
+            F.loss_pdf_conditional(self.PARAMS, CTRL, x, t)
+
+
 def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
     F._wall_on_contours.cache_clear()
