@@ -12,7 +12,8 @@ cumulative lost volume, cumulative idle time), which is what the
 drift/diffusion estimator and the window extractor consume; full per-event
 records are optional because long runs would not fit in memory.
 
-The kernel runs arrivals near a wall one at a time and the rest in free-path
+One kernel call runs the whole simulation, drawing arrivals in fixed-size
+chunks. It runs arrivals near a wall one at a time and the rest in free-path
 blocks: between wall contacts the queue level is a running sum of packet
 sizes and drained volumes and the clock a running sum of interarrival
 times, so a block of arrivals is two cumulative sums up to its first drop
@@ -146,26 +147,19 @@ _BLOCK_MIN = 256
 _BLOCK_MAX = 1 << 13
 
 
-def _advance_chunk(
-    etas,
-    sizes,
-    r_out,
-    duration,
-    sample_dt,
-    state,
-    grid_idx,
-    queue_samples,
-    cum_lost,
-    cum_idle,
-    ev_time,
-    ev_size,
-    ev_accepted,
-    ev_q_before,
-    ev_q_after,
-    record,
-):
-    """Advance the run over one chunk of arrivals; returns
-    ``(consumed, grid_idx)`` and updates ``state`` in place.
+def _event_columns(n):
+    """Zeroed per-arrival record columns for one chunk of ``n`` arrivals."""
+    return {"time": np.zeros(n), "size": np.zeros(n), "accepted": np.zeros(n, dtype=np.bool_),
+            "queue_before": np.zeros(n), "queue_after": np.zeros(n)}
+
+
+def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
+    """Run the whole simulation from level ``ell`` at t = 0; returns
+    ``(final_queue, arrived, serviced, dropped, idle_time, n_arrivals,
+    n_drops)`` and fills the grid arrays in place.
+
+    Arrivals are drawn ``_CHUNK`` at a time, interarrival times first. With
+    ``record`` a list, each chunk's event columns are appended to it.
 
     Near a wall every arrival is a scalar step. Between wall contacts the
     queue follows the free path ell -> ell + p -> ell + p - eta r_out, the
@@ -183,139 +177,153 @@ def _advance_chunk(
     serviced volume once per block, so those two totals may differ from a
     per-arrival sum in the last bits.
     """
-    (ell, t, serviced, dropped, arrived, idle, n_drops,
-     c_serv, c_drop, c_arr, c_idle) = state.tolist()
+    r_out = traffic.r_out
+    keep = record is not None
+    t = serviced = dropped = arrived = idle = 0.0
     # Kahan compensation terms: the volume totals grow to ~duration while the
     # per-event increments are tiny, and the conservation identity is checked
     # at 1e-9, which naive accumulation cannot hold over 1e7 events.
-    n = etas.size
+    c_serv = c_drop = c_arr = c_idle = 0.0
+    n_drops = n_arrivals = 0
     n_grid = queue_samples.size
-    g0 = grid_idx
-    grid_times = np.arange(g0, n_grid) * sample_dt
-    next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
-    gap = _WALL_MOVES * (float(sizes.mean()) + r_out * float(etas.mean()))
+    grid_times = np.arange(n_grid) * sample_dt
+    grid_idx = 0
+    next_tg = 0.0
     path = np.empty(2 * _BLOCK_MAX + 1)
     drain_buf = np.empty(_BLOCK_MAX)
     times = np.empty(_BLOCK_MAX + 1)
-    i = 0
-    quiet = 0
-    block = _BLOCK_MIN
-    while i < n:
-        if quiet < _QUIET or not gap <= ell <= 1.0 - gap:
-            stop = min(i + _SCALAR_RUN, n)
-            for p, eta in zip(sizes[i:stop].tolist(), etas[i:stop].tolist()):
-                quiet += 1
-                accepted = ell + p <= 1.0
-                if accepted:
-                    ell_plus = ell + p
-                else:
-                    ell_plus = ell
-                    yk = p - c_drop
-                    tk = dropped + yk
-                    c_drop = (tk - dropped) - yk
-                    dropped = tk
-                    n_drops += 1.0
-                    quiet = 0
-                if record:
-                    ev_time[i] = t
-                    ev_size[i] = p
-                    ev_accepted[i] = accepted
-                    ev_q_before[i] = ell
-                    ev_q_after[i] = ell_plus
-                seg_end = t + eta
-                while next_tg <= seg_end:
-                    dtg = next_tg - t
-                    q = ell_plus - dtg * r_out
-                    if q < 0.0:
-                        q = 0.0
-                    queue_samples[grid_idx] = q
-                    cum_lost[grid_idx] = dropped
-                    part_idle = dtg - ell_plus / r_out
-                    if part_idle < 0.0:
-                        part_idle = 0.0
-                    cum_idle[grid_idx] = idle + part_idle
-                    grid_idx += 1
-                    next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
-                drained = eta * r_out
-                if drained > ell_plus:
-                    yk = (eta - ell_plus / r_out) - c_idle
-                    tk = idle + yk
-                    c_idle = (tk - idle) - yk
-                    idle = tk
-                    drained = ell_plus
-                    quiet = 0
-                yk = drained - c_serv
-                tk = serviced + yk
-                c_serv = (tk - serviced) - yk
-                serviced = tk
-                ell = ell_plus - drained
-                t = seg_end
-                i += 1
-                if t >= duration:
-                    n = i  # the run is over: consume nothing more
-                    break
-                if quiet >= _QUIET and gap <= ell <= 1.0 - gap:
-                    block = _BLOCK_MIN
-                    break
-            continue
-        k = min(block, n - i)
-        free = path[: 2 * k + 1]
-        free[0] = ell
-        free[1::2] = sizes[i : i + k]
-        drain = np.multiply(etas[i : i + k], r_out, out=drain_buf[:k])
-        np.negative(drain, out=free[2::2])
-        np.add.accumulate(free, out=free)
-        clock = times[: k + 1]
-        clock[0] = t
-        clock[1:] = etas[i : i + k]
-        np.add.accumulate(clock, out=clock)
-        # From ell in [0, 1], the first level outside [0, 1] is the first
-        # drop (ell + p > 1) or idle clip (ell + p - eta r_out < 0).
-        hit = np.logical_or(free[1:] > 1.0, free[1:] < 0.0)
-        j = int(hit.argmax())
-        e = j // 2 if hit[j] else k
-        if clock[k] >= duration:
-            e = min(e, int(clock[1:].searchsorted(duration)))
-        if e < k:
-            quiet = 0
-        else:
-            block = min(2 * block, _BLOCK_MAX)
-        if e == 0:
-            continue
-        yk = float(drain[:e].sum()) - c_serv
-        tk = serviced + yk
-        c_serv = (tk - serviced) - yk
-        serviced = tk
-        ell_plus = free[1 : 2 * e : 2]
-        if record:
-            ev_time[i : i + e] = clock[:e]
-            ev_size[i : i + e] = sizes[i : i + e]
-            ev_accepted[i : i + e] = True
-            ev_q_before[i : i + e] = free[0 : 2 * e : 2]
-            ev_q_after[i : i + e] = ell_plus
-        t = float(clock[e])
-        if next_tg <= t:
-            g_next = grid_idx + int(grid_times[grid_idx - g0 :].searchsorted(t, side="right"))
-            tg = grid_times[grid_idx - g0 : g_next - g0]
-            seg = clock[1 : e + 1].searchsorted(tg)
-            dtg = tg - clock[seg]
-            lp = ell_plus[seg]
-            q = lp - dtg * r_out
-            queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-            cum_lost[grid_idx:g_next] = dropped
-            part_idle = dtg - lp / r_out
-            np.add(idle, np.where(part_idle < 0.0, 0.0, part_idle), out=cum_idle[grid_idx:g_next])
-            grid_idx = g_next
-            next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
-        ell = float(free[2 * e])
-        i += e
-    yk = float(sizes[:i].sum()) - c_arr
-    tk = arrived + yk
-    c_arr = (tk - arrived) - yk
-    arrived = tk
-    state[:] = (ell, t, serviced, dropped, arrived, idle, n_drops,
-                c_serv, c_drop, c_arr, c_idle)
-    return i, grid_idx
+    while t < duration:
+        etas = traffic.interarrival.sample(rng, _CHUNK)
+        sizes = traffic.packet_size.sample(rng, _CHUNK)
+        if keep:
+            ev = _event_columns(_CHUNK)
+            ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
+        # Reset per chunk: block placement, and with it the last bits of the
+        # serviced total, depends on them.
+        gap = _WALL_MOVES * (float(sizes.mean()) + r_out * float(etas.mean()))
+        quiet = 0
+        block = _BLOCK_MIN
+        n = _CHUNK
+        i = 0
+        while i < n:
+            if quiet < _QUIET or not gap <= ell <= 1.0 - gap:
+                stop = min(i + _SCALAR_RUN, n)
+                for p, eta in zip(sizes[i:stop].tolist(), etas[i:stop].tolist()):
+                    quiet += 1
+                    accepted = ell + p <= 1.0
+                    if accepted:
+                        ell_plus = ell + p
+                    else:
+                        ell_plus = ell
+                        yk = p - c_drop
+                        tk = dropped + yk
+                        c_drop = (tk - dropped) - yk
+                        dropped = tk
+                        n_drops += 1
+                        quiet = 0
+                    if keep:
+                        ev_time[i] = t
+                        ev_size[i] = p
+                        ev_accepted[i] = accepted
+                        ev_q_before[i] = ell
+                        ev_q_after[i] = ell_plus
+                    seg_end = t + eta
+                    while next_tg <= seg_end:
+                        dtg = next_tg - t
+                        q = ell_plus - dtg * r_out
+                        if q < 0.0:
+                            q = 0.0
+                        queue_samples[grid_idx] = q
+                        cum_lost[grid_idx] = dropped
+                        part_idle = dtg - ell_plus / r_out
+                        if part_idle < 0.0:
+                            part_idle = 0.0
+                        cum_idle[grid_idx] = idle + part_idle
+                        grid_idx += 1
+                        next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
+                    drained = eta * r_out
+                    if drained > ell_plus:
+                        yk = (eta - ell_plus / r_out) - c_idle
+                        tk = idle + yk
+                        c_idle = (tk - idle) - yk
+                        idle = tk
+                        drained = ell_plus
+                        quiet = 0
+                    yk = drained - c_serv
+                    tk = serviced + yk
+                    c_serv = (tk - serviced) - yk
+                    serviced = tk
+                    ell = ell_plus - drained
+                    t = seg_end
+                    i += 1
+                    if t >= duration:
+                        n = i  # the run is over: consume nothing more
+                        break
+                    if quiet >= _QUIET and gap <= ell <= 1.0 - gap:
+                        block = _BLOCK_MIN
+                        break
+                continue
+            k = min(block, n - i)
+            free = path[: 2 * k + 1]
+            free[0] = ell
+            free[1::2] = sizes[i : i + k]
+            drain = np.multiply(etas[i : i + k], r_out, out=drain_buf[:k])
+            np.negative(drain, out=free[2::2])
+            np.add.accumulate(free, out=free)
+            clock = times[: k + 1]
+            clock[0] = t
+            clock[1:] = etas[i : i + k]
+            np.add.accumulate(clock, out=clock)
+            # From ell in [0, 1], the first level outside [0, 1] is the first
+            # drop (ell + p > 1) or idle clip (ell + p - eta r_out < 0).
+            hit = np.logical_or(free[1:] > 1.0, free[1:] < 0.0)
+            j = int(hit.argmax())
+            e = j // 2 if hit[j] else k
+            if clock[k] >= duration:
+                e = min(e, int(clock[1:].searchsorted(duration)))
+            if e < k:
+                quiet = 0
+            else:
+                block = min(2 * block, _BLOCK_MAX)
+            if e == 0:
+                continue
+            yk = float(drain[:e].sum()) - c_serv
+            tk = serviced + yk
+            c_serv = (tk - serviced) - yk
+            serviced = tk
+            ell_plus = free[1 : 2 * e : 2]
+            if keep:
+                ev_time[i : i + e] = clock[:e]
+                ev_size[i : i + e] = sizes[i : i + e]
+                ev_accepted[i : i + e] = True
+                ev_q_before[i : i + e] = free[0 : 2 * e : 2]
+                ev_q_after[i : i + e] = ell_plus
+            t = float(clock[e])
+            if next_tg <= t:
+                g_next = grid_idx + int(grid_times[grid_idx:].searchsorted(t, side="right"))
+                tg = grid_times[grid_idx:g_next]
+                seg = clock[1 : e + 1].searchsorted(tg)
+                dtg = tg - clock[seg]
+                lp = ell_plus[seg]
+                q = lp - dtg * r_out
+                queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
+                cum_lost[grid_idx:g_next] = dropped
+                part_idle = dtg - lp / r_out
+                np.add(idle, np.where(part_idle < 0.0, 0.0, part_idle), out=cum_idle[grid_idx:g_next])
+                grid_idx = g_next
+                next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
+            ell = float(free[2 * e])
+            i += e
+        yk = float(sizes[:i].sum()) - c_arr
+        tk = arrived + yk
+        c_arr = (tk - arrived) - yk
+        arrived = tk
+        n_arrivals += i
+        if keep:
+            # A partial (last) chunk keeps a copy, so the unused tail of its
+            # full-size arrays is freed now.
+            record.append({k: c[:i].copy() if i < _CHUNK else c for k, c in ev.items()})
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops
 
 
 @dataclass
@@ -375,48 +383,31 @@ def run(
     """Execute the event-driven simulation for ``duration`` time units.
 
     The first packet arrives at t = 0. Identical arguments give bit-identical
-    logs (PCG64 behind a 64-bit seed, chunked draws in fixed order). The
-    arrivals of each chunk run through the free-path block kernel described
-    in the module docstring.
-    ``sample_dt`` defaults to 20 mean interarrival times, the coarsest grid
-    the drift estimator accepts.
+    logs (PCG64 behind a 64-bit seed, chunked draws in fixed order). One call
+    of the free-path block kernel described in the module docstring runs
+    every arrival. ``sample_dt`` defaults to 20 mean interarrival times, the
+    coarsest grid the drift estimator accepts.
     """
     mean_eta = traffic.interarrival.mean_value
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
     if duration < 50.0 * mean_eta:
         raise ValueError("duration must cover many interarrival times")
     if sample_dt is None:
         sample_dt = 20.0 * mean_eta
+    elif not (math.isfinite(sample_dt) and sample_dt > 0.0):
+        raise ValueError("sample_dt must be finite and positive")
+    if not 0.0 <= initial_queue <= 1.0:
+        raise ValueError("initial_queue must lie in [0, 1]")
     n_grid = int(math.floor(duration / sample_dt)) + 1
     queue_samples = np.zeros(n_grid)
     cum_lost = np.zeros(n_grid)
     cum_idle = np.zeros(n_grid)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    state = np.zeros(11)
-    state[0] = initial_queue
-    grid_idx = 0
-    n_arrivals = 0
-    ev_chunks: list[dict[str, np.ndarray]] = []
-    # Unrecorded runs hand the kernel these empty columns; recorded ones get
-    # fresh chunk-sized columns of the same dtypes.
-    empty_f = np.zeros(0)
-    no_events = {"time": empty_f, "size": empty_f, "accepted": np.zeros(0, dtype=np.bool_),
-                 "queue_before": empty_f, "queue_after": empty_f}
-    while state[1] < duration:
-        etas = traffic.interarrival.sample(rng, _CHUNK)
-        sizes = traffic.packet_size.sample(rng, _CHUNK)
-        ev = ({k: np.zeros(_CHUNK, dtype=v.dtype) for k, v in no_events.items()}
-              if record_events else no_events)
-        consumed, grid_idx = _advance_chunk(
-            etas, sizes, traffic.r_out, duration, sample_dt, state, grid_idx,
-            queue_samples, cum_lost, cum_idle, *ev.values(), bool(record_events),
-        )
-        if record_events:
-            # A partial (last) chunk keeps a copy, so the unused tail of its
-            # full-size arrays is freed now.
-            ev_chunks.append(
-                {k: v[:consumed].copy() if consumed < _CHUNK else v for k, v in ev.items()}
-            )
-        n_arrivals += consumed
+    ev_chunks: list[dict[str, np.ndarray]] | None = [] if record_events else None
+    final, arrived, serviced, dropped, idle, n_arrivals, n_drops = _kernel(
+        traffic, rng, duration, sample_dt, float(initial_queue), queue_samples, cum_lost,
+        cum_idle, ev_chunks)
     events = None
     if record_events:
         # One column at a time, each chunk's column dropped once joined: the
@@ -430,13 +421,13 @@ def run(
         seed=seed,
         sample_dt=sample_dt,
         initial_queue=initial_queue,
-        final_queue=float(state[0]),
-        arrived=float(state[4]),
-        serviced=float(state[2]),
-        dropped=float(state[3]),
-        idle_time=float(state[5]),
+        final_queue=final,
+        arrived=arrived,
+        serviced=serviced,
+        dropped=dropped,
+        idle_time=idle,
         n_arrivals=n_arrivals,
-        n_drops=int(state[6]),
+        n_drops=n_drops,
         queue_samples=queue_samples,
         cum_lost=cum_lost,
         cum_idle=cum_idle,
@@ -472,6 +463,8 @@ def estimate_drift_diffusion(
     so the walls do not bias the free-space moments. ``dt`` must be at
     least 20 mean interarrival times (and is rounded to the sampling grid).
     """
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     floor = 20.0 * log.traffic.interarrival.mean_value
     if dt < floor * (1.0 - 1e-9):
         raise ValueError(
@@ -548,9 +541,13 @@ def window_losses(
         raise ValueError("window length must be positive")
     if t_window > log.duration / 10.0:
         raise ValueError("window length must be below a tenth of the run")
+    if not (math.isfinite(spacing) and spacing >= 0.0):
+        raise ValueError("spacing must be finite and non-negative")
+    if warmup is not None and not (math.isfinite(warmup) and warmup >= 0.0):
+        raise ValueError("warmup must be finite and non-negative")
     dt = log.sample_dt
     k = max(int(round(t_window / dt)), 1)
-    s = max(int(round(spacing / dt)), 0)
+    s = int(round(spacing / dt))
     if warmup is None:
         warmup = min(10.0 * _rough_relaxation(log), log.duration / 3.0)
     start = int(math.ceil(warmup / dt))

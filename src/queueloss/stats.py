@@ -95,15 +95,11 @@ class CorrelationEstimate:
     se: float
 
 
-def _batch_count(n: int, batches: int | None) -> int:
-    if batches is not None:
-        if batches < 4:
-            raise ValueError("need at least 4 batches")
-        return min(batches, n // 2)
+def _batch_count(n: int) -> int:
     return int(min(max(math.isqrt(n), 8), 64, n // 2))
 
 
-def mean_and_variance(series: WindowedSeries, batches: int | None = None) -> SummaryStats:
+def mean_and_variance(series: WindowedSeries) -> SummaryStats:
     """Unbiased mean and variance with batch-means standard errors.
 
     The series is cut into contiguous batches (trailing remainder dropped);
@@ -114,7 +110,7 @@ def mean_and_variance(series: WindowedSeries, batches: int | None = None) -> Sum
     n = x.size
     if n < 30:
         raise InsufficientWindowsError(f"need at least 30 windows, got {n}")
-    b = _batch_count(n, batches)
+    b = _batch_count(n)
     blen = n // b
     blocks = x[: b * blen].reshape(b, blen)
     batch_means = blocks.mean(axis=1)
@@ -129,17 +125,14 @@ def mean_and_variance(series: WindowedSeries, batches: int | None = None) -> Sum
     )
 
 
-def compressibility_estimate(
-    series: WindowedSeries,
-    batches: int | None = None,
-) -> ScalarEstimate:
+def compressibility_estimate(series: WindowedSeries) -> ScalarEstimate:
     """Variance-to-mean ratio of window losses, with a delta-method error.
 
     The mean and variance errors come from batch means; their relative
     errors are combined in quadrature (the covariance term is dropped,
     which is mildly conservative for these positively correlated inputs).
     """
-    stats = mean_and_variance(series, batches=batches)
+    stats = mean_and_variance(series)
     if stats.mean <= 0.0:
         raise DegenerateSeriesError("compressibility needs a positive mean loss")
     value = stats.variance / stats.mean
@@ -150,9 +143,7 @@ def compressibility_estimate(
 
 
 def correlation_estimate(
-    series: WindowedSeries,
-    separations: Sequence[int],
-    batches: int | None = None,
+    series: WindowedSeries, separations: Sequence[int]
 ) -> list[CorrelationEstimate]:
     """Normalized window-loss correlations at the given window lags.
 
@@ -178,7 +169,7 @@ def correlation_estimate(
                 f"lag {lag} exceeds a tenth of the {n} available windows"
             )
         prods = centered[:-lag] * centered[lag:]
-        b = _batch_count(prods.size, batches)
+        b = _batch_count(prods.size)
         blen = prods.size // b
         bm = prods[: b * blen].reshape(b, blen).mean(axis=1)
         value = float(prods.mean()) / denom

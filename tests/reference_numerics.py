@@ -220,103 +220,82 @@ def simulate_path_py(params, n_steps: int, burn_in: int = 0, seed: int = 0):
     return lengths, losses
 
 
-def advance_chunk_py(
-    etas,
-    sizes,
-    r_out,
-    duration,
-    sample_dt,
-    state,
-    grid_idx,
-    queue_samples,
-    cum_lost,
-    cum_idle,
-    ev_time,
-    ev_size,
-    ev_accepted,
-    ev_q_before,
-    ev_q_after,
-    record,
-):
-    ell = state[0]
-    t = state[1]
-    serviced = state[2]
-    dropped = state[3]
-    arrived = state[4]
-    idle = state[5]
-    n_drops = state[6]
+def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
+    """The per-arrival loop ``simulate._kernel`` replaced, with its signature:
+    the same chunked draws, one arrival at a time."""
+    from queueloss import simulate as S
+
+    r_out = traffic.r_out
+    t = serviced = dropped = arrived = idle = 0.0
     # Kahan compensation terms: the volume totals grow to ~duration while the
     # per-event increments are tiny, and the conservation identity is checked
     # at 1e-9, which naive accumulation cannot hold over 1e7 events.
-    c_serv = state[7]
-    c_drop = state[8]
-    c_arr = state[9]
-    c_idle = state[10]
+    c_serv = c_drop = c_arr = c_idle = 0.0
+    n_drops = n_arrivals = 0
     n_grid = queue_samples.size
-    consumed = 0
-    for i in range(etas.size):
-        p = sizes[i]
-        eta = etas[i]
-        if ell + p <= 1.0:
-            ell_plus = ell + p
-            accepted = True
-        else:
-            ell_plus = ell
-            accepted = False
-            yk = p - c_drop
-            tk = dropped + yk
-            c_drop = (tk - dropped) - yk
-            dropped = tk
-            n_drops += 1.0
-        yk = p - c_arr
-        tk = arrived + yk
-        c_arr = (tk - arrived) - yk
-        arrived = tk
-        if record:
-            ev_time[i] = t
-            ev_size[i] = p
-            ev_accepted[i] = accepted
-            ev_q_before[i] = ell
-            ev_q_after[i] = ell_plus
-        seg_end = t + eta
-        while grid_idx < n_grid and grid_idx * sample_dt <= seg_end:
-            tg = grid_idx * sample_dt
-            dtg = tg - t
-            q = ell_plus - dtg * r_out
-            if q < 0.0:
-                q = 0.0
-            queue_samples[grid_idx] = q
-            cum_lost[grid_idx] = dropped
-            part_idle = dtg - ell_plus / r_out
-            if part_idle < 0.0:
-                part_idle = 0.0
-            cum_idle[grid_idx] = idle + part_idle
-            grid_idx += 1
-        drained = eta * r_out
-        if drained > ell_plus:
-            yk = (eta - ell_plus / r_out) - c_idle
-            tk = idle + yk
-            c_idle = (tk - idle) - yk
-            idle = tk
-            drained = ell_plus
-        yk = drained - c_serv
-        tk = serviced + yk
-        c_serv = (tk - serviced) - yk
-        serviced = tk
-        ell = ell_plus - drained
-        t = seg_end
-        consumed = i + 1
-        if t >= duration:
-            break
-    state[0] = ell
-    state[1] = t
-    state[2] = serviced
-    state[3] = dropped
-    state[4] = arrived
-    state[5] = idle
-    state[6] = n_drops
-    state[7] = c_serv
-    state[8] = c_drop
-    state[9] = c_arr
-    state[10] = c_idle
-    return consumed, grid_idx
+    grid_idx = 0
+    while t < duration:
+        etas = traffic.interarrival.sample(rng, S._CHUNK)
+        sizes = traffic.packet_size.sample(rng, S._CHUNK)
+        if record is not None:
+            ev = S._event_columns(S._CHUNK)
+            ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
+        consumed = 0
+        for i in range(etas.size):
+            p = sizes[i]
+            eta = etas[i]
+            if ell + p <= 1.0:
+                ell_plus = ell + p
+                accepted = True
+            else:
+                ell_plus = ell
+                accepted = False
+                yk = p - c_drop
+                tk = dropped + yk
+                c_drop = (tk - dropped) - yk
+                dropped = tk
+                n_drops += 1
+            yk = p - c_arr
+            tk = arrived + yk
+            c_arr = (tk - arrived) - yk
+            arrived = tk
+            if record is not None:
+                ev_time[i] = t
+                ev_size[i] = p
+                ev_accepted[i] = accepted
+                ev_q_before[i] = ell
+                ev_q_after[i] = ell_plus
+            seg_end = t + eta
+            while grid_idx < n_grid and grid_idx * sample_dt <= seg_end:
+                tg = grid_idx * sample_dt
+                dtg = tg - t
+                q = ell_plus - dtg * r_out
+                if q < 0.0:
+                    q = 0.0
+                queue_samples[grid_idx] = q
+                cum_lost[grid_idx] = dropped
+                part_idle = dtg - ell_plus / r_out
+                if part_idle < 0.0:
+                    part_idle = 0.0
+                cum_idle[grid_idx] = idle + part_idle
+                grid_idx += 1
+            drained = eta * r_out
+            if drained > ell_plus:
+                yk = (eta - ell_plus / r_out) - c_idle
+                tk = idle + yk
+                c_idle = (tk - idle) - yk
+                idle = tk
+                drained = ell_plus
+            yk = drained - c_serv
+            tk = serviced + yk
+            c_serv = (tk - serviced) - yk
+            serviced = tk
+            ell = ell_plus - drained
+            t = seg_end
+            consumed = i + 1
+            if t >= duration:
+                break
+        n_arrivals += consumed
+        if record is not None:
+            record.append({k: c[:consumed].copy() for k, c in ev.items()})
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops

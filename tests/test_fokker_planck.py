@@ -655,6 +655,28 @@ class TestLossCorrelatorOracles:
         assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
+class TestDiffusionLimitBridge:
+    """The exact bounded walk as an oracle for the continuum loss variance.
+
+    In the diffusion limit a walk on L + 1 levels with p = 1/2 + a/(2L) is
+    the continuum queue with drift a and diffusion 4p(1 - p), after
+    positions x = l/L, time t = N/L^2 and lost volume = losses/L. The
+    discrete variance meets m2 - m1^2 with a relative error of order 1/L.
+    """
+
+    @given(L=st.sampled_from([1000, 4000]), a=st.floats(-1.0, 2.5), t=_log_uniform(0.01, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_variance_converges_at_rate_one_over_L(self, L, a, t):
+        p = 0.5 + a / (2.0 * L)
+        N = round(t * L * L)
+        walk = D.loss_variance_exact(D.DiscreteQueueParams(p=p, L=L), N) / L**2
+        params = F.FpParams(a=a, sigma2=4.0 * p * (1.0 - p))
+        t_walk = N / L**2
+        m1 = F.loss_moment(params, CTRL, 1, t_walk)
+        m2 = F.loss_moment(params, CTRL, 2, t_walk)
+        assert walk == pytest.approx(m2 - m1 * m1, rel=3.0 / L)
+
+
 class TestIdlenessSymmetry:
     """Every loss-side quantity maps to the idleness side via x -> 1-x, v -> -v."""
 

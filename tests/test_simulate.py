@@ -7,7 +7,7 @@ import pytest
 from queueloss import fokker_planck as F
 from queueloss import simulate as S
 from queueloss import stats as ST
-from reference_numerics import advance_chunk_py
+from reference_numerics import kernel_py
 
 
 def poisson_traffic(mean_gap=0.01, size=0.01, r_out=1.0):
@@ -142,6 +142,21 @@ class TestRun:
         with pytest.raises(ValueError):
             S.run(poisson_traffic(), duration=0.1, seed=0)
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            S.run(poisson_traffic(), duration=duration, seed=0)
+
+    @pytest.mark.parametrize("sample_dt", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_sample_step(self, sample_dt):
+        with pytest.raises(ValueError, match="sample_dt"):
+            S.run(poisson_traffic(), duration=100.0, seed=0, sample_dt=sample_dt)
+
+    @pytest.mark.parametrize("initial_queue", [1.5, -0.1, math.nan])
+    def test_rejects_initial_queue_outside_buffer(self, initial_queue):
+        with pytest.raises(ValueError, match="initial_queue"):
+            S.run(poisson_traffic(), duration=100.0, seed=0, initial_queue=initial_queue)
+
 
 def _law(kind, mean):
     if kind == "uniform":
@@ -152,7 +167,7 @@ def _law(kind, mean):
 def _run_both(monkeypatch, traffic, duration, seed, **kwargs):
     """The run by the block kernel, then by the per-arrival loop."""
     new = S.run(traffic, duration=duration, seed=seed, **kwargs)
-    monkeypatch.setattr(S, "_advance_chunk", advance_chunk_py)
+    monkeypatch.setattr(S, "_kernel", kernel_py)
     ref = S.run(traffic, duration=duration, seed=seed, **kwargs)
     return new, ref
 
@@ -187,7 +202,7 @@ class TestKernelMatchesLoop:
                              record_events=record, initial_queue=0.96)
         _assert_same_log(new, ref)
 
-    def test_interior_arrivals_run_in_blocks(self):
+    def test_interior_arrivals_run_in_blocks(self, monkeypatch):
         # Deterministic traffic in balance keeps the queue at 0.5, far from
         # both walls; after the first quiet arrivals the kernel must take
         # blocks, which write the event record by slices, not per arrival.
@@ -199,15 +214,21 @@ class TestKernelMatchesLoop:
                     CountingArray.per_arrival_writes += 1
                 super().__setitem__(key, value)
 
-        n = 20_000
-        gaps = np.full(n, 0.01)
-        state = np.zeros(11)
-        state[0] = 0.5
-        grid = [np.zeros(1001) for _ in range(3)]
-        times = np.zeros(n).view(CountingArray)
-        events = [times, np.zeros(n), np.zeros(n, dtype=np.bool_), np.zeros(n), np.zeros(n)]
-        consumed, _ = S._advance_chunk(gaps, gaps, 1.0, 1e9, 0.2, state, 0, *grid, *events, True)
-        assert consumed == n
+        columns = S._event_columns
+
+        def counting_columns(n):
+            ev = columns(n)
+            ev["time"] = ev["time"].view(CountingArray)
+            return ev
+
+        monkeypatch.setattr(S, "_event_columns", counting_columns)
+        monkeypatch.setattr(S, "_CHUNK", 20_000)
+        gap = S.Distribution(kind="deterministic", mean=0.01)
+        traffic = S.TrafficModel(interarrival=gap, packet_size=gap, r_out=1.0)
+        log = S.run(traffic, duration=200.0, seed=0, record_events=True,
+                    sample_dt=0.2, initial_queue=0.5)
+        n = log.n_arrivals
+        assert n > 19_000
         assert CountingArray.per_arrival_writes < n // 100
 
     def test_bit_identical_at_default_chunk(self, monkeypatch):
@@ -235,19 +256,19 @@ class TestEventRecord:
         assert log.n_arrivals > 3 * S._CHUNK
         assert peak < 1.5 * record_bytes
 
-        kernel = S._advance_chunk
+        columns = S._event_columns
         written = []
 
-        def spy(*args):
-            consumed, grid_idx = kernel(*args)
-            written.append([np.array(column[:consumed]) for column in args[10:15]])
-            return consumed, grid_idx
+        def spy(n):
+            ev = columns(n)
+            written.append(ev)
+            return ev
 
-        monkeypatch.setattr(S, "_advance_chunk", spy)
+        monkeypatch.setattr(S, "_event_columns", spy)
         S.run(traffic, duration=1000.0, seed=5, record_events=True)
         assert len(written) == math.ceil(log.n_arrivals / S._CHUNK)
-        for i, name in enumerate(("time", "size", "accepted", "queue_before", "queue_after")):
-            want = np.concatenate([chunk[i] for chunk in written])
+        for name in ("time", "size", "accepted", "queue_before", "queue_after"):
+            want = np.concatenate([chunk[name] for chunk in written])[: log.n_arrivals]
             assert log.events[name].dtype == want.dtype
             assert np.array_equal(log.events[name], want), name
 
@@ -286,6 +307,12 @@ class TestDriftDiffusionEstimate:
         log = S.run(poisson_traffic(), duration=1000.0, seed=2)
         with pytest.raises(ValueError):
             S.estimate_drift_diffusion(log, dt=0.05)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, dt):
+        log = S.run(poisson_traffic(), duration=1000.0, seed=2)
+        with pytest.raises(ValueError, match="dt"):
+            S.estimate_drift_diffusion(log, dt=dt)
 
     def test_insufficient_interior_reported(self):
         # service far above load pins the queue at 0, outside the band
@@ -333,6 +360,20 @@ class TestWindowLosses:
         log = S.run(poisson_traffic(), duration=1000.0, seed=1)
         with pytest.raises(ValueError):
             S.window_losses(log, t_window=200.0)
+
+    @pytest.mark.parametrize("warmup", [-10.0, math.inf, math.nan])
+    def test_rejects_bad_warmup(self, warmup):
+        # A negative warm-up used to wrap the first window round to the end
+        # of the grid, giving minus the run's whole dropped volume.
+        log = S.run(poisson_traffic(r_out=1.02), duration=2000.0, seed=1)
+        with pytest.raises(ValueError, match="warmup"):
+            S.window_losses(log, t_window=20.0, warmup=warmup)
+
+    @pytest.mark.parametrize("spacing", [-5.0, math.inf, math.nan])
+    def test_rejects_bad_spacing(self, spacing):
+        log = S.run(poisson_traffic(r_out=1.02), duration=2000.0, seed=1)
+        with pytest.raises(ValueError, match="spacing"):
+            S.window_losses(log, t_window=20.0, spacing=spacing, warmup=0.0)
 
 
 class TestContinuumBridgeGrid:
