@@ -439,29 +439,31 @@ def critical_r2(N: int, M: int) -> float:
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """A sampled queue trajectory with its per-step loss indicators."""
+    """A sampled walk of ``n_steps`` steps, kept as its loss steps only.
+
+    ``start`` and ``end`` are the queue lengths before the first and after
+    the last step; ``loss_steps`` holds, in increasing order, the int64
+    indices 0..n_steps-1 of the steps whose arrival met a full buffer.
+    """
 
     params: DiscreteQueueParams
     seed: int
-    lengths: np.ndarray = field(repr=False)
-    loss_events: np.ndarray = field(repr=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.loss_events.size
+    n_steps: int
+    start: int
+    end: int
+    loss_steps: np.ndarray = field(repr=False)
 
     def loss_count(self) -> int:
-        return int(self.loss_events.sum())
+        return self.loss_steps.size
 
     def window_counts(self, N: int) -> np.ndarray:
-        """Loss counts over consecutive non-overlapping windows of N steps."""
+        """Loss counts (int64) over consecutive non-overlapping windows of
+        N steps; the steps after the last whole window are left out."""
         if N < 1:
             raise ValueError("window length must be >= 1")
         n_windows = self.n_steps // N
-        if n_windows == 0:
-            return np.zeros(0, dtype=np.int64)
-        trimmed = self.loss_events[: n_windows * N]
-        return trimmed.reshape(n_windows, N).sum(axis=1).astype(np.int64)
+        kept = self.loss_steps[: self.loss_steps.searchsorted(n_windows * N)]
+        return np.bincount(kept // N, minlength=n_windows)
 
 
 #: Steps drawn and walked per pass of :func:`simulate_path`: its uniforms
@@ -472,25 +474,26 @@ _CHUNK = 1 << 20
 _BLOCK = 256
 
 
-def _walk_chunk(l0, L, p, u, lengths=None, losses=None):
+def _walk_chunk(l0, L, p, u, replay=True):
     """Walk ``u.size`` steps from ``l0``, up where ``u < p`` and down
-    otherwise; returns the end state.
+    otherwise; returns ``(end_state, loss_steps)``, the sorted indices of
+    the steps that hit a full buffer, or ``(end_state, None)`` without the
+    ``replay`` that finds them.
 
-    When given, ``lengths[1:]`` receives the state after each step and
-    ``losses`` the steps that hit a full buffer. A step is the clip map
-    x -> min(max(x + c, 0), L), c = +-1, and clip maps compose to clip maps
-    x -> min(max(x + C, lo), hi). The steps are laid out as ``b`` rows of
-    one step from each of ``n/b`` contiguous blocks: ``b`` whole-row passes
-    compose each block's map, a scalar pass over the block maps gives each
-    block's start state, and ``b`` more row passes replay the states.
+    A step is the clip map x -> min(max(x + c, 0), L), c = +-1, and clip
+    maps compose to clip maps x -> min(max(x + C, lo), hi). The steps are
+    laid out as ``b`` rows of one step from each of ``n/b`` contiguous
+    blocks: ``b`` whole-row passes compose each block's map, a scalar pass
+    over the block maps gives each block's start state, and ``b`` more row
+    passes replay the states in one row, marking the hits.
     """
     n = u.size
     b = min(_BLOCK, math.isqrt(n - 1) + 1)
     nb = -(-n // b)
-    # int16 holds every state and block shift up to L = 32766 and moves a
-    # quarter of int64's bytes through the final transpose.
+    # int16 holds every state and block shift up to L = 32766.
     dtype = np.int16 if L < np.iinfo(np.int16).max else np.int64
-    # Steps +1/-1, padded with 0 (the identity on 0..L) to whole blocks.
+    # Steps +1/-1, padded with 0 (the identity on 0..L, which never hits)
+    # to whole blocks.
     steps = np.zeros(nb * b, dtype=np.int8)
     steps[:n] = u < p
     steps[:n] += steps[:n] - 1
@@ -508,23 +511,17 @@ def _walk_chunk(l0, L, p, u, lengths=None, losses=None):
     for s, lo, hi in zip(shift.tolist(), *bounds.tolist()):
         starts.append(x)
         x = min(max(x + s, lo), hi)
-    if lengths is None:
-        return x
-    states = np.empty((b, nb), dtype=dtype)
+    if not replay:
+        return x, None
     full = np.empty((b, nb), dtype=np.bool_)
-    prev = np.array(starts, dtype=dtype)
-    for c, row, hit in zip(rows, states, full):
-        np.add(prev, c, out=row)
-        np.greater(row, L, out=hit)
-        np.maximum(row, 0, out=row)
-        np.minimum(row, L, out=row)
-        prev = row
-    whole = (nb - 1) * b
-    lengths[1 : whole + 1].reshape(nb - 1, b)[...] = states[:, : nb - 1].T
-    lengths[whole + 1 : n + 1] = states[: n - whole, nb - 1]
-    losses[:whole].reshape(nb - 1, b)[...] = full[:, : nb - 1].T
-    losses[whole:n] = full[: n - whole, nb - 1]
-    return x
+    state = np.array(starts, dtype=dtype)
+    for c, hit in zip(rows, full):
+        state += c
+        np.greater(state, L, out=hit)
+        np.maximum(state, 0, out=state)
+        np.minimum(state, L, out=state)
+    # Column j of ``full`` is block j, so its transpose runs in step order.
+    return x, np.flatnonzero(full.T)
 
 
 def simulate_path(
@@ -542,8 +539,9 @@ def simulate_path(
     is the counter-based PCG64 behind a 64-bit seed).
 
     The uniforms are drawn and walked one chunk at a time, each chunk as
-    blocks of composed clip maps (see :func:`_walk_chunk`), so the path
-    holds 9 bytes per step: the queue length and the loss flag.
+    blocks of composed clip maps (see :func:`_walk_chunk`), and the path
+    keeps only the end states and the loss steps: 8 bytes per loss, none
+    per step.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -552,14 +550,15 @@ def simulate_path(
     if burn_in > 0:
         ell = 0
         for s in range(0, burn_in, _CHUNK):
-            ell = _walk_chunk(ell, L, p, rng.random(min(_CHUNK, burn_in - s)))
+            ell, _ = _walk_chunk(ell, L, p, rng.random(min(_CHUNK, burn_in - s)), replay=False)
     else:
         pi = stationary_distribution(params)
         ell = int(rng.choice(L + 1, p=pi))
-    lengths = np.empty(n_steps + 1, dtype=np.int64)
-    losses = np.empty(n_steps, dtype=np.bool_)
-    lengths[0] = ell
+    start = ell
+    hits = []
     for s in range(0, n_steps, _CHUNK):
-        e = min(s + _CHUNK, n_steps)
-        ell = _walk_chunk(ell, L, p, rng.random(e - s), lengths[s : e + 1], losses[s:e])
-    return DiscretePath(params=params, seed=seed, lengths=lengths, loss_events=losses)
+        ell, chunk_hits = _walk_chunk(ell, L, p, rng.random(min(_CHUNK, n_steps - s)))
+        chunk_hits += s
+        hits.append(chunk_hits)
+    return DiscretePath(params=params, seed=seed, n_steps=n_steps, start=start, end=ell,
+                        loss_steps=np.concatenate(hits))

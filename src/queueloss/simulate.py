@@ -62,13 +62,15 @@ class Distribution:
 
     def __post_init__(self) -> None:
         if self.kind in ("exponential", "deterministic"):
-            if self.mean is None or self.mean <= 0.0:
+            if self.mean is None or not (math.isfinite(self.mean) and self.mean > 0.0):
                 raise ValueError(f"{self.kind} law needs a positive mean")
         elif self.kind == "uniform":
             if self.low is None or self.high is None:
                 raise ValueError("uniform law needs low and high")
             if not 0.0 <= self.low <= self.high:
                 raise ValueError("uniform law needs 0 <= low <= high")
+            if not (math.isfinite(self.high) and self.high > 0.0):
+                raise ValueError("uniform law needs a finite positive high")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -87,10 +89,12 @@ class Distribution:
         return 0.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws; for the deterministic law a read-only zero-stride
+        view of its mean, which takes no memory."""
         if self.kind == "exponential":
             return rng.exponential(self.mean, n)
         if self.kind == "deterministic":
-            return np.full(n, self.mean)
+            return np.broadcast_to(np.float64(self.mean), (n,))
         return rng.uniform(self.low, self.high, n)
 
 
@@ -103,7 +107,7 @@ class TrafficModel:
     r_out: float
 
     def __post_init__(self) -> None:
-        if self.r_out <= 0.0:
+        if not (math.isfinite(self.r_out) and self.r_out > 0.0):
             raise ValueError("output rate must be positive")
         mean_size = self.packet_size.mean_value
         if mean_size > 0.05:
@@ -148,18 +152,39 @@ _BLOCK_MAX = 1 << 13
 
 
 def _event_columns(n):
-    """Zeroed per-arrival record columns for one chunk of ``n`` arrivals."""
+    """Zeroed per-arrival record columns for ``n`` arrivals."""
     return {"time": np.zeros(n), "size": np.zeros(n), "accepted": np.zeros(n, dtype=np.bool_),
             "queue_before": np.zeros(n), "queue_after": np.zeros(n)}
+
+
+def _record_capacity(traffic, duration):
+    """Arrivals the event record of a run is first sized for: the mean
+    renewal count duration/mean plus six of its standard deviations,
+    sqrt(duration/mean) std/mean, and a few spare."""
+    law = traffic.interarrival
+    n = duration / law.mean_value
+    return int(n + 6.0 * math.sqrt(n * law.variance) / law.mean_value) + 64
+
+
+def _grow(ev, n):
+    """The record columns ``ev`` copied into zeroed columns for ``n``
+    arrivals, or for a quarter more than ``ev`` holds if that is more."""
+    grown = _event_columns(max(n, ev["time"].size * 5 // 4))
+    for k, c in ev.items():
+        grown[k][: c.size] = c
+    return grown
 
 
 def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
     """Run the whole simulation from level ``ell`` at t = 0; returns
     ``(final_queue, arrived, serviced, dropped, idle_time, n_arrivals,
-    n_drops)`` and fills the grid arrays in place.
+    n_drops, events)`` and fills the grid arrays in place.
 
     Arrivals are drawn ``_CHUNK`` at a time, interarrival times first. With
-    ``record`` a list, each chunk's event columns are appended to it.
+    ``record`` true, ``events`` is the per-arrival record, written straight
+    into one set of columns sized by :func:`_record_capacity` and grown
+    (:func:`_grow`) only when the next arrivals would overflow them;
+    otherwise None.
 
     Near a wall every arrival is a scalar step. Between wall contacts the
     queue follows the free path ell -> ell + p -> ell + p - eta r_out, the
@@ -178,7 +203,9 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     per-arrival sum in the last bits.
     """
     r_out = traffic.r_out
-    keep = record is not None
+    if record:
+        ev = _event_columns(_record_capacity(traffic, duration))
+        ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
     t = serviced = dropped = arrived = idle = 0.0
     # Kahan compensation terms: the volume totals grow to ~duration while the
     # per-event increments are tiny, and the conservation identity is checked
@@ -195,9 +222,6 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     while t < duration:
         etas = traffic.interarrival.sample(rng, _CHUNK)
         sizes = traffic.packet_size.sample(rng, _CHUNK)
-        if keep:
-            ev = _event_columns(_CHUNK)
-            ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
         # Reset per chunk: block placement, and with it the last bits of the
         # serviced total, depends on them.
         gap = _WALL_MOVES * (float(sizes.mean()) + r_out * float(etas.mean()))
@@ -208,6 +232,9 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
         while i < n:
             if quiet < _QUIET or not gap <= ell <= 1.0 - gap:
                 stop = min(i + _SCALAR_RUN, n)
+                if record and n_arrivals + stop > ev_time.size:
+                    ev = _grow(ev, n_arrivals + stop)
+                    ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
                 for p, eta in zip(sizes[i:stop].tolist(), etas[i:stop].tolist()):
                     quiet += 1
                     accepted = ell + p <= 1.0
@@ -221,12 +248,13 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                         dropped = tk
                         n_drops += 1
                         quiet = 0
-                    if keep:
-                        ev_time[i] = t
-                        ev_size[i] = p
-                        ev_accepted[i] = accepted
-                        ev_q_before[i] = ell
-                        ev_q_after[i] = ell_plus
+                    if record:
+                        row = n_arrivals + i
+                        ev_time[row] = t
+                        ev_size[row] = p
+                        ev_accepted[row] = accepted
+                        ev_q_before[row] = ell
+                        ev_q_after[row] = ell_plus
                     seg_end = t + eta
                     while next_tg <= seg_end:
                         dtg = next_tg - t
@@ -292,12 +320,16 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
             c_serv = (tk - serviced) - yk
             serviced = tk
             ell_plus = free[1 : 2 * e : 2]
-            if keep:
-                ev_time[i : i + e] = clock[:e]
-                ev_size[i : i + e] = sizes[i : i + e]
-                ev_accepted[i : i + e] = True
-                ev_q_before[i : i + e] = free[0 : 2 * e : 2]
-                ev_q_after[i : i + e] = ell_plus
+            if record:
+                row = n_arrivals + i
+                if row + e > ev_time.size:
+                    ev = _grow(ev, row + e)
+                    ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
+                ev_time[row : row + e] = clock[:e]
+                ev_size[row : row + e] = sizes[i : i + e]
+                ev_accepted[row : row + e] = True
+                ev_q_before[row : row + e] = free[0 : 2 * e : 2]
+                ev_q_after[row : row + e] = ell_plus
             t = float(clock[e])
             if next_tg <= t:
                 g_next = grid_idx + int(grid_times[grid_idx:].searchsorted(t, side="right"))
@@ -319,11 +351,10 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
         c_arr = (tk - arrived) - yk
         arrived = tk
         n_arrivals += i
-        if keep:
-            # A partial (last) chunk keeps a copy, so the unused tail of its
-            # full-size arrays is freed now.
-            record.append({k: c[:i].copy() if i < _CHUNK else c for k, c in ev.items()})
-    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops
+    # Views of the first n_arrivals rows: the few spare rows stay allocated
+    # with them rather than paying for a copy of the whole record.
+    events = {k: c[:n_arrivals] for k, c in ev.items()} if record else None
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, events
 
 
 @dataclass
@@ -404,17 +435,9 @@ def run(
     cum_lost = np.zeros(n_grid)
     cum_idle = np.zeros(n_grid)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    ev_chunks: list[dict[str, np.ndarray]] | None = [] if record_events else None
-    final, arrived, serviced, dropped, idle, n_arrivals, n_drops = _kernel(
+    final, arrived, serviced, dropped, idle, n_arrivals, n_drops, events = _kernel(
         traffic, rng, duration, sample_dt, float(initial_queue), queue_samples, cum_lost,
-        cum_idle, ev_chunks)
-    events = None
-    if record_events:
-        # One column at a time, each chunk's column dropped once joined: the
-        # peak is the record plus one column rather than twice the record.
-        events = {}
-        for k in list(ev_chunks[0]):
-            events[k] = np.concatenate([c.pop(k) for c in ev_chunks])
+        cum_idle, record_events)
     return EventLog(
         traffic=traffic,
         duration=duration,

@@ -222,7 +222,8 @@ def simulate_path_py(params, n_steps: int, burn_in: int = 0, seed: int = 0):
 
 def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
     """The per-arrival loop ``simulate._kernel`` replaced, with its signature:
-    the same chunked draws, one arrival at a time."""
+    the same chunked draws, one arrival at a time, and the event record
+    joined from per-chunk columns."""
     from queueloss import simulate as S
 
     r_out = traffic.r_out
@@ -234,10 +235,11 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
     n_drops = n_arrivals = 0
     n_grid = queue_samples.size
     grid_idx = 0
+    chunks = []
     while t < duration:
         etas = traffic.interarrival.sample(rng, S._CHUNK)
         sizes = traffic.packet_size.sample(rng, S._CHUNK)
-        if record is not None:
+        if record:
             ev = S._event_columns(S._CHUNK)
             ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
         consumed = 0
@@ -259,7 +261,7 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
             tk = arrived + yk
             c_arr = (tk - arrived) - yk
             arrived = tk
-            if record is not None:
+            if record:
                 ev_time[i] = t
                 ev_size[i] = p
                 ev_accepted[i] = accepted
@@ -296,6 +298,7 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
             if t >= duration:
                 break
         n_arrivals += consumed
-        if record is not None:
-            record.append({k: c[:consumed].copy() for k, c in ev.items()})
-    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops
+        if record:
+            chunks.append({k: c[:consumed] for k, c in ev.items()})
+    events = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]} if record else None
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, events

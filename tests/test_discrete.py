@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -453,43 +454,61 @@ class TestCorrelatorR2:
         assert calls == [params]
 
 
+def _assert_path_matches_loop(path, params, n_steps, burn_in=0, seed=0):
+    """``path`` against the per-step loop's dense record; returns that
+    record ``(lengths, losses)``."""
+    lengths, losses = simulate_path_py(params, n_steps, burn_in=burn_in, seed=seed)
+    assert path.n_steps == n_steps
+    assert (path.start, path.end) == (lengths[0], lengths[-1])
+    assert path.loss_steps.dtype == np.int64
+    assert np.array_equal(path.loss_steps, np.flatnonzero(losses))
+    return lengths, losses
+
+
 class TestSimulatePath:
     def test_deterministic_under_seed(self):
         params = D.DiscreteQueueParams(p=0.5, L=20)
         a = D.simulate_path(params, 5000, seed=11)
         b = D.simulate_path(params, 5000, seed=11)
-        assert np.array_equal(a.lengths, b.lengths)
-        assert np.array_equal(a.loss_events, b.loss_events)
+        assert (a.start, a.end) == (b.start, b.end)
+        assert np.array_equal(a.loss_steps, b.loss_steps)
+        _assert_path_matches_loop(a, params, 5000, seed=11)
 
     def test_saturating_arrivals(self):
-        path = D.simulate_path(D.DiscreteQueueParams(p=1.0, L=5), 50, burn_in=0, seed=1)
+        params = D.DiscreteQueueParams(p=1.0, L=5)
+        path = D.simulate_path(params, 50, burn_in=0, seed=1)
         # all mass at the full state; every step onward is a loss
-        assert path.lengths[0] == 5
-        assert path.loss_events.all()
+        assert path.start == path.end == 5
+        assert np.array_equal(path.loss_steps, np.arange(50))
+        _assert_path_matches_loop(path, params, 50, seed=1)
 
     def test_saturating_arrivals_from_empty(self):
         # started empty, the queue fills in exactly L steps and every step
         # after that drops a packet
         L = 5
-        path = D.simulate_path(D.DiscreteQueueParams(p=1.0, L=L), 50, burn_in=L, seed=1)
-        assert path.lengths[0] == L
-        assert path.loss_events.all()
-        ramp = D.simulate_path(D.DiscreteQueueParams(p=1.0, L=L), 50, burn_in=2, seed=1)
-        assert ramp.lengths[0] == 2
-        assert not ramp.loss_events[: L - 2 - 1].any()
-        assert ramp.loss_events[L - 2 :].all()
+        params = D.DiscreteQueueParams(p=1.0, L=L)
+        path = D.simulate_path(params, 50, burn_in=L, seed=1)
+        assert path.start == L
+        assert np.array_equal(path.loss_steps, np.arange(50))
+        _assert_path_matches_loop(path, params, 50, burn_in=L, seed=1)
+        ramp = D.simulate_path(params, 50, burn_in=2, seed=1)
+        assert ramp.start == 2
+        assert np.array_equal(ramp.loss_steps, np.arange(L - 2, 50))
+        _assert_path_matches_loop(ramp, params, 50, burn_in=2, seed=1)
 
     def test_empty_arrivals(self):
-        path = D.simulate_path(D.DiscreteQueueParams(p=0.0, L=5), 200, seed=2)
+        params = D.DiscreteQueueParams(p=0.0, L=5)
+        path = D.simulate_path(params, 200, seed=2)
         assert path.loss_count() == 0
-        assert (path.lengths == 0).all()
+        assert path.start == path.end == 0
+        _assert_path_matches_loop(path, params, 200, seed=2)
 
     @given(p=st.floats(0.1, 0.9), L=st.integers(1, 15), seed=st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
     def test_path_invariants(self, p, L, seed):
         params = D.DiscreteQueueParams(p=p, L=L)
         path = D.simulate_path(params, 400, seed=seed)
-        lengths = path.lengths
+        lengths, _ = _assert_path_matches_loop(path, params, 400, seed=seed)
         assert lengths.min() >= 0 and lengths.max() <= L
         steps = np.diff(lengths)
         assert set(np.unique(steps)).issubset({-1, 0, 1})
@@ -498,11 +517,14 @@ class TestSimulatePath:
         assert np.isin(held, [0, L]).all()
         # loss events exactly where the full queue holds
         expect = (lengths[:-1] == L) & (lengths[1:] == L)
-        assert np.array_equal(path.loss_events, expect)
+        assert np.array_equal(path.loss_steps, np.flatnonzero(expect))
+        assert path.loss_count() == int(expect.sum())
 
     def test_burn_in_starts_empty(self):
-        path = D.simulate_path(D.DiscreteQueueParams(p=0.9, L=30), 100, burn_in=5, seed=3)
-        assert path.lengths[0] <= 5
+        params = D.DiscreteQueueParams(p=0.9, L=30)
+        path = D.simulate_path(params, 100, burn_in=5, seed=3)
+        assert path.start <= 5
+        _assert_path_matches_loop(path, params, 100, burn_in=5, seed=3)
 
     def test_rate_matches_exact_at_scale(self):
         params = D.DiscreteQueueParams(p=0.5, L=20)
@@ -511,6 +533,25 @@ class TestSimulatePath:
         summary = ST.mean_and_variance(series)
         exact = D.mean_loss_rate_exact(params)
         assert abs(summary.mean / 100 - exact) <= 3.0 * summary.mean_se / 100
+
+    @pytest.mark.parametrize("N", [1, 7, 1000, 10007, 20000])
+    def test_window_counts_match_dense_sums(self, monkeypatch, N):
+        # N = 1, N dividing neither the path nor the chunk, N = n_steps and
+        # N > n_steps; the steps after the last whole window are dropped.
+        monkeypatch.setattr(D, "_CHUNK", 4096)
+        params = D.DiscreteQueueParams(p=0.5, L=3)
+        path = D.simulate_path(params, 10007, seed=5)
+        _, losses = _assert_path_matches_loop(path, params, 10007, seed=5)
+        n_windows = losses.size // N
+        want = losses[: n_windows * N].reshape(n_windows, N).sum(axis=1).astype(np.int64)
+        got = path.window_counts(N)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_window_length_must_be_positive(self):
+        path = D.simulate_path(D.DiscreteQueueParams(p=0.5, L=3), 100, seed=5)
+        with pytest.raises(ValueError, match="window length"):
+            path.window_counts(0)
 
 
 class TestWalkKernel:
@@ -526,30 +567,42 @@ class TestWalkKernel:
         params = D.DiscreteQueueParams(p=p, L=L)
         for n_steps, burn_in in ((1, 0), (1, 5), (10007, 0), (10007, 4099)):
             path = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
-            lengths, losses = simulate_path_py(params, n_steps, burn_in=burn_in, seed=17)
-            assert np.array_equal(path.lengths, lengths)
-            assert np.array_equal(path.loss_events, losses)
+            _assert_path_matches_loop(path, params, n_steps, burn_in=burn_in, seed=17)
 
     def test_default_chunk_matches_loop(self):
         params = D.DiscreteQueueParams(p=0.5, L=20)
         path = D.simulate_path(params, 1_000_003, seed=202)
-        lengths, losses = simulate_path_py(params, 1_000_003, seed=202)
-        assert np.array_equal(path.lengths, lengths)
-        assert np.array_equal(path.loss_events, losses)
+        _assert_path_matches_loop(path, params, 1_000_003, seed=202)
 
     @pytest.mark.parametrize("l0", [0, 3, 7])
     def test_chunk_kernel_matches_loop(self, l0):
+        # Prefixes of every size class: one step, fewer steps than a block
+        # row, a partial last block, and whole blocks.
         u = np.random.default_rng(5).random(3001)
-        got_len = np.zeros(u.size + 1, dtype=np.int64)
-        got_loss = np.zeros(u.size, dtype=np.bool_)
         ref_len = np.zeros(u.size + 1, dtype=np.int64)
         ref_loss = np.zeros(u.size, dtype=np.bool_)
-        got_len[0] = ref_len[0] = l0
-        end = D._walk_chunk(l0, 7, 0.55, u, got_len, got_loss)
-        assert end == walk_chunk_py(l0, 7, 0.55, u, ref_len, ref_loss)
-        assert D._walk_chunk(l0, 7, 0.55, u) == end
-        assert np.array_equal(got_len, ref_len)
-        assert np.array_equal(got_loss, ref_loss)
+        ref_len[0] = l0
+        walk_chunk_py(l0, 7, 0.55, u, ref_len, ref_loss)
+        for m in (1, 2, 5, 55, 56, 57, 1000, 2999, 3001):
+            end, hits = D._walk_chunk(l0, 7, 0.55, u[:m])
+            assert end == ref_len[m], m
+            assert np.array_equal(hits, np.flatnonzero(ref_loss[:m])), m
+            assert D._walk_chunk(l0, 7, 0.55, u[:m], replay=False) == (end, None)
+
+    def test_memory_stays_within_a_few_chunks(self):
+        # A path keeps its loss steps only: 5e6 steps at p = 1/2, L = 20 hold
+        # about 120 000 losses (1 MB), so the peak is set by one chunk of
+        # uniforms (8 MiB) and the chunk's step rows, not by the path length.
+        params = D.DiscreteQueueParams(p=0.5, L=20)
+        D.simulate_path(params, 10, seed=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            path = D.simulate_path(params, 5_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.loss_count() > 100_000
+        assert peak < 2.5 * D._CHUNK * 8
 
 
 class TestParamValidation:

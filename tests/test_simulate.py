@@ -38,6 +38,15 @@ class TestDistribution:
         assert (dist.sample(np.random.default_rng(2), 5) == 0.01).all()
         assert dist.variance == 0.0
 
+    def test_deterministic_sample_is_a_zero_byte_view(self):
+        # A constant needs no per-draw storage; the view must not be
+        # writable, or one write would change every draw at once.
+        xs = S.Distribution(kind="deterministic", mean=0.01).sample(
+            np.random.default_rng(2), 1 << 20)
+        assert xs.shape == (1 << 20,) and xs.dtype == np.float64
+        assert xs.strides == (0,)
+        assert not xs.flags.writeable
+
     def test_validation(self):
         with pytest.raises(ValueError):
             S.Distribution(kind="exponential", mean=-1.0)
@@ -46,11 +55,30 @@ class TestDistribution:
         with pytest.raises(ValueError):
             S.Distribution(kind="pareto", mean=1.0)
 
+    @pytest.mark.parametrize("kind", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_rejects_non_finite_mean(self, kind, mean):
+        with pytest.raises(ValueError, match="positive mean"):
+            S.Distribution(kind=kind, mean=mean)
+
+    @pytest.mark.parametrize("low, high",
+                             [(0.0, math.inf), (math.nan, 0.1), (0.0, math.nan), (0.0, 0.0)])
+    def test_rejects_non_finite_or_zero_uniform_bounds(self, low, high):
+        # high = 0 is the zero law: as interarrival times it would never
+        # advance the clock.
+        with pytest.raises(ValueError, match="uniform law needs"):
+            S.Distribution(kind="uniform", low=low, high=high)
+
 
 class TestTrafficModel:
     def test_drain_time_scale(self):
         traffic = poisson_traffic(r_out=4.0)
         assert traffic.eta0 == 0.25
+
+    @pytest.mark.parametrize("r_out", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_output_rate(self, r_out):
+        with pytest.raises(ValueError, match="output rate"):
+            poisson_traffic(r_out=r_out)
 
     def test_near_critical_indicator_reported_not_enforced(self):
         balanced = poisson_traffic()
@@ -239,38 +267,41 @@ class TestKernelMatchesLoop:
 
 class TestEventRecord:
     def test_record_assembly_peak_and_bits(self, monkeypatch):
-        # 4096-arrival chunks: a 1000-unit run fills 24 of them and ends
-        # in a partial one. Joining the record must not hold the chunks and
-        # the joined record at once, and must give exactly what the kernel
-        # wrote.
+        # 4096-arrival chunks: a 3000-unit run fills 73 of them and ends
+        # in a partial one. The record is written straight into its
+        # columns, so the run's peak is the record (10 MB) plus the grid
+        # (5%) and the kernel's fixed 0.3 MB of chunk and block buffers,
+        # and the columns are exactly what the per-arrival loop records.
         monkeypatch.setattr(S, "_CHUNK", 4096)
         traffic = poisson_traffic()
         S.run(traffic, duration=1.0, seed=0, record_events=True)  # first-call allocations
         tracemalloc.start()
         try:
-            log = S.run(traffic, duration=1000.0, seed=5, record_events=True)
+            log = S.run(traffic, duration=3000.0, seed=5, record_events=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         record_bytes = sum(column.nbytes for column in log.events.values())
         assert log.n_arrivals > 3 * S._CHUNK
-        assert peak < 1.5 * record_bytes
+        assert peak < 1.15 * record_bytes
 
-        columns = S._event_columns
-        written = []
+        monkeypatch.setattr(S, "_kernel", kernel_py)
+        ref = S.run(traffic, duration=3000.0, seed=5, record_events=True)
+        assert list(log.events) == list(ref.events)
+        for name, column in ref.events.items():
+            assert log.events[name].dtype == column.dtype, name
+            assert np.array_equal(log.events[name], column), name
 
-        def spy(n):
-            ev = columns(n)
-            written.append(ev)
-            return ev
-
-        monkeypatch.setattr(S, "_event_columns", spy)
-        S.run(traffic, duration=1000.0, seed=5, record_events=True)
-        assert len(written) == math.ceil(log.n_arrivals / S._CHUNK)
-        for name in ("time", "size", "accepted", "queue_before", "queue_after"):
-            want = np.concatenate([chunk[name] for chunk in written])[: log.n_arrivals]
-            assert log.events[name].dtype == want.dtype
-            assert np.array_equal(log.events[name], want), name
+    @pytest.mark.parametrize("capacity", [1, 100, 5000])
+    def test_record_grows_past_its_estimate(self, monkeypatch, capacity):
+        # Columns sized below the run's arrival count must grow, in scalar
+        # steps and in blocks alike, without changing a bit of the record.
+        monkeypatch.setattr(S, "_CHUNK", 3001)
+        monkeypatch.setattr(S, "_record_capacity", lambda traffic, duration: capacity)
+        new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.02), 300.0, 3,
+                             record_events=True, initial_queue=0.5)
+        assert new.n_arrivals > 5 * capacity
+        _assert_same_log(new, ref)
 
 
 class TestDriftDiffusionEstimate:
