@@ -134,38 +134,45 @@ def stationary_density(params: FpParams, ell) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _mode_basis(u: np.ndarray, n: np.ndarray, v: float) -> np.ndarray:
-    """psi_n(u) = pi n cos(pi n u) + v sin(pi n u), shaped (modes, points)."""
-    arg = np.pi * np.outer(n, u)
-    pin = (np.pi * n)[:, None]
-    return pin * np.cos(arg) + v * np.sin(arg)
+def _wall_modes(params: FpParams, ctrl: SeriesControl, tau: float):
+    """Wall-mode table at reduced time tau: n = 1..modes_for(tau) and the
+    decay rates lam_n = pi^2 n^2 + v^2."""
+    n = np.arange(1, ctrl.modes_for(tau) + 1, dtype=float)
+    return n, np.pi**2 * n * n + params.v * params.v
 
 
-def _mode_basis_deriv(u: np.ndarray, n: np.ndarray, v: float) -> np.ndarray:
-    """d psi_n / du."""
-    arg = np.pi * np.outer(n, u)
-    pin = (np.pi * n)[:, None]
-    return -pin * pin * np.sin(arg) + v * pin * np.cos(arg)
+def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: float,
+            deriv: bool = False):
+    """The eigenseries from ``ell_from`` to the targets ``ell_to`` after time t.
 
-
-def _series_pieces(params: FpParams, ctrl: SeriesControl, t: float):
-    if t <= 0.0:
-        raise ValueError("the series density is defined for t > 0 only")
-    tau = params.tau(t)
-    kmax = ctrl.modes_for(tau)
-    n = np.arange(1, kmax + 1, dtype=float)
+    Returns (p(x), psi_n(x), c_n, e^{v(x-y)}, tail bound), shaped (points,),
+    (modes, points), (modes,), (points,) and scalar, with the amplitudes
+    c_n = 2 e^{-lam_n tau} psi_n(y) / lam_n, so w = p + e^{v(x-y)} c @ psi;
+    ``deriv`` appends d psi_n / dx.
+    """
+    x = np.atleast_1d(np.asarray(ell_to, dtype=float))
+    y = float(ell_from)
+    tau = _reduced_time(params, t)
+    n, lam = _wall_modes(params, ctrl, tau)
     v = params.v
-    rate = np.pi**2 * n * n + v * v
-    decay = np.exp(-rate * tau)
-    coeff = 2.0 / rate
+    # psi_n(u) = pi n cos(pi n u) + v sin(pi n u); column 0 is the start y.
+    arg = np.pi * np.outer(n, np.append(y, x))
+    pin = (np.pi * n)[:, None]
+    psi = pin * np.cos(arg) + v * np.sin(arg)
+    # Contiguous copies: matmul sums a strided operand in another order.
+    psi_x = np.ascontiguousarray(psi[:, 1:])
+    c = 2.0 / lam * np.exp(-lam * tau) * psi[:, 0]
     # Geometric tail bound: remaining modes are below
     # 2 e^{|v| - pi^2 k^2 tau} summed over k > kmax. The exponents are
     # combined first so a large drift cannot overflow when the decay wins.
-    k1 = kmax + 1
+    k1 = len(n) + 1
     expo = abs(v) - np.pi**2 * k1 * k1 * tau
     tail = 2.0 * math.exp(expo) if expo < 700.0 else math.inf
     tail *= 1.0 / max(np.pi**2 * 2.0 * k1 * tau, 1e-300)
-    return tau, n, coeff * decay, tail
+    out = (stationary_density(params, x), psi_x, c, np.exp(v * (x - y)), tail)
+    if deriv:
+        out += (np.ascontiguousarray((-pin * pin * np.sin(arg) + v * pin * np.cos(arg))[:, 1:]),)
+    return out
 
 
 def transition_density(
@@ -182,14 +189,8 @@ def transition_density(
     the eigenseries is bounded geometrically; pass ``return_tail_bound`` to
     receive it alongside the value.
     """
-    x = np.atleast_1d(np.asarray(ell_to, dtype=float))
-    y = float(ell_from)
-    tau, n, amp, tail = _series_pieces(params, ctrl, t)
-    v = params.v
-    psi_x = _mode_basis(x, n, v)
-    psi_y = _mode_basis(np.array([y]), n, v)[:, 0]
-    series = (amp * psi_y) @ psi_x
-    out = stationary_density(params, x) + np.exp(v * (x - y)) * series
+    p, psi_x, c, envelope, tail = _series(params, ctrl, ell_to, t, ell_from)
+    out = p + envelope * (c @ psi_x)
     value = out if np.ndim(ell_to) else float(out[0])
     if return_tail_bound:
         return value, tail
@@ -208,21 +209,12 @@ def probability_current(
     Vanishes identically at both walls; the zero there is an exact
     mode-by-mode cancellation, so the numerical residual is at round-off.
     """
-    x = np.atleast_1d(np.asarray(ell_to, dtype=float))
-    y = float(ell_from)
-    tau, n, amp, _ = _series_pieces(params, ctrl, t)
+    w_stat, psi_x, c, envelope, _, dpsi_x = _series(params, ctrl, ell_to, t, ell_from, deriv=True)
     v = params.v
-    a = params.a
-    half_s2 = 0.5 * params.sigma2
-    psi_x = _mode_basis(x, n, v)
-    dpsi_x = _mode_basis_deriv(x, n, v)
-    psi_y = _mode_basis(np.array([y]), n, v)[:, 0]
-    envelope = np.exp(v * (x - y))
-    w_series = (amp * psi_y) @ psi_x
-    dw_series = envelope * ((amp * psi_y) @ dpsi_x + v * w_series)
-    w_stat = np.asarray(stationary_density(params, x), dtype=float)
+    w_series = c @ psi_x
+    dw_series = envelope * (c @ dpsi_x + v * w_series)
     dw_stat = 2.0 * v * w_stat
-    j = a * (w_stat + envelope * w_series) - half_s2 * (dw_stat + dw_series)
+    j = params.a * (w_stat + envelope * w_series) - 0.5 * params.sigma2 * (dw_stat + dw_series)
     return j if np.ndim(ell_to) else float(j[0])
 
 
@@ -285,8 +277,7 @@ def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):
     overflow. Mass on (-inf, 1] is exactly conserved (the wall at 1 is
     zero-flux; lost volume is accounted by local time, not leakage).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _reduced_time(params, t)  # checks t; the image solution works in t itself
     x = np.atleast_1d(np.asarray(ell_to, dtype=float))
     y = float(ell_from)
     if np.any(x > 1.0) or y > 1.0:
@@ -337,14 +328,13 @@ def _wall_on_contours(params: FpParams, tau: float) -> np.ndarray:
     return w
 
 
-def _invert_wall(params: FpParams, t: float, what: str, g) -> float:
-    """Invert g(eps, W, p(1)) over reduced time, W = W(1, eps; 1).
+def _invert_wall(params: FpParams, tau: float, what: str, g) -> float:
+    """Invert g(eps, W, p(1)) at reduced time tau, W = W(1, eps; 1).
 
     W is evaluated once per (params, tau), on the nodes of both contours
     together, and kept in a bounded cache: every moment, the loss
     probability and every loss_pdf point at one (params, t) share it.
     """
-    tau = _reduced_time(params, t)
     p1 = float(stationary_density(params, 1.0))
     w = _wall_on_contours(params, tau)
     # laplace_invert calls the transform once, on exactly the nodes w was
@@ -371,10 +361,11 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
+    tau = _reduced_time(params, t)
     if k == 1:
-        return float(stationary_density(params, 1.0)) * _reduced_time(params, t)
+        return float(stationary_density(params, 1.0)) * tau
     kfac = math.factorial(k)
-    return _invert_wall(params, t, f"loss moment k={k}",
+    return _invert_wall(params, tau, f"loss moment k={k}",
                         lambda eps, w, p1: kfac * p1 * w ** (k - 1) / eps**2)
 
 
@@ -385,7 +376,7 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     p1 = float(stationary_density(params, 1.0))
     if regime == "short":
         return math.factorial(k) * p1 * tau ** ((k + 1) / 2.0) / math.gamma((k + 3) / 2.0)
@@ -397,14 +388,14 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
 def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
     """Probability that any traffic is lost during [0, t], inverted from
     p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
-    value = _invert_wall(params, t, "loss probability",
+    value = _invert_wall(params, _reduced_time(params, t), "loss probability",
                          lambda eps, w, p1: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
 
 
 def loss_probability_asymptotic(params: FpParams, t: float, regime: str) -> float:
     """Short-time branch p(1) sqrt(4 tau / pi); long-time branch 1."""
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     if regime == "short":
         return float(stationary_density(params, 1.0)) * math.sqrt(4.0 * tau / math.pi)
     if regime == "long":
@@ -451,7 +442,7 @@ def loss_pdf(
     if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
         return (0.0, "tail-cutoff") if return_regime else 0.0
 
-    value = _invert_wall(params, t, "loss pdf",
+    value = _invert_wall(params, tau, "loss pdf",
                          lambda eps, w, p1: p1 * np.exp(-x / w) / (eps * eps * w * w))
     return (value, "inverted") if return_regime else value
 
@@ -477,7 +468,7 @@ def loss_pdf_longtime_summary(params: FpParams, t: float) -> tuple[float, float]
     closed form used by :func:`loss_variance_longtime`. Returned as a summary
     because a literal point mass is not a computable density.
     """
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     p1 = float(stationary_density(params, 1.0))
     mean = tau * p1
     with warnings.catch_warnings():
@@ -492,7 +483,7 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
     short: p(1) erfc(x / sqrt(4 tau)); long: narrow-Gaussian surrogate for
     the concentration at tau p(1) (asymptotic stand-in, not an inversion).
     """
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     xs = np.asarray(x, dtype=float)
     if regime == "short":
         p1 = float(stationary_density(params, 1.0))
@@ -508,7 +499,7 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
 def loss_variance_longtime(params: FpParams, t: float) -> float:
     """Long-time variance of the lost volume,
     m1 * [coth|v|/|v| - 1/sinh^2|v|], with the drift-free limit (2/3) m1."""
-    tau = params.tau(t)
+    tau = _reduced_time(params, t)
     if tau < 3.0:
         warnings.warn(
             f"long-time variance requested at tau={tau:.3g} < 3; "
@@ -550,17 +541,15 @@ def loss_correlator(
         A_n = 2 pi^2 n^2 / (pi^2 n^2 + v^2),  k_n = (pi^2 n^2 + v^2) sigma^2 / 2,
 
     truncated at the mode count of the series density at separation T.
+    ValueError unless t1, t2 and T are positive and finite.
     """
-    if min(t1, t2, T) <= 0.0:
-        raise ValueError("window lengths and separation must be positive")
+    *_, tau_T = (_reduced_time(params, t) for t in (t1, t2, T))
+    n, lam = _wall_modes(params, ctrl, tau_T)
     r = loss_rate_coefficient(params)
-    p1 = float(stationary_density(params, 1.0))
-    n = np.arange(1, ctrl.modes_for(params.tau(T)) + 1, dtype=float)
-    pn2 = (np.pi * n) ** 2
-    rate = pn2 + params.v**2
-    k = r * rate
-    terms = (2.0 * pn2 / rate) * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
-    return r * r * p1 * float(np.sum(terms))
+    k = r * lam
+    amp = 2.0 * (np.pi * n) ** 2 / lam
+    terms = amp * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
+    return r * r * float(stationary_density(params, 1.0)) * float(np.sum(terms))
 
 
 def loss_correlator_asymptotic(
@@ -576,11 +565,10 @@ def loss_correlator_asymptotic(
         m1(t1) m1(t2) sqrt(2/(pi sigma^2 T)) / p(1);
     separated (T >> 2/sigma^2): 0 (the decay is exponential for v != 0).
     """
+    tau1, tau2, _ = (_reduced_time(params, t) for t in (t1, t2, T))
     if regime == "separated":
         return 0.0
     if regime != "window":
         raise ValueError(f"unknown regime {regime!r}")
     p1 = float(stationary_density(params, 1.0))
-    m1_1 = p1 * params.tau(t1)
-    m1_2 = p1 * params.tau(t2)
-    return m1_1 * m1_2 * math.sqrt(2.0 / (math.pi * params.sigma2 * T)) / p1
+    return p1 * tau1 * (p1 * tau2) * math.sqrt(2.0 / (math.pi * params.sigma2 * T)) / p1
