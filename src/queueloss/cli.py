@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ConfigError("[experiment] seed must be >= 0")
 
 
+#: The config fields that set how long a Monte Carlo run is.
+_RUN_LENGTHS = ("duration", "steps")
+
 #: The keys ``load_config`` accepts in ``[experiment]``.
 _EXPERIMENT_KEYS = ("model", "replicas", "seed", "out")
 
@@ -339,7 +342,7 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     if missing:
         raise ConfigError(f"[grid] the {kind} table needs {', '.join(missing)}")
     unknown = sorted(set(config.grid) - set(table.axes))
-    unknown += [field for field in ("duration", "steps")
+    unknown += [field for field in _RUN_LENGTHS
                 if getattr(config, field) is not None and field not in table.needs]
     if unknown:
         raise ConfigError(f"[grid] {', '.join(unknown)} not used by the {kind} table, "
@@ -422,6 +425,10 @@ def run_checks() -> int:
     ck = math.fsum(weights * last_leg * density(fpp, ctrl, mids, 0.03, 0.2))
     direct = density(fpp, ctrl, 0.7, 0.07, 0.2)
     report("Chapman-Kolmogorov composes", abs(ck - direct) < 1e-5)
+    inverted, _ = numerics.laplace_invert(
+        lambda eps: fokker_planck.laplace_propagator(fpp, 0.7, eps, 0.4), fpp.tau(0.05))
+    report("series density matches the inverted propagator",
+           abs(density(fpp, ctrl, 0.7, 0.05, 0.4) - inverted) < 1e-7)
     v1, _ = numerics.laplace_invert(lambda s: 1.0 / s**2, 1.7)
     v2, _ = numerics.laplace_invert(lambda s: 1.0 / (s + 1.0), 1.7)
     report(
@@ -451,13 +458,14 @@ def run_checks() -> int:
 
 class _Flag(NamedTuple):
     """A grid flag of a subcommand. ``target`` is a grid axis, ``windows`` or
-    a config field; an ``override`` flag applies over --config/--preset too."""
+    a run length (``steps``, ``duration``). A run-length flag applies on top
+    of --config/--preset when given; its ``default`` fills the field only
+    when neither sets it."""
 
     name: str
     target: str
     default: object = None
     type: Callable = str
-    override: bool = False
 
 
 _P = _Flag("--p", "p")
@@ -469,7 +477,7 @@ _SUBCOMMANDS = {
                        "exact_discrete.csv", (_P, _L, _Flag("--N", "windows", "1000"))),
     "sim-discrete": ("Monte Carlo discrete paths vs exact", "discrete-sim", "sim_discrete.csv",
                      (_P, _L, _Flag("--N", "windows", "100"),
-                      _Flag("--steps", "steps", 10**6, int, override=True))),
+                      _Flag("--steps", "steps", 10**6, int))),
     "fp-eval": ("continuum-model evaluator tables", "fp", "fp_eval.csv",
                 (_Flag("--a", "a"), _Flag("--sigma2", "sigma2"), _Flag("--t", "windows", "1.0"))),
     "sim-continuous": ("packet simulator bridged to the continuum", "continuous-sim",
@@ -484,9 +492,12 @@ _SUBCOMMANDS = {
 
 def _resolve(args: argparse.Namespace, kind: str | None, flags) -> ExperimentConfig:
     """The config a subcommand runs: --config, else --preset, else its grid
-    flags; then --out/--seed/--replicas and the override flags on top. A
-    config of another kind than the subcommand's is a :class:`ConfigError`."""
-    given = {flag.target: getattr(args, flag.target) for flag in flags}
+    flags; then --out/--seed/--replicas and the run-length flags given on
+    top. A config of another kind than the subcommand's is a
+    :class:`ConfigError`."""
+    passed = {flag.target: getattr(args, flag.target) for flag in flags}
+    given = {flag.target: flag.default if passed[flag.target] is None else passed[flag.target]
+             for flag in flags}
     if args.config:
         config = load_config(args.config)
     elif args.preset:
@@ -504,7 +515,8 @@ def _resolve(args: argparse.Namespace, kind: str | None, flags) -> ExperimentCon
         raise ConfigError("need --config, --preset, or explicit grid flags")
     updates = {k: getattr(args, k) for k in ("out", "seed", "replicas")
                if getattr(args, k) is not None}
-    updates.update({flag.target: given[flag.target] for flag in flags if flag.override})
+    updates.update({field: given[field] for field in _RUN_LENGTHS if field in given
+                    and (passed[field] is not None or getattr(config, field) is None)})
     config = replace(config, **updates)
     if kind is not None and table_kind(config) != kind:
         raise ConfigError(
@@ -529,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--replicas", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
         for flag in flags:
-            sp.add_argument(flag.name, dest=flag.target, type=flag.type, default=flag.default)
+            sp.add_argument(flag.name, dest=flag.target, type=flag.type)
     sub.add_parser("check", help="run the hard-invariant suite")
 
     args = parser.parse_args(argv)

@@ -54,7 +54,7 @@ class DiscreteQueueParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"arrival probability must be in [0, 1], got {self.p}")
-        if int(self.L) != self.L or self.L < 1:
+        if not (math.isfinite(self.L) and int(self.L) == self.L and self.L >= 1):
             raise ValueError(f"capacity must be an integer >= 1, got {self.L}")
         object.__setattr__(self, "L", int(self.L))
 

@@ -64,7 +64,9 @@ __all__ = [
 
 
 class SeriesTruncationError(RuntimeError):
-    """The eigenseries cannot meet its tolerance within the mode budget."""
+    """The eigenseries cannot meet its tolerance: it needs more modes than the
+    budget allows, or (strong drift, short times) its terms cancel so far that
+    round-off exceeds 1e-9 of the density's scale."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,10 @@ class FpParams:
     def __post_init__(self) -> None:
         if self.sigma2 <= 0.0:
             raise ValueError(f"diffusion must be positive, got {self.sigma2}")
+        if not math.isfinite(self.sigma2):
+            raise ValueError(f"diffusion must be finite, got {self.sigma2}")
+        if not math.isfinite(self.v):
+            raise ValueError(f"drift must be finite, got a={self.a} (v = a/sigma2 = {self.v})")
 
     @property
     def v(self) -> float:
@@ -145,13 +151,23 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
             deriv: bool = False):
     """The eigenseries from ``ell_from`` to the targets ``ell_to`` after time t.
 
-    Returns (p(x), psi_n(x), c_n, e^{v(x-y)}, tail bound), shaped (points,),
-    (modes, points), (modes,), (points,) and scalar, with the amplitudes
-    c_n = 2 e^{-lam_n tau} psi_n(y) / lam_n, so w = p + e^{v(x-y)} c @ psi;
-    ``deriv`` appends d psi_n / dx.
+    Returns (p(x), s(x), e^{v(x-y)}, tail bound) with the mode sum
+    s = sum_n c_n psi_n(x), c_n = 2 e^{-lam_n tau} psi_n(y) / lam_n, so that
+    w = p + e^{v(x-y)} s; ``deriv`` appends sum_n c_n psi_n'(x). Where
+    e^{v(x-y)} would overflow, part of its exponent moves into c_n; only
+    their product is meaningful.
+
+    SeriesTruncationError where w overflows or the terms cancel below
+    round-off: where
+    4 * 2.2e-16 e^{v(x-y)} sqrt(sum_n [c_n psi_n(x) (lam_n tau + 2 pi n + 6)]^2)
+    exceeds 1e-9 max(1, p(x), |w(x)|). Each term carries the rounding of its
+    decay exponent lam_n tau and of its phases pi n x and pi n y; the errors
+    of many terms add in quadrature, and the factor 4 covers a few that align.
     """
     x = np.atleast_1d(np.asarray(ell_to, dtype=float))
     y = float(ell_from)
+    if not (np.all((0.0 <= x) & (x <= 1.0)) and 0.0 <= y <= 1.0):
+        raise ValueError("positions must lie in [0, 1]")
     tau = _reduced_time(params, t)
     n, lam = _wall_modes(params, ctrl, tau)
     v = params.v
@@ -161,7 +177,27 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
     psi = pin * np.cos(arg) + v * np.sin(arg)
     # Contiguous copies: matmul sums a strided operand in another order.
     psi_x = np.ascontiguousarray(psi[:, 1:])
-    c = 2.0 / lam * np.exp(-lam * tau) * psi[:, 0]
+    log_env = v * (x - y)
+    shift = max(log_env.max() - 700.0, 0.0)  # nonzero only past |v| = 700
+    p = stationary_density(params, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 2.0 / lam * np.exp(shift - lam * tau) * psi[:, 0]
+        envelope = np.exp(log_env - shift)
+        series = c @ psi_x
+        # Squares of c_n / max|c_n|, so they cannot underflow.
+        c_max = np.abs(c).max() or 1.0
+        weight = (c / c_max * (lam * tau + 2.0 * np.pi * n + 6.0)) ** 2
+        roundoff = 4.0 * 2.2e-16 * envelope * c_max * np.sqrt(weight @ (psi_x * psi_x))
+        value = p + envelope * series
+        scale = np.maximum(np.maximum(1.0, p), np.abs(value))
+    ok = np.isfinite(value) & (roundoff <= 1e-9 * scale)
+    if not np.all(ok):
+        worst = np.argmin(ok)
+        raise SeriesTruncationError(
+            f"the eigenseries cancels at v={v:.3g}, tau={tau:.3g}, x={x[worst]:.3g}, "
+            f"y={y:.3g}: round-off {roundoff[worst]:.3g} against a density scale "
+            f"{scale[worst]:.3g}"
+        )
     # Geometric tail bound: remaining modes are below
     # 2 e^{|v| - pi^2 k^2 tau} summed over k > kmax. The exponents are
     # combined first so a large drift cannot overflow when the decay wins.
@@ -169,9 +205,10 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
     expo = abs(v) - np.pi**2 * k1 * k1 * tau
     tail = 2.0 * math.exp(expo) if expo < 700.0 else math.inf
     tail *= 1.0 / max(np.pi**2 * 2.0 * k1 * tau, 1e-300)
-    out = (stationary_density(params, x), psi_x, c, np.exp(v * (x - y)), tail)
+    out = (p, series, envelope, tail)
     if deriv:
-        out += (np.ascontiguousarray((-pin * pin * np.sin(arg) + v * pin * np.cos(arg))[:, 1:]),)
+        dpsi_x = np.ascontiguousarray((-pin * pin * np.sin(arg) + v * pin * np.cos(arg))[:, 1:])
+        out += (c @ dpsi_x,)
     return out
 
 
@@ -189,8 +226,8 @@ def transition_density(
     the eigenseries is bounded geometrically; pass ``return_tail_bound`` to
     receive it alongside the value.
     """
-    p, psi_x, c, envelope, tail = _series(params, ctrl, ell_to, t, ell_from)
-    out = p + envelope * (c @ psi_x)
+    p, series, envelope, tail = _series(params, ctrl, ell_to, t, ell_from)
+    out = p + envelope * series
     value = out if np.ndim(ell_to) else float(out[0])
     if return_tail_bound:
         return value, tail
@@ -209,10 +246,9 @@ def probability_current(
     Vanishes identically at both walls; the zero there is an exact
     mode-by-mode cancellation, so the numerical residual is at round-off.
     """
-    w_stat, psi_x, c, envelope, _, dpsi_x = _series(params, ctrl, ell_to, t, ell_from, deriv=True)
+    w_stat, w_series, envelope, _, dseries = _series(params, ctrl, ell_to, t, ell_from, True)
     v = params.v
-    w_series = c @ psi_x
-    dw_series = envelope * (c @ dpsi_x + v * w_series)
+    dw_series = envelope * (dseries + v * w_series)
     dw_stat = 2.0 * v * w_stat
     j = params.a * (w_stat + envelope * w_series) - 0.5 * params.sigma2 * (dw_stat + dw_series)
     return j if np.ndim(ell_to) else float(j[0])
@@ -280,8 +316,8 @@ def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):
     _reduced_time(params, t)  # checks t; the image solution works in t itself
     x = np.atleast_1d(np.asarray(ell_to, dtype=float))
     y = float(ell_from)
-    if np.any(x > 1.0) or y > 1.0:
-        raise ValueError("positions must not exceed the full level 1")
+    if not (np.all(x <= 1.0) and y <= 1.0):
+        raise ValueError("positions must be numbers at most the full level 1")
     a, s2 = params.a, params.sigma2
     v = params.v
     var = s2 * t
@@ -310,11 +346,9 @@ def loss_rate_coefficient(params: FpParams) -> float:
 
 def _reduced_time(params: FpParams, t: float) -> float:
     """tau of a window of length t; ValueError unless t > 0 and tau is finite."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
     tau = float(params.tau(t))
-    if not math.isfinite(tau):
-        raise ValueError(f"t must be finite, got t={t} (tau={tau})")
+    if not (t > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"t must be positive and finite, got t={t} (tau={tau})")
     return tau
 
 

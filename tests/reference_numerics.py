@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
 from scipy import integrate as _quadpack
 from scipy import linalg as _linalg
@@ -174,6 +175,25 @@ def mode_sum_loss_correlator(
     terms = (2.0 * pn2 / (pn2 + v * v)) * np.exp(-k * T) \
         * -np.expm1(-k * t1) * -np.expm1(-k * t2) / (k * k)
     return r * r * p1 * math.fsum(terms)
+
+
+def inverted_propagator(v: float, x: float, y: float, tau: float, dps: int = 40) -> float:
+    """Transition density at reduced time tau by mpmath's Talbot inversion,
+    at ``dps`` digits, of the closed-form transform that
+    :func:`F.laplace_propagator` evaluates in double precision; independent
+    of the eigenseries and of the package's fixed-contour inversion."""
+    with mpmath.workdps(dps):
+        v, x, y = mpmath.mpf(v), mpmath.mpf(x), mpmath.mpf(y)
+        s_arg, d_arg = x + y - 1, abs(x - y) - 1
+
+        def transform(eps):
+            kappa = mpmath.sqrt(eps + v * v)
+            bracket = ((2 * v * v / eps) * mpmath.cosh(kappa * s_arg)
+                       + (2 * kappa * v / eps) * mpmath.sinh(kappa * s_arg)
+                       + mpmath.cosh(kappa * d_arg) + mpmath.cosh(kappa * s_arg))
+            return mpmath.exp(v * (x - y)) * bracket / (2 * kappa * mpmath.sinh(kappa))
+
+        return float(mpmath.invertlaplace(transform, mpmath.mpf(tau), method="talbot"))
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,30 @@ class TestSubcommandKind:
         assert len(read_body(tmp_path / "sim_discrete.csv")) == 1 + 3 * 3
 
 
+class TestRunLengthFlags:
+    """--steps and --duration apply on top of a config when given; otherwise
+    the config's value stands."""
+
+    def test_sim_discrete_keeps_config_steps(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = discrete\n[grid]\np = 0.5\nl = 10\nsteps = 20000\n"
+            "[windows]\nn = 100\n"
+        )
+        assert cli.main(["sim-discrete", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "sim_discrete.csv").read_text()
+                == (tmp_path / "b" / "sweep_discrete.csv").read_text())
+
+    def test_duration_flag_reaches_the_table(self, tmp_path):
+        rc = cli.main(["sim-continuous", "--config", str(CONFIGS / "continuous.ini"),
+                       "--duration", "800", "--out", str(tmp_path)])
+        assert rc == 0
+        header, *rows = read_body(tmp_path / "sim_continuous.csv")
+        column = header.split(",").index("duration")
+        assert rows and {row.split(",")[column] for row in rows} == {"800"}
+
+
 class TestExactDiscrete:
     def test_preset_table(self, tmp_path):
         rc = cli.main(

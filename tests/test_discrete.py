@@ -612,6 +612,11 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             D.DiscreteQueueParams(p=0.5, L=0)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_capacity_rejected(self, L):
+        with pytest.raises(ValueError, match="capacity"):
+            D.DiscreteQueueParams(p=0.5, L=L)
+
     def test_q_at_saturated_arrivals(self):
         with pytest.raises(D.DegenerateParamsError):
             _ = D.DiscreteQueueParams(p=1.0, L=5).q

@@ -3,13 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 from queueloss import discrete as D
 from queueloss import fokker_planck as F
-from reference_numerics import integrate, mode_sum_loss_correlator, quadrature_loss_correlator
+from reference_numerics import (
+    integrate,
+    inverted_propagator,
+    mode_sum_loss_correlator,
+    quadrature_loss_correlator,
+)
 
 
 CTRL = F.SeriesControl()
@@ -95,6 +100,13 @@ class TestTransitionDensity:
         want = np.exp(-((xs - 0.5 - params.a * t) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
         assert np.abs(w - want).max() < 1e-8
 
+    def test_short_time_wall_peak(self):
+        # Thousands of modes at tau = 4e-9 carry round-off above 1e-9 but far
+        # below 1e-9 of the peak 2/sqrt(4 pi tau), the wall's mirrored Gaussian.
+        params = F.FpParams(a=0.0, sigma2=2.0)
+        got = F.transition_density(params, CTRL, 1.0, 4e-9, 1.0)
+        assert got == pytest.approx(2.0 / math.sqrt(4.0 * math.pi * 4e-9), rel=1e-9)
+
     def test_chapman_kolmogorov(self):
         params = F.FpParams(a=1.0, sigma2=2.0)
         cases = [(0.3, 0.7, 0.05, 0.1), (0.9, 0.9, 0.02, 0.02), (0.1, 0.5, 0.5, 1.0)]
@@ -139,6 +151,33 @@ class TestTransitionDensity:
     def test_rejects_zero_time(self):
         with pytest.raises(ValueError):
             F.transition_density(F.FpParams(a=0.0, sigma2=1.0), CTRL, 0.5, 0.0, 0.5)
+
+    @pytest.mark.parametrize("x,y", [(2.0, 0.5), (-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5)])
+    def test_rejects_positions_outside_unit_interval(self, x, y):
+        params = F.FpParams(a=1.0, sigma2=2.0)
+        for evaluate in (F.transition_density, F.probability_current):
+            with pytest.raises(ValueError, match="positions"):
+                evaluate(params, CTRL, x, 1.0, y)
+        with pytest.raises(ValueError, match="positions"):
+            F.transition_density(params, CTRL, np.array([0.5, 1.0 + 1e-12]), 1.0, 0.5)
+
+    @pytest.mark.parametrize("a,t,x,y", [(100.0, 0.01, 1.0, 0.0), (100.0, 1e-3, 0.5, 0.0),
+                                         (800.0, 1e-3, 0.5, 0.0), (1600.0, 5e-4, 0.875, 0.0)])
+    def test_cancelling_series_raises(self, a, t, x, y):
+        # Terms of order e^{v(x-y) - lam_n tau} cancel to a value many orders
+        # below them; the sum returned 434682, -29231, -5.7e18 and -inf here.
+        params = F.FpParams(a=a, sigma2=1.0)
+        for evaluate in (F.transition_density, F.probability_current):
+            with pytest.raises(F.SeriesTruncationError, match="cancels"):
+                evaluate(params, CTRL, x, t, y)
+
+    @pytest.mark.parametrize("a,x,y", [(800.0, 1.0, 0.0), (-800.0, 0.0, 1.0)])
+    def test_overflowing_envelope_is_finite(self, a, x, y):
+        # e^{|v|} overflows a double; every mode has decayed, so the density
+        # is the stationary 2|v| at the wall the drift pushes toward.
+        params = F.FpParams(a=a, sigma2=1.0)
+        assert F.transition_density(params, CTRL, x, 1.0, y) == pytest.approx(1600.0, rel=1e-12)
+        assert F.probability_current(params, CTRL, x, 1.0, y) == 0.0
 
     def test_large_drift_wall_density(self):
         # v = 800: e^{|v|} alone overflows a double, the tail bound must not.
@@ -265,6 +304,11 @@ class TestHalflineDensity:
             boxed = F.transition_density(params, CTRL, xs, t, y)
             half = F.halfline_density(params, xs, t, y)
             assert np.abs(boxed - half).max() < 1e-4
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_rejects_nan_positions(self, x, y):
+        with pytest.raises(ValueError, match="positions"):
+            F.halfline_density(F.FpParams(a=1.0, sigma2=2.0), x, 0.5, y)
 
     def test_rejects_positions_beyond_wall(self):
         with pytest.raises(ValueError):
@@ -452,17 +496,41 @@ class TestLossPdf:
 class TestNonFiniteArguments:
     PARAMS = F.FpParams(a=0.5, sigma2=2.0)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
     def test_times_rejected(self, t):
+        p = self.PARAMS
         for evaluate in (
-            lambda: F.loss_moment(self.PARAMS, CTRL, 1, t),
-            lambda: F.loss_moment(self.PARAMS, CTRL, 2, t),
-            lambda: F.loss_probability(self.PARAMS, CTRL, t),
-            lambda: F.loss_pdf(self.PARAMS, CTRL, 0.1, t),
-            lambda: F.loss_pdf_conditional(self.PARAMS, CTRL, 0.1, t),
+            lambda: F.transition_density(p, CTRL, 0.5, t, 0.5),
+            lambda: F.probability_current(p, CTRL, 0.5, t, 0.5),
+            lambda: F.halfline_density(p, 0.5, t, 0.5),
+            lambda: F.loss_moment(p, CTRL, 1, t),
+            lambda: F.loss_moment(p, CTRL, 2, t),
+            lambda: F.loss_moment_asymptotic(p, 2, t, "short"),
+            lambda: F.loss_moment_asymptotic(p, 2, t, "long"),
+            lambda: F.loss_probability(p, CTRL, t),
+            lambda: F.loss_probability_asymptotic(p, t, "short"),
+            lambda: F.loss_probability_asymptotic(p, t, "long"),
+            lambda: F.loss_pdf(p, CTRL, 0.1, t),
+            lambda: F.loss_pdf_conditional(p, CTRL, 0.1, t),
+            lambda: F.loss_pdf_asymptotic(p, 0.1, t, "short"),
+            lambda: F.loss_pdf_asymptotic(p, 0.1, t, "long"),
+            lambda: F.loss_pdf_longtime_summary(p, t),
+            lambda: F.loss_variance_longtime(p, t),
+            lambda: F.loss_correlator(p, CTRL, t, 1.0, 1.0),
+            lambda: F.loss_correlator(p, CTRL, 1.0, t, 1.0),
+            lambda: F.loss_correlator(p, CTRL, 1.0, 1.0, t),
+            lambda: F.loss_correlator_asymptotic(p, t, 1.0, 1.0, "window"),
+            lambda: F.loss_correlator_asymptotic(p, 1.0, t, 1.0, "window"),
+            lambda: F.loss_correlator_asymptotic(p, 1.0, 1.0, t, "separated"),
         ):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="t must be positive and finite"):
                 evaluate()
+
+    @pytest.mark.parametrize("a,sigma2", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                          (1.0, math.nan), (1e300, 1e-300)])
+    def test_params_rejected(self, a, sigma2):
+        with pytest.raises(ValueError, match="finite"):
+            F.FpParams(a=a, sigma2=sigma2)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_volumes_rejected(self, x):
@@ -631,6 +699,27 @@ class TestLossCorrelator:
 
 def _log_uniform(lo: float, hi: float):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestSeriesAgainstInversion:
+    """The series density either raises SeriesTruncationError or meets a
+    40-digit inversion of the closed-form propagator to 1e-9 of its scale.
+    The two examples are off by 5 times that while sum_n |c_n psi_n(x)| stays
+    below it: the round-off estimate must weigh each term's own rounding."""
+
+    @example(v=100.0, tau=0.002184814095159601, x=0.9876947376557083, y=0.5933871710951234)
+    @example(v=30.0, tau=0.005773501561, x=0.969907574, y=0.207817667)
+    @given(v=st.floats(-100.0, 100.0), tau=_log_uniform(1e-3, 2.0), x=st.floats(0.0, 1.0),
+           y=st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_raises_or_matches(self, v, tau, x, y):
+        params = F.FpParams(a=2.0 * v, sigma2=2.0)  # reduced drift v, tau = t
+        try:
+            got = F.transition_density(params, CTRL, x, tau, y)
+        except F.SeriesTruncationError:
+            return
+        want = inverted_propagator(v, x, y, tau)
+        assert abs(got - want) <= 1e-9 * max(1.0, float(F.stationary_density(params, x)))
 
 
 class TestLossCorrelatorOracles:
