@@ -151,8 +151,8 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
             deriv: bool = False):
     """The eigenseries from ``ell_from`` to the targets ``ell_to`` after time t.
 
-    Returns (p(x), s(x), e^{v(x-y)}, tail bound) with the mode sum
-    s = sum_n c_n psi_n(x), c_n = 2 e^{-lam_n tau} psi_n(y) / lam_n, so that
+    Returns (w(x), tail bound, p(x), s(x), e^{v(x-y)}) with the mode sum
+    s = sum_n c_n psi_n(x), c_n = 2 e^{-lam_n tau} psi_n(y) / lam_n, and
     w = p + e^{v(x-y)} s; ``deriv`` appends sum_n c_n psi_n'(x). Where
     e^{v(x-y)} would overflow, part of its exponent moves into c_n; only
     their product is meaningful.
@@ -205,7 +205,7 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
     expo = abs(v) - np.pi**2 * k1 * k1 * tau
     tail = 2.0 * math.exp(expo) if expo < 700.0 else math.inf
     tail *= 1.0 / max(np.pi**2 * 2.0 * k1 * tau, 1e-300)
-    out = (p, series, envelope, tail)
+    out = (value, tail, p, series, envelope)
     if deriv:
         dpsi_x = np.ascontiguousarray((-pin * pin * np.sin(arg) + v * pin * np.cos(arg))[:, 1:])
         out += (c @ dpsi_x,)
@@ -226,8 +226,7 @@ def transition_density(
     the eigenseries is bounded geometrically; pass ``return_tail_bound`` to
     receive it alongside the value.
     """
-    p, series, envelope, tail = _series(params, ctrl, ell_to, t, ell_from)
-    out = p + envelope * series
+    out, tail = _series(params, ctrl, ell_to, t, ell_from)[:2]
     value = out if np.ndim(ell_to) else float(out[0])
     if return_tail_bound:
         return value, tail
@@ -246,11 +245,11 @@ def probability_current(
     Vanishes identically at both walls; the zero there is an exact
     mode-by-mode cancellation, so the numerical residual is at round-off.
     """
-    w_stat, w_series, envelope, _, dseries = _series(params, ctrl, ell_to, t, ell_from, True)
+    w, _, w_stat, w_series, envelope, dseries = _series(params, ctrl, ell_to, t, ell_from, True)
     v = params.v
     dw_series = envelope * (dseries + v * w_series)
     dw_stat = 2.0 * v * w_stat
-    j = params.a * (w_stat + envelope * w_series) - 0.5 * params.sigma2 * (dw_stat + dw_series)
+    j = params.a * w - 0.5 * params.sigma2 * (dw_stat + dw_series)
     return j if np.ndim(ell_to) else float(j[0])
 
 
