@@ -435,6 +435,20 @@ def run_checks() -> int:
         "Laplace inversion matches known pairs",
         abs(v1 - 1.7) < 1e-7 * 1.7 and abs(v2 - math.exp(-1.7)) < 1e-7,
     )
+    # loss_pdf is 0 past p(1)(tau + 12 sqrt(tau) + 1); four 16-node panels
+    # up to there integrate the smooth density to about 1e-9.
+    t_pdf = 0.5
+    tau = fpp.tau(t_pdf)
+    top = float(fokker_planck.stationary_density(fpp, 1.0)) * (tau + 12.0 * math.sqrt(tau) + 1.0)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    half = 0.125 * top
+    xs = (np.arange(4)[:, None] * 2.0 + 1.0 + gl_x) * half
+    mass = math.fsum(
+        w * fokker_planck.loss_pdf(fpp, ctrl, x, t_pdf)
+        for x, w in zip(xs.ravel().tolist(), np.tile(half * gl_w, 4).tolist())
+    )
+    report("lost-volume density integrates to the loss probability",
+           abs(mass - fokker_planck.loss_probability(fpp, ctrl, t_pdf)) < 1e-7)
 
     traffic = simulate.TrafficModel(
         interarrival=simulate.Distribution(kind="exponential", mean=0.01),

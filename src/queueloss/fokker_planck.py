@@ -352,27 +352,32 @@ def _reduced_time(params: FpParams, t: float) -> float:
 
 
 @functools.lru_cache(maxsize=128)
-def _wall_on_contours(params: FpParams, tau: float) -> np.ndarray:
-    """W(1, eps; 1) on the nodes of both inversion contours at ``tau``,
-    read-only and in the order :func:`numerics.laplace_invert` passes them."""
-    nodes, _ = numerics._talbot_contours(tau)
-    w = boundary_return_transform(params, nodes)
-    w.flags.writeable = False
-    return w
+def _wall_density(params: FpParams) -> float:
+    """p(1), the stationary density at the full wall."""
+    return float(stationary_density(params, 1.0))
+
+
+@functools.lru_cache(maxsize=128)
+def _wall_on_contours(params: FpParams, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """W = W(1, eps; 1) and the lost-volume density's denominator eps^2 W^2
+    on the nodes of both inversion contours at ``tau``, read-only and in
+    the order :func:`numerics.laplace_invert` passes them."""
+    eps = numerics._talbot_contours(tau)[0]
+    w = boundary_return_transform(params, eps)
+    return numerics._read_only(w), numerics._read_only(eps * eps * w * w)
 
 
 def _invert_wall(params: FpParams, tau: float, what: str, g) -> float:
-    """Invert g(eps, W, p(1)) at reduced time tau, W = W(1, eps; 1).
+    """Invert g(eps, W, eps^2 W^2) at reduced time tau, W = W(1, eps; 1).
 
-    W is evaluated once per (params, tau), on the nodes of both contours
-    together, and kept in a bounded cache: every moment, the loss
-    probability and every loss_pdf point at one (params, t) share it.
+    W and eps^2 W^2 are evaluated once per (params, tau), on the nodes of
+    both contours together, and kept in a bounded cache: every moment, the
+    loss probability and every loss_pdf point at one (params, t) share them.
     """
-    p1 = float(stationary_density(params, 1.0))
-    w = _wall_on_contours(params, tau)
-    # laplace_invert calls the transform once, on exactly the nodes w was
-    # evaluated on.
-    value, err = numerics.laplace_invert(lambda eps: g(eps, w, p1), tau)
+    w, d = _wall_on_contours(params, tau)
+    # laplace_invert calls the transform once, on exactly the nodes w and d
+    # were evaluated on.
+    value, err = numerics.laplace_invert(lambda eps: g(eps, w, d), tau)
     # The guard catches genuine non-convergence (wild contour-to-contour
     # drift, non-finite nodes); accuracy at the package's working scales is
     # pinned separately by the validation suite against known inverses and
@@ -395,11 +400,12 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
     if k < 1:
         raise ValueError("moment order must be >= 1")
     tau = _reduced_time(params, t)
+    p1 = _wall_density(params)
     if k == 1:
-        return float(stationary_density(params, 1.0)) * tau
+        return p1 * tau
     kfac = math.factorial(k)
     return _invert_wall(params, tau, f"loss moment k={k}",
-                        lambda eps, w, p1: kfac * p1 * w ** (k - 1) / eps**2)
+                        lambda eps, w, _: kfac * p1 * w ** (k - 1) / eps**2)
 
 
 def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> float:
@@ -410,7 +416,7 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     if k < 1:
         raise ValueError("moment order must be >= 1")
     tau = _reduced_time(params, t)
-    p1 = float(stationary_density(params, 1.0))
+    p1 = _wall_density(params)
     if regime == "short":
         return math.factorial(k) * p1 * tau ** ((k + 1) / 2.0) / math.gamma((k + 3) / 2.0)
     if regime == "long":
@@ -421,8 +427,9 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
 def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
     """Probability that any traffic is lost during [0, t], inverted from
     p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
-    value = _invert_wall(params, _reduced_time(params, t), "loss probability",
-                         lambda eps, w, p1: p1 / (eps * eps * w))
+    tau = _reduced_time(params, t)
+    p1 = _wall_density(params)
+    value = _invert_wall(params, tau, "loss probability", lambda eps, w, _: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
 
 
@@ -430,7 +437,7 @@ def loss_probability_asymptotic(params: FpParams, t: float, regime: str) -> floa
     """Short-time branch p(1) sqrt(4 tau / pi); long-time branch 1."""
     tau = _reduced_time(params, t)
     if regime == "short":
-        return float(stationary_density(params, 1.0)) * math.sqrt(4.0 * tau / math.pi)
+        return _wall_density(params) * math.sqrt(4.0 * tau / math.pi)
     if regime == "long":
         return 1.0
     raise ValueError(f"unknown regime {regime!r}")
@@ -464,7 +471,7 @@ def loss_pdf(
     if x < 0.0:
         raise ValueError("lost volume must be >= 0")
     tau = _reduced_time(params, t)
-    p1 = float(stationary_density(params, 1.0))
+    p1 = _wall_density(params)
     if tau > PDF_INVERSION_TAU_MAX:
         # With p(1) = 0 there is no loss mass, and the surrogate would be 0/0.
         value = float(loss_pdf_asymptotic(params, x, t, "long")) if p1 > 0.0 else 0.0
@@ -476,7 +483,7 @@ def loss_pdf(
         return (0.0, "tail-cutoff") if return_regime else 0.0
 
     value = _invert_wall(params, tau, "loss pdf",
-                         lambda eps, w, p1: p1 * np.exp(-x / w) / (eps * eps * w * w))
+                         lambda eps, w, d: p1 * np.exp(-x / w) / d)
     return (value, "inverted") if return_regime else value
 
 
@@ -502,7 +509,7 @@ def loss_pdf_longtime_summary(params: FpParams, t: float) -> tuple[float, float]
     because a literal point mass is not a computable density.
     """
     tau = _reduced_time(params, t)
-    p1 = float(stationary_density(params, 1.0))
+    p1 = _wall_density(params)
     mean = tau * p1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -519,7 +526,7 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
     tau = _reduced_time(params, t)
     xs = np.asarray(x, dtype=float)
     if regime == "short":
-        p1 = float(stationary_density(params, 1.0))
+        p1 = _wall_density(params)
         out = p1 * numerics.erfc(xs / math.sqrt(4.0 * tau))
     elif regime == "long":
         mean, var = loss_pdf_longtime_summary(params, t)
@@ -539,7 +546,7 @@ def loss_variance_longtime(params: FpParams, t: float) -> float:
             "the closed form assumes tau >> 1",
             stacklevel=2,
         )
-    p1 = float(stationary_density(params, 1.0))
+    p1 = _wall_density(params)
     m1 = p1 * tau
     av = abs(params.v)
     if av < 1e-4:
@@ -582,7 +589,7 @@ def loss_correlator(
     k = r * lam
     amp = 2.0 * (np.pi * n) ** 2 / lam
     terms = amp * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
-    return r * r * float(stationary_density(params, 1.0)) * float(np.sum(terms))
+    return r * r * _wall_density(params) * float(np.sum(terms))
 
 
 def loss_correlator_asymptotic(
@@ -603,5 +610,5 @@ def loss_correlator_asymptotic(
         return 0.0
     if regime != "window":
         raise ValueError(f"unknown regime {regime!r}")
-    p1 = float(stationary_density(params, 1.0))
+    p1 = _wall_density(params)
     return p1 * tau1 * (p1 * tau2) * math.sqrt(2.0 / (math.pi * params.sigma2 * T)) / p1

@@ -1,12 +1,17 @@
 """Shared numerical kernels.
 
-The fixed-contour Laplace inversion, compensated summation, the
-complementary error functions and the overflow-safe hyperbolic ratios are
-implemented here on NumPy and ``math`` alone; the package needs no other
-runtime dependency. All kernels are pure functions and safe for concurrent
-use. The inversion keeps each time's contour data in a bounded
-``functools.lru_cache``; its arrays are read-only, so every caller shares
-them without copying and none can change what another reads.
+The fixed-contour Laplace inversion, the complementary error functions and
+the overflow-safe hyperbolic ratios are implemented here on NumPy and
+``math`` alone; the package needs no other runtime dependency. All kernels
+are pure functions and safe for concurrent use. The inversion keeps each
+time's contour data in a bounded ``functools.lru_cache``: the nodes, and on
+the off-axis nodes of both contours together the factors e^{s tau} and
+1 + i sigma, so one call forms every term in one pass and sums each
+contour with one ``math.fsum`` over a list. The continuum layer caches
+likewise what does not depend on the lost volume: W(1, eps; 1) and the
+lost-volume density's denominator eps^2 W^2 per (parameters, tau), and
+p(1) per parameters. The cached arrays are read-only, so every caller
+shares them without copying and none can change what another reads.
 """
 
 from __future__ import annotations
@@ -26,11 +31,6 @@ class InversionError(NumericsError):
     """Numerical Laplace inversion did not converge."""
 
 
-def compensated_sum(values) -> float:
-    """Exactly rounded sum of a 1-D collection of floats."""
-    return math.fsum(np.asarray(values, dtype=float).ravel())
-
-
 # ---------------------------------------------------------------------------
 # Laplace inversion on a fixed deformed contour
 # ---------------------------------------------------------------------------
@@ -48,26 +48,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _talbot_contours(tau: float):
-    """Both inversion contours at ``tau``: the nodes of the fine (48) and
-    coarse (40) contour concatenated in that order, and per contour the
-    tuple (its slice of the nodes, e^{s tau} and 1 + i sigma on its
-    off-axis nodes, the head factor 0.5 e^{r tau}, the scale r/m).
+    """Both inversion contours at ``tau``, as the tuple (nodes, off,
+    e^{s tau}, 1 + i sigma, contours): the nodes of the fine (48) and coarse
+    (40) contour concatenated in that order; the indices of their off-axis
+    nodes, and e^{s tau} and 1 + i sigma on those, concatenated likewise;
+    and per contour the tuple (the index of its head node s = r, the slice
+    of the off-axis arrays it owns, the head factor 0.5 e^{r tau}, the
+    scale r/m).
     """
     # Contour s(theta) = r*theta*(cot(theta) + i), theta in (-pi, pi),
     # with the customary radius r = 2m/(5 tau); node 0 is the real axis
     # crossing s = r, the rest the upper half (the lower half is conjugate).
-    nodes, contours, start = [], [], 0
+    nodes, off, exp_s_tau, one_i_sigma, contours, start = [], [], [], [], [], 0
+    at = 0  # off-axis nodes so far
     for m in (LAPLACE_NODES, LAPLACE_NODES - LAPLACE_NODES // 6):
         r = 2.0 * m / (5.0 * tau)
         theta = np.arange(1, m) * (np.pi / m)
         cot = 1.0 / np.tan(theta)
         s = np.concatenate(([r], r * theta * (cot + 1j)))
         sigma = theta + (theta * cot - 1.0) * cot
-        contours.append((slice(start, start + m), _read_only(np.exp(s[1:] * tau)),
-                         _read_only(1.0 + 1j * sigma), 0.5 * math.exp(r * tau), r / m))
         nodes.append(s)
+        off.append(np.arange(start + 1, start + m))
+        exp_s_tau.append(np.exp(s[1:] * tau))
+        one_i_sigma.append(1.0 + 1j * sigma)
+        contours.append((start, slice(at, at + m - 1), 0.5 * math.exp(r * tau), r / m))
         start += m
-    return _read_only(np.concatenate(nodes)), tuple(contours)
+        at += m - 1
+    return (*(_read_only(np.concatenate(a)) for a in (nodes, off, exp_s_tau, one_i_sigma)),
+            tuple(contours))
 
 
 def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
@@ -78,20 +86,23 @@ def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
     nodes of both contours together. Returns ``(value, error_estimate)``
     where the estimate is the difference against the coarser contour.
     Raises ``ValueError`` unless ``tau`` is finite and positive, and
-    :class:`InversionError` on non-finite node values.
+    :class:`InversionError` on non-finite node values; overflow in ``F``,
+    in the terms or in their sums raises that error, never a NumPy warning.
     """
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    nodes, contours = _talbot_contours(float(tau))
-    fs = np.asarray(F(nodes), dtype=complex)
-    estimates = []
-    for at, exp_s_tau, one_i_sigma, head, scale in contours:
-        f = fs[at]
-        terms = (exp_s_tau * f[1:]) * one_i_sigma
-        estimates.append(scale * (head * f[0].real + compensated_sum(terms.real)))
-    v1, v2 = estimates
+    nodes, off, exp_s_tau, one_i_sigma, contours = _talbot_contours(float(tau))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = np.asarray(F(nodes), dtype=complex)
+        terms = ((exp_s_tau * fs[off]) * one_i_sigma).real.tolist()
+    re = fs.real
+    try:
+        v1, v2 = [scale * (head_factor * float(re[head]) + math.fsum(terms[at]))
+                  for head, at, head_factor, scale in contours]
+    except (ValueError, OverflowError):  # fsum met inf - inf or left the float range
+        v1 = v2 = math.nan
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise InversionError(f"non-finite inversion at tau={tau} with {LAPLACE_NODES} nodes")
     return v1, abs(v1 - v2)

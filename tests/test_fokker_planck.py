@@ -458,6 +458,14 @@ class TestLossPdf:
         )
         assert val == pytest.approx(F.loss_probability(params, CTRL, t), abs=1e-7)
 
+    @pytest.mark.parametrize("a, sigma2, t, x", [(5.0, 0.5, 10.0, 87.6), (2.0, 1.0, 10.0, 78.96)])
+    def test_deep_tail_overflow_raises_inversion_error(self, a, sigma2, t, x):
+        # e^{-x/W} (first point) or the contour terms (second) overflow here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(F.InversionError, match="non-finite"):
+                F.loss_pdf(F.FpParams(a=a, sigma2=sigma2), CTRL, x, t)
+
     def test_inverted_regime_flag(self):
         params = F.FpParams(a=0.5, sigma2=2.0)
         _, regime = F.loss_pdf(params, CTRL, 5.0, params.time_from_tau(10.0), return_regime=True)
@@ -558,6 +566,7 @@ class TestZeroLossMass:
 def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
     F._wall_on_contours.cache_clear()
+    F._wall_density.cache_clear()
 
 
 class TestWallTransformCache:
@@ -599,9 +608,13 @@ class TestWallTransformCache:
         assert again == cold
 
     def test_cached_wall_values_read_only(self):
-        w = F._wall_on_contours(self.PARAMS, 0.45)
-        with pytest.raises(ValueError):
-            w[0] = 0.0
+        cached = F._wall_on_contours(self.PARAMS, 0.45)
+        arrays = [a for a in cached if isinstance(a, np.ndarray)]
+        # W(1, eps; 1) and the density's denominator eps^2 W^2
+        assert len(arrays) == 2
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_wall_cache_is_bounded(self):
         clear_inversion_caches()
@@ -611,6 +624,55 @@ class TestWallTransformCache:
         info = F._wall_on_contours.cache_info()
         assert info.misses == maxsize + 10
         assert info.currsize <= maxsize
+
+    def test_wall_density_cache_is_bounded(self):
+        clear_inversion_caches()
+        maxsize = F._wall_density.cache_parameters()["maxsize"]
+        for i in range(maxsize + 10):
+            F.loss_moment(F.FpParams(a=0.01 * i, sigma2=2.0), CTRL, 1, 0.5)
+        info = F._wall_density.cache_info()
+        assert info.misses == maxsize + 10
+        assert info.currsize <= maxsize
+
+    # float.hex() of (loss_pdf(x), m2, m3, p_loss) at (a, sigma2, t, x): the
+    # caches of p(1), eps^2 W^2 and the contour factors must not move a bit.
+    PINNED = [
+        (-1.0, 0.5, 0.002, 0.01, ('0x1.eb4423d684000p-5', '0x1.471816f8c8400p-20',
+                                  '0x1.c78ce930a6800p-25', '0x1.00c13f5ff8000p-9')),
+        (-1.0, 2.0, 0.01, 0.05, ('0x1.ce8cd12e30000p-2', '0x1.bc087e279e000p-11',
+                                 '0x1.58b730e21d000p-13', '0x1.191f94aaf0000p-4')),
+        (-1.0, 0.5, 1.2, 0.2, ('0x1.9772538a80000p-3', '0x1.2b0b1a3575555p-7',
+                               '0x1.6448763d7aaaap-8', '0x1.b68a24b200000p-4')),
+        (-1.0, 2.0, 2.0, 0.5, ('0x1.f892a1a733332p-2', '0x1.0a746d4653333p+1',
+                               '0x1.2e0257c5b0000p+2', '0x1.edce2c8e66666p-1')),
+        (-1.0, 0.5, 80.0, 1.0, ('0x1.05718a7ee147bp-1', '0x1.718f7ff49999ap+1',
+                                '0x1.ad5df31800000p+2', '0x1.ff59779cccccdp-1')),
+        (0.0, 0.5, 0.004, 0.02, ('0x1.4f3792122e000p-1', '0x1.8f1a102432800p-15',
+                                 '0x1.92a7371083e00p-19', '0x1.244f96c2f0000p-5')),
+        (0.0, 2.0, 0.1, 0.1, ('0x1.a567eb3b00000p-1', '0x1.85bf7f60d8000p-5',
+                              '0x1.eb852a4e48000p-6', '0x1.6d631d1980000p-2')),
+        (0.0, 0.5, 4.0, 0.7, ('0x1.0a29dc5966666p-1', '0x1.9f4a18414ccccp+0',
+                              '0x1.ab13372613333p+1', '0x1.dcce118a66666p-1')),
+        (0.0, 2.0, 20.0, 19.0, ('0x1.bafc6e3dca8f6p-4', '0x1.9d49f49ee6667p+8',
+                                '0x1.133f7df7d28f6p+13', '0x1.ffffffeb851ecp-1')),
+        (2.0, 0.5, 0.02, 0.1, ('0x1.2d549ade40000p+1', '0x1.4fdbf1a776000p-8',
+                               '0x1.b7ce696874000p-11', '0x1.fb3fd7c940000p-2')),
+        (2.0, 2.0, 0.5, 0.4, ('0x1.a86189d199999p-2', '0x1.f0c83776d9999p+0',
+                              '0x1.f623297d53332p+1', '0x1.e7dd023666666p-1')),
+        (2.0, 0.5, 20.0, 35.0, ('0x1.24c38c9ed9c45p-5', '0x1.92c0043591eb8p+10',
+                                '0x1.fdd03e4e2999ap+15', '0x1.ffffffdeb851fp-1')),
+    ]
+
+    @pytest.mark.parametrize("a, sigma2, t, x, want", PINNED)
+    def test_values_are_pinned_to_the_bit(self, a, sigma2, t, x, want):
+        params = F.FpParams(a=a, sigma2=sigma2)
+        got = (
+            F.loss_pdf(params, CTRL, x, t),
+            F.loss_moment(params, CTRL, 2, t),
+            F.loss_moment(params, CTRL, 3, t),
+            F.loss_probability(params, CTRL, t),
+        )
+        assert tuple(v.hex() for v in got) == want
 
 
 class TestLossVarianceLongtime:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -91,12 +92,35 @@ class TestLaplaceInvert:
         assert seen == [fine + fine - fine // 6] * 2
 
     def test_cached_contour_is_read_only(self):
-        nodes, contours = numerics._talbot_contours(1.3)
-        arrays = [nodes] + [a for c in contours for a in c if isinstance(a, np.ndarray)]
-        assert len(arrays) == 5
+        *arrays, contours = numerics._talbot_contours(1.3)
+        arrays += [a for c in contours for a in c if isinstance(a, np.ndarray)]
+        # nodes, off-axis indices, e^{s tau} and 1 + i sigma
+        assert len(arrays) == 4
         for a in arrays:
             with pytest.raises(ValueError):
-                a[0] = 0.0
+                a[0] = 0
+
+    @pytest.mark.parametrize(
+        "F",
+        [lambda s: np.exp(1000.0 * s), lambda s: np.full(s.shape, 1e307 + 0j)],
+        ids=["in-transform", "in-terms"],
+    )
+    def test_overflow_raises_inversion_error_not_warning(self, F):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(numerics.InversionError, match="non-finite"):
+                numerics.laplace_invert(F, 1.0)
+
+    def test_terms_summing_past_float_range_raise_inversion_error(self):
+        # Every term is finite (about 1e307 where |e^{s tau} (1 + i sigma)| > 1),
+        # but their sum leaves the float range, so math.fsum itself raises.
+        _, off, exp_s_tau, one_i_sigma, _ = numerics._talbot_contours(1.0)
+        factor = exp_s_tau * one_i_sigma
+        big = np.abs(factor) > 1.0
+        values = np.ones(off.size + 2, dtype=complex)
+        values[off[big]] = 1e307 / factor[big]
+        with pytest.raises(numerics.InversionError, match="non-finite"):
+            numerics.laplace_invert(lambda s: values, 1.0)
 
     def test_contour_cache_is_bounded(self):
         numerics._talbot_contours.cache_clear()
@@ -143,10 +167,6 @@ class TestTridiagEigen:
 
 
 class TestHelpers:
-    def test_compensated_sum_matches_fsum(self):
-        xs = [1e16, 1.0, -1e16, 1.0]
-        assert numerics.compensated_sum(xs) == 2.0
-
     @pytest.mark.parametrize("kappa", [1e-6, 0.5, 30.0, 800.0])
     def test_cosh_ratio_stable(self, kappa):
         a = 0.37
