@@ -21,6 +21,11 @@ the schema); every CSV starts with ``#``-prefixed metadata (config hash,
 seed list, package version). The config hash covers every config field
 except the output directory, so one experiment written to two directories
 gives byte-for-byte identical files.
+
+This module owns every file format the package writes: the experiment
+tables and the window and event exports of packet runs
+(:func:`export_windows_csv`, :func:`export_events_csv`) all go through one
+CSV writer; the model modules write no files.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -148,13 +153,35 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _write_csv(path: Path, header: str, rows: list[list], meta: dict) -> None:
+def _write_csv(path: Path, header: str, rows: Iterable, meta: dict) -> None:
+    """Write the ``# key: value`` metadata lines, the header and one line per
+    row, floats as %.12g, creating the parent directory. ``rows`` may be any
+    iterable; each row is written as it is drawn."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        fh.write(header + "\n")
+        fh.writelines(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in rows)
+
+
+def export_windows_csv(sample: simulate.LossSample, path, metadata: dict | None = None) -> None:
+    """Write the window table: window_index, t_start, lost_volume, idle_time."""
+    rows = zip(range(sample.n_windows), sample.window_starts(), sample.values, sample.idle)
+    _write_csv(Path(path), "window_index,t_start,lost_volume,idle_time", rows, metadata or {})
+
+
+def export_events_csv(log: simulate.EventLog, path, metadata: dict | None = None) -> None:
+    """Write the full event record (requires ``record_events=True``).
+
+    Columns, in order: time, size, accepted, queue_before, queue_after.
+    """
+    if log.events is None:
+        raise ValueError("log was run without record_events=True")
+    ev = log.events
+    rows = ((time, size, int(accepted), before, after) for time, size, accepted, before, after
+            in zip(ev["time"], ev["size"], ev["accepted"], ev["queue_before"], ev["queue_after"]))
+    _write_csv(Path(path), "time,size,accepted,queue_before,queue_after", rows, metadata or {})
 
 
 def _rate_asymptote(p: float, L: float) -> float:
@@ -333,8 +360,11 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     exception); while other points produce rows it does not change the
     status. Invalid grids, including grid keys the kind does not use and
     discrete window lengths that are not integers >= 1, raise
-    :class:`ConfigError` before any point runs.
+    :class:`ConfigError` before any point runs, as does ``jobs`` below 1.
+    At most one worker process runs per task.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     kind = table_kind(config)
     table = KINDS[kind]
     missing = [axis for axis in table.axes if not config.grid.get(axis)]
@@ -356,8 +386,9 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     points = itertools.product(*(config.grid[axis] for axis in table.axes))
     tasks = [(table.worker, point, config, seed)
              for point, seed in itertools.product(points, replicas)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_point, tasks))
     else:
         outcomes = [_run_point(task) for task in tasks]

@@ -44,6 +44,14 @@ class DegenerateParamsError(ValueError):
     """Raised when a statistic is undefined at degenerate parameters."""
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int, if it is a Python or NumPy int or an integral
+    float of at least ``minimum``; otherwise a ValueError naming it."""
+    if not (math.isfinite(value) and int(value) == value and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DiscreteQueueParams:
     """Arrival probability per slot and buffer capacity in service units."""
@@ -54,9 +62,7 @@ class DiscreteQueueParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"arrival probability must be in [0, 1], got {self.p}")
-        if not (math.isfinite(self.L) and int(self.L) == self.L and self.L >= 1):
-            raise ValueError(f"capacity must be an integer >= 1, got {self.L}")
-        object.__setattr__(self, "L", int(self.L))
+        object.__setattr__(self, "L", _integer("capacity L", self.L, 1))
 
     @property
     def q(self) -> float:
@@ -224,8 +230,7 @@ def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> fl
     matrix power). Otherwise the spectral sum over closed-form eigenvector
     rows is taken. The two agree to 1e-9 where they overlap.
     """
-    if n < 0:
-        raise ValueError("step count must be non-negative")
+    n = _integer("step count n", n, 0)
     L = params.L
     if not (0 <= frm <= L and 0 <= to <= L):
         raise ValueError("states must lie in 0..L")
@@ -296,8 +301,7 @@ def loss_variance_exact(params: DiscreteQueueParams, N: int) -> float:
 
     with m the per-step loss probability and w_j the boundary weights.
     """
-    if N < 1:
-        raise ValueError("window length must be >= 1")
+    N = _integer("window length N", N, 1)
     if params.is_degenerate:
         return 0.0
     return _window_variance(params.p, N, *_modes(params))
@@ -312,6 +316,7 @@ def _window_variance(p: float, N: int, pi_L: float, lam: np.ndarray, w: np.ndarr
 
 def compressibility(params: DiscreteQueueParams, N: int) -> float:
     """Variance-to-mean ratio of the window loss count (chi in the glossary)."""
+    N = _integer("window length N", N, 1)
     rate = mean_loss_rate_exact(params)
     if rate == 0.0:
         raise DegenerateParamsError("compressibility undefined at zero mean loss")
@@ -354,31 +359,6 @@ def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-#: ``_erfcx_gap`` switches from the erfcx form to the asymptotic series here.
-_GAP_SERIES_FROM = 7.0
-
-
-def _erfcx_gap(x: float) -> float:
-    """1 - sqrt(pi) x erfcx(x) for x >= 0, which falls off as 1/(2x^2).
-
-    Below x = 7, the erfcx form, whose rounding error the subtraction
-    magnifies by about 2x^2 (to a few 1e-13 relative near x = 7).
-    From 7 on, the asymptotic series sum_{n>=1} (-1)^{n+1} (2n-1)!! / (2x^2)^n,
-    summed until a term drops below 1e-17 of the total (29 terms at
-    x = 7, long before the terms start to grow near n = x^2).
-    """
-    if x < _GAP_SERIES_FROM:
-        return 1.0 - math.sqrt(math.pi) * x * float(numerics.erfcx(x))
-    t = 0.5 / (x * x)
-    term = total = t
-    n = 1
-    while abs(term) > 1e-17 * total:
-        term *= -(2 * n + 1) * t
-        total += term
-        n += 1
-    return total
-
-
 def correlator_r2(
     params: DiscreteQueueParams,
     N: int,
@@ -397,18 +377,19 @@ def correlator_r2(
                        - |2p-1| erfc(|2p-1| sqrt(M/2))]
       = (p N / chi_N) sqrt(2/(pi M)) e^{-x^2} (1 - sqrt(pi) x erfcx(x)),
 
-    x = |2p-1| sqrt(M/2), in the second form, whose bracket does not cancel
-    (see :func:`_erfcx_gap`). It is valid deep in the growth regime (window
-    and separation both far below the crossover window and far above 1);
-    outside it the exact branch is authoritative.
+    x = |2p-1| sqrt(M/2), in the second form, whose bracket
+    :func:`numerics.erfcx_gap` evaluates without cancellation. It is valid
+    deep in the growth regime (window and separation both far below the
+    crossover window and far above 1); outside it the exact branch is
+    authoritative.
     """
-    if N < 1 or M <= N:
-        raise ValueError("need separation M > window N >= 1")
+    N = _integer("window length N", N, 1)
+    M = _integer("separation M", M, N + 1)
     if branch == "analytic":
         p = params.p
         x = abs(2.0 * p - 1.0) * math.sqrt(M / 2.0)
         chi = compressibility(params, N)
-        bracket = math.sqrt(2.0 / (math.pi * M)) * math.exp(-x * x) * _erfcx_gap(x)
+        bracket = math.sqrt(2.0 / (math.pi * M)) * math.exp(-x * x) * numerics.erfcx_gap(x)
         return (p * N / chi) * bracket
     if branch != "exact":
         raise ValueError(f"unknown branch {branch!r}")
@@ -459,8 +440,7 @@ class DiscretePath:
     def window_counts(self, N: int) -> np.ndarray:
         """Loss counts (int64) over consecutive non-overlapping windows of
         N steps; the steps after the last whole window are left out."""
-        if N < 1:
-            raise ValueError("window length must be >= 1")
+        N = _integer("window length N", N, 1)
         n_windows = self.n_steps // N
         kept = self.loss_steps[: self.loss_steps.searchsorted(n_windows * N)]
         return np.bincount(kept // N, minlength=n_windows)
@@ -543,8 +523,8 @@ def simulate_path(
     keeps only the end states and the loss steps: 8 bytes per loss, none
     per step.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    n_steps = _integer("step count n_steps", n_steps, 1)
+    burn_in = _integer("burn-in length burn_in", burn_in, 0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     L, p = params.L, params.p
     if burn_in > 0:

@@ -509,12 +509,7 @@ def loss_pdf_longtime_summary(params: FpParams, t: float) -> tuple[float, float]
     because a literal point mass is not a computable density.
     """
     tau = _reduced_time(params, t)
-    p1 = _wall_density(params)
-    mean = tau * p1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        var = loss_variance_longtime(params, t)
-    return mean, var
+    return tau * _wall_density(params), _longtime_variance(params, tau)
 
 
 def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
@@ -536,18 +531,10 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
     return out if np.ndim(x) else float(out)
 
 
-def loss_variance_longtime(params: FpParams, t: float) -> float:
-    """Long-time variance of the lost volume,
-    m1 * [coth|v|/|v| - 1/sinh^2|v|], with the drift-free limit (2/3) m1."""
-    tau = _reduced_time(params, t)
-    if tau < 3.0:
-        warnings.warn(
-            f"long-time variance requested at tau={tau:.3g} < 3; "
-            "the closed form assumes tau >> 1",
-            stacklevel=2,
-        )
-    p1 = _wall_density(params)
-    m1 = p1 * tau
+def _longtime_variance(params: FpParams, tau: float) -> float:
+    """m1 * [coth|v|/|v| - 1/sinh^2|v|] at reduced time ``tau``, m1 = p(1) tau,
+    with the drift-free limit (2/3) m1."""
+    m1 = _wall_density(params) * tau
     av = abs(params.v)
     if av < 1e-4:
         # coth(u)/u - 1/sinh^2(u) = 2/3 - 4 u^2 / 45 + O(u^4)
@@ -557,6 +544,20 @@ def loss_variance_longtime(params: FpParams, t: float) -> float:
     else:
         factor = numerics.coth(av) / av - 1.0 / math.sinh(av) ** 2
     return m1 * factor
+
+
+def loss_variance_longtime(params: FpParams, t: float) -> float:
+    """Long-time variance of the lost volume,
+    m1 * [coth|v|/|v| - 1/sinh^2|v|], with the drift-free limit (2/3) m1;
+    warns below tau = 3, where the closed form does not apply."""
+    tau = _reduced_time(params, t)
+    if tau < 3.0:
+        warnings.warn(
+            f"long-time variance requested at tau={tau:.3g} < 3; "
+            "the closed form assumes tau >> 1",
+            stacklevel=2,
+        )
+    return _longtime_variance(params, tau)
 
 
 def loss_correlator(

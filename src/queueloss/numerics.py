@@ -2,16 +2,18 @@
 
 The fixed-contour Laplace inversion, the complementary error functions and
 the overflow-safe hyperbolic ratios are implemented here on NumPy and
-``math`` alone; the package needs no other runtime dependency. All kernels
-are pure functions and safe for concurrent use. The inversion keeps each
-time's contour data in a bounded ``functools.lru_cache``: the nodes, and on
-the off-axis nodes of both contours together the factors e^{s tau} and
-1 + i sigma, so one call forms every term in one pass and sums each
-contour with one ``math.fsum`` over a list. The continuum layer caches
-likewise what does not depend on the lost volume: W(1, eps; 1) and the
-lost-volume density's denominator eps^2 W^2 per (parameters, tau), and
-p(1) per parameters. The cached arrays are read-only, so every caller
-shares them without copying and none can change what another reads.
+``math`` alone; the package needs no other runtime dependency. One
+asymptotic series of the erfc tail serves both erfcx and erfcx_gap from
+x = 7 on. All kernels are pure functions and safe for concurrent use. The
+inversion keeps each time's contour data in a bounded
+``functools.lru_cache``: the nodes, and on the off-axis nodes of both
+contours together the factors e^{s tau} and 1 + i sigma, so one call forms
+every term in one pass and sums each contour with one ``math.fsum`` over a
+list. The continuum layer caches likewise what does not depend on the lost
+volume: W(1, eps; 1) and the lost-volume density's denominator eps^2 W^2
+per (parameters, tau), and p(1) per parameters. The cached arrays are
+read-only, so every caller shares them without copying and none can change
+what another reads.
 """
 
 from __future__ import annotations
@@ -126,33 +128,51 @@ def erfc(x):
     return _erfc(x)[()]
 
 
-#: erfcx switches from exp(x^2) erfc(x) to its asymptotic series here.
-_ERFCX_SERIES_FROM = 25.0
-_ERFCX_TERMS = 11
+#: erfcx and erfcx_gap switch from exp(x^2) erfc(x) to the tail series here.
+_TAIL_FROM = 7.0
+#: Terms of the tail series; from x = 7 on, its terms drop below 1e-17 of
+#: the sum by the 29th, long before they start to grow near n = x^2.
+_TAIL_TERMS = 30
+
+
+def _erfc_tail_series(x):
+    """1 - sqrt(pi) x erfcx(x) for x >= 7, elementwise on a float or an
+    array: the asymptotic series (Abramowitz & Stegun 7.1.23)
+    sum_{n=1}^{30} (-1)^{n+1} (2n-1)!! / (2x^2)^n."""
+    t = 0.5 / (x * x)
+    term = total = t
+    for n in range(1, _TAIL_TERMS):
+        term = term * (-(2 * n + 1) * t)
+        total = total + term
+    return total
 
 
 def erfcx(x):
     """Scaled complementary error function exp(x^2) erfc(x), elementwise.
 
-    From x = 25 on, the asymptotic series
-    (1 / (x sqrt(pi))) sum_n (-1)^n (2n-1)!! / (2x^2)^n to 11 terms, whose
-    first omitted term is below 1e-30 relative there. Below 25, the plain
-    product, whose relative error grows as x^2 times the rounding unit
-    (under 1e-13 for x < 25).
+    From x = 7 on, (1 - g) / (x sqrt(pi)) with g the tail series of
+    :func:`erfcx_gap`, within 3e-16 relative. Below 7, the plain product,
+    whose relative error grows as x^2 times the rounding unit.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    big = x >= _ERFCX_SERIES_FROM
+    big = x >= _TAIL_FROM
     out[~big] = np.exp(x[~big] ** 2) * erfc(x[~big])
     xb = x[big]
-    t = -0.5 / (xb * xb)
-    term = np.ones_like(xb)
-    total = np.ones_like(xb)
-    for n in range(1, _ERFCX_TERMS):
-        term *= (2 * n - 1) * t
-        total += term
-    out[big] = total / (xb * math.sqrt(math.pi))
+    out[big] = (1.0 - _erfc_tail_series(xb)) / (xb * math.sqrt(math.pi))
     return out[()]
+
+
+def erfcx_gap(x: float) -> float:
+    """1 - sqrt(pi) x erfcx(x) for a float x >= 0, which falls off as 1/(2x^2).
+
+    Below x = 7, the erfcx form, whose rounding error the subtraction
+    magnifies by about 2x^2 (to a few 1e-13 relative near x = 7); from 7
+    on, the tail series, which does not cancel.
+    """
+    if x < _TAIL_FROM:
+        return 1.0 - math.sqrt(math.pi) * x * float(erfcx(x))
+    return _erfc_tail_series(x)
 
 
 def _shifted_ratio(kappa, a, sign: float, series: Callable):

@@ -10,7 +10,9 @@ piecewise-linear dynamics with no discretization error.
 Runs stream their results onto a uniform sampling grid (queue level,
 cumulative lost volume, cumulative idle time), which is what the
 drift/diffusion estimator and the window extractor consume; full per-event
-records are optional because long runs would not fit in memory.
+records are optional because long runs would not fit in memory. The module
+is pure computation: it writes no files (the CSV exports live in
+:mod:`queueloss.cli`).
 
 One kernel call runs the whole simulation, drawing arrivals in fixed-size
 chunks. It runs arrivals near a wall one at a time and the rest in free-path
@@ -40,8 +42,6 @@ __all__ = [
     "run",
     "estimate_drift_diffusion",
     "window_losses",
-    "export_windows_csv",
-    "export_events_csv",
 ]
 
 _CHUNK = 1 << 20
@@ -560,6 +560,8 @@ def window_losses(
     totals. The default warm-up is ten relaxation times 2/sigma^2 (rough
     estimate from the log itself), capped at a third of the run.
     """
+    if not math.isfinite(t_window):
+        raise ValueError(f"window length must be finite, got {t_window}")
     if t_window <= 0.0:
         raise ValueError("window length must be positive")
     if t_window > log.duration / 10.0:
@@ -589,39 +591,3 @@ def window_losses(
         values=values,
         idle=idle,
     )
-
-
-def export_windows_csv(sample: LossSample, path, metadata: dict | None = None) -> None:
-    """Write the window table: window_index, t_start, lost_volume, idle_time."""
-    lines = []
-    for key, val in (metadata or {}).items():
-        lines.append(f"# {key}: {val}")
-    lines.append("window_index,t_start,lost_volume,idle_time")
-    starts = sample.window_starts()
-    for i in range(sample.n_windows):
-        lines.append(
-            f"{i},{starts[i]:.12g},{sample.values[i]:.12g},{sample.idle[i]:.12g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_events_csv(log: EventLog, path, metadata: dict | None = None) -> None:
-    """Write the full event record (requires ``record_events=True``).
-
-    Columns, in order: time, size, accepted, queue_before, queue_after.
-    """
-    if log.events is None:
-        raise ValueError("log was run without record_events=True")
-    ev = log.events
-    lines = []
-    for key, val in (metadata or {}).items():
-        lines.append(f"# {key}: {val}")
-    lines.append("time,size,accepted,queue_before,queue_after")
-    for i in range(ev["time"].size):
-        lines.append(
-            f"{ev['time'][i]:.12g},{ev['size'][i]:.12g},{int(ev['accepted'][i])},"
-            f"{ev['queue_before'][i]:.12g},{ev['queue_after'][i]:.12g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -95,24 +95,28 @@ class CorrelationEstimate:
     se: float
 
 
-def _batch_count(n: int) -> int:
-    return int(min(max(math.isqrt(n), 8), 64, n // 2))
+def _batches(x: np.ndarray) -> np.ndarray:
+    """The leading b * blen values of ``x`` as a (b, blen) view of b
+    contiguous batches, b = clip(isqrt(n), 8, 64) and at most n // 2; the
+    trailing remainder is dropped."""
+    n = x.size
+    b = int(min(max(math.isqrt(n), 8), 64, n // 2))
+    return x[: b * (n // b)].reshape(b, n // b)
 
 
 def mean_and_variance(series: WindowedSeries) -> SummaryStats:
     """Unbiased mean and variance with batch-means standard errors.
 
-    The series is cut into contiguous batches (trailing remainder dropped);
-    the spread of batch-level means and variances supplies the errors, which
+    The series is cut into contiguous batches (see :func:`_batches`); the
+    spread of batch-level means and variances supplies the errors, which
     stays honest under autocorrelation.
     """
     x = series.values
     n = x.size
     if n < 30:
         raise InsufficientWindowsError(f"need at least 30 windows, got {n}")
-    b = _batch_count(n)
-    blen = n // b
-    blocks = x[: b * blen].reshape(b, blen)
+    blocks = _batches(x)
+    b = blocks.shape[0]
     batch_means = blocks.mean(axis=1)
     batch_vars = blocks.var(axis=1, ddof=1)
     return SummaryStats(
@@ -169,9 +173,8 @@ def correlation_estimate(
                 f"lag {lag} exceeds a tenth of the {n} available windows"
             )
         prods = centered[:-lag] * centered[lag:]
-        b = _batch_count(prods.size)
-        blen = prods.size // b
-        bm = prods[: b * blen].reshape(b, blen).mean(axis=1)
+        bm = _batches(prods).mean(axis=1)
+        b = bm.size
         value = float(prods.mean()) / denom
         se = float(bm.std(ddof=1) / math.sqrt(b)) / denom
         out.append(CorrelationEstimate(lag=lag, value=value, se=se))

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,40 @@ class TestSweep:
             tmp_path / "s2" / "sweep_discrete.csv"
         )
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "res"
+        rc = cli.main(["fp-eval", "--a=0", "--sigma2=2", "--t=0.5", "--jobs", jobs,
+                       "--out", str(out)])
+        assert rc == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_sized_by_task_count(self, tmp_path, monkeypatch):
+        # A fake pool records its size and maps serially, so no process
+        # starts: under fork a real pool starts every worker it is sized for.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        rc = cli.main(["fp-eval", "--a=0,1", "--sigma2=2", "--t=0.5", "--jobs", "64",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert sizes == [2]
+        assert len(read_body(tmp_path / "fp_eval.csv")) == 3
+
 
 class TestCheck:
     def test_invariant_suite_passes(self, capsys):
@@ -441,3 +476,36 @@ class TestGoldenOutput:
         assert cli.main(GOLDEN[case] + ["--out", str(tmp_path)]) == 0
         (written,) = tmp_path.iterdir()
         assert written.read_text() == (DATA / case / written.name).read_text()
+
+
+class TestModuleBoundaries:
+    """The CLI owns every file format the package writes; the model modules
+    are pure computation."""
+
+    PACKAGE = Path(cli.__file__).parent
+
+    @staticmethod
+    def _calls(path, names):
+        tree = ast.parse(path.read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+        return found
+
+    def test_only_cli_writes_files(self):
+        writers = {"open", "write_text", "write_bytes", "mkdir"}
+        modules = sorted(self.PACKAGE.glob("*.py"))
+        assert {m.name for m in modules} >= {"cli.py", "simulate.py", "discrete.py"}
+        found = [call for m in modules if m.name != "cli.py" for call in self._calls(m, writers)]
+        assert found == []
+
+    def test_no_module_rewrites_warning_filters(self):
+        # catch_warnings swaps the process-wide filter list; under threads it
+        # can drop or leak another caller's filters.
+        found = [call for m in sorted(self.PACKAGE.glob("*.py"))
+                 for call in self._calls(m, {"catch_warnings", "simplefilter", "filterwarnings"})]
+        assert found == []

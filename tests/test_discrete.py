@@ -623,3 +623,64 @@ class TestParamValidation:
 
     def test_q_value(self):
         assert D.DiscreteQueueParams(p=0.75, L=2).q == pytest.approx(3.0)
+
+
+class TestIntegerArguments:
+    """Step counts and window lengths take Python ints, NumPy ints and
+    integral floats; anything else raises a ValueError naming the argument
+    and its minimum (non-integral floats used to return nan, a wrong value
+    or a bare TypeError)."""
+
+    P = D.DiscreteQueueParams(p=0.5, L=20)
+    BAD = [100.5, 10.5, -1, math.nan, math.inf]
+
+    @pytest.mark.parametrize("N", BAD + [0])
+    def test_loss_variance_exact(self, N):
+        with pytest.raises(ValueError, match=r"window length N must be an integer >= 1"):
+            D.loss_variance_exact(self.P, N)
+
+    @pytest.mark.parametrize("N", BAD + [0])
+    def test_compressibility(self, N):
+        with pytest.raises(ValueError, match=r"window length N must be an integer >= 1"):
+            D.compressibility(self.P, N)
+
+    @pytest.mark.parametrize("N, M, message", [(10, 40.5, r"separation M must be an integer >= 11"),
+                                               (10, 10, r"separation M must be an integer >= 11"),
+                                               (10.5, 40, r"window length N"),
+                                               (10, math.nan, r"separation M")])
+    def test_correlator_r2(self, N, M, message):
+        for branch in ("exact", "analytic"):
+            with pytest.raises(ValueError, match=message):
+                D.correlator_r2(self.P, N, M, branch=branch)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_green_function(self, n):
+        with pytest.raises(ValueError, match=r"step count n must be an integer >= 0"):
+            D.green_function(self.P, n, 0, 5)
+
+    @pytest.mark.parametrize("n_steps, burn_in, message", [
+        (1000.5, 0, r"n_steps must be an integer >= 1"),
+        (0, 0, r"n_steps must be an integer >= 1"),
+        (1000, 10.5, r"burn_in must be an integer >= 0"),
+        (1000, -1, r"burn_in must be an integer >= 0"),
+    ])
+    def test_simulate_path(self, n_steps, burn_in, message):
+        with pytest.raises(ValueError, match=message):
+            D.simulate_path(self.P, n_steps, burn_in=burn_in)
+
+    @pytest.mark.parametrize("N", BAD + [0])
+    def test_window_counts(self, N):
+        path = D.simulate_path(self.P, 1000, seed=3)
+        with pytest.raises(ValueError, match=r"window length N must be an integer >= 1"):
+            path.window_counts(N)
+
+    @pytest.mark.parametrize("whole", [np.int64(100), 100.0, np.float64(100.0)])
+    def test_integral_values_accepted(self, whole):
+        assert D.loss_variance_exact(self.P, whole) == D.loss_variance_exact(self.P, 100)
+        assert D.green_function(self.P, whole, 0, 5) == D.green_function(self.P, 100, 0, 5)
+        assert (D.correlator_r2(self.P, 10, whole * 4)
+                == D.correlator_r2(self.P, 10, 400))
+        path = D.simulate_path(self.P, whole * 10, burn_in=whole, seed=3)
+        ref = D.simulate_path(self.P, 1000, burn_in=100, seed=3)
+        assert path.n_steps == 1000 and type(path.n_steps) is int
+        assert np.array_equal(path.window_counts(whole), ref.window_counts(100))

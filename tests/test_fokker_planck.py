@@ -693,6 +693,21 @@ class TestLossVarianceLongtime:
         with pytest.warns(UserWarning):
             F.loss_variance_longtime(params, params.time_from_tau(0.5))
 
+    def test_summary_takes_the_variance_without_warning(self):
+        # The summary calls the closed form directly: no warning, and the
+        # process-wide warning filters are left as they are.
+        params = F.FpParams(a=0.0, sigma2=2.0)
+        t = params.time_from_tau(1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = warnings.filters
+            before = list(filters)
+            _, var = F.loss_pdf_longtime_summary(params, t)
+            assert warnings.filters is filters and filters == before
+        assert caught == []
+        with pytest.warns(UserWarning, match="tau=1 < 3"):
+            assert F.loss_variance_longtime(params, t) == var
+
     def test_consistent_with_saturated_walk_ratio(self):
         # Cross-model check: variance/mean of 2/3 in buffer units matches the
         # saturated discrete ratio 2L/3 once the buffer is L service units.

@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from queueloss import numerics
@@ -243,6 +245,31 @@ class TestErrorFunctions:
             assert np.ndim(g) == 0
             assert g == pytest.approx(special.erfcx(x), rel=1e-13)
         assert numerics.erfcx(np.inf) == 0.0
+
+    @given(x=st.one_of(st.floats(7.0, 25.0), st.floats(25.0, 1e6)))
+    @example(x=7.0)
+    @example(x=25.0)
+    @example(x=1e6)
+    @settings(max_examples=200, deadline=None)
+    def test_erfcx_tail_against_mpmath(self, x):
+        # From x = 7 on, (1 - g) / (x sqrt(pi)) with the tail series g.
+        with mpmath.workdps(40):
+            want = mpmath.erfc(x) * mpmath.exp(mpmath.mpf(x) ** 2)
+            assert abs(numerics.erfcx(x) / want - 1) <= 5e-16
+            assert abs(numerics.erfcx(np.array([x]))[0] / want - 1) <= 5e-16
+
+    @given(x=st.floats(0.0, 1e3))
+    @example(x=0.0)
+    @example(x=float(np.nextafter(7.0, 0.0)))
+    @example(x=7.0)
+    @settings(max_examples=200, deadline=None)
+    def test_erfcx_gap_against_mpmath(self, x):
+        # Below x = 7 the subtraction magnifies erfcx's relative error,
+        # about x^2 rounding units, by 2x^2: up to 5e-13 near x = 7.
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            want = 1 - mpmath.sqrt(mpmath.pi) * xm * mpmath.erfc(xm) * mpmath.exp(xm * xm)
+            assert abs(numerics.erfcx_gap(x) / want - 1) <= 1e-12
 
 
 class TestCriticalCoefficientOracle:

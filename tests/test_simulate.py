@@ -1,9 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from queueloss import cli
 from queueloss import fokker_planck as F
 from queueloss import simulate as S
 from queueloss import stats as ST
@@ -392,6 +394,12 @@ class TestWindowLosses:
         with pytest.raises(ValueError):
             S.window_losses(log, t_window=200.0)
 
+    @pytest.mark.parametrize("t_window", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_window(self, t_window):
+        log = S.run(poisson_traffic(), duration=1000.0, seed=1)
+        with pytest.raises(ValueError, match="window length must be finite"):
+            S.window_losses(log, t_window=t_window)
+
     @pytest.mark.parametrize("warmup", [-10.0, math.inf, math.nan])
     def test_rejects_bad_warmup(self, warmup):
         # A negative warm-up used to wrap the first window round to the end
@@ -472,11 +480,13 @@ class TestContinuumCorrelationDecay:
 
 
 class TestCsvExport:
+    """The window and event exports, written by the CLI module's one CSV writer."""
+
     def test_window_schema(self, tmp_path):
         log = S.run(poisson_traffic(), duration=2000.0, seed=12)
         sample = S.window_losses(log, t_window=20.0, warmup=40.0)
         path = tmp_path / "windows.csv"
-        S.export_windows_csv(sample, path, metadata={"seed": 12})
+        cli.export_windows_csv(sample, path, metadata={"seed": 12})
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "# seed: 12"
         assert lines[1] == "window_index,t_start,lost_volume,idle_time"
@@ -488,7 +498,7 @@ class TestCsvExport:
     def test_event_schema_roundtrip(self, tmp_path):
         log = S.run(poisson_traffic(), duration=100.0, seed=12, record_events=True)
         path = tmp_path / "events.csv"
-        S.export_events_csv(log, path)
+        cli.export_events_csv(log, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "time,size,accepted,queue_before,queue_after"
         assert len(lines) == 1 + log.n_arrivals
@@ -501,4 +511,33 @@ class TestCsvExport:
     def test_event_export_requires_recording(self, tmp_path):
         log = S.run(poisson_traffic(), duration=100.0, seed=12)
         with pytest.raises(ValueError):
-            S.export_events_csv(log, tmp_path / "events.csv")
+            cli.export_events_csv(log, tmp_path / "events.csv")
+
+    def test_export_bytes_pinned(self, tmp_path):
+        # Both files as written before the exports moved into the CLI module,
+        # from 300 time units of overloaded uniform-size traffic. The writer
+        # streams the event rows, so its traced peak stays far below the
+        # 1.8 MB file; the parent directory is created.
+        traffic = S.TrafficModel(
+            interarrival=S.Distribution(kind="exponential", mean=0.01),
+            packet_size=S.Distribution(kind="uniform", low=0.008, high=0.014),
+            r_out=1.02,
+        )
+        log = S.run(traffic, duration=300.0, seed=3, record_events=True)
+        sample = S.window_losses(log, t_window=5.0, warmup=10.0)
+        out = tmp_path / "exports"
+        cli.export_windows_csv(sample, out / "windows.csv", metadata={"seed": 3, "t_window": 5.0})
+        tracemalloc.start()
+        try:
+            cli.export_events_csv(log, str(out / "events.csv"), metadata={"seed": 3})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        pinned = {
+            "windows.csv": (1375, "a6704b6625214480493a3464ffa83145c6a082f7449e62280b2153d78242fcaf"),
+            "events.csv": (1851666, "b91abecce7a93fab68438507130a256de8be430b20f6717ec51c6ae49e3fbbf7"),
+        }
+        for name, (size, digest) in pinned.items():
+            data = (out / name).read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), name
