@@ -231,8 +231,9 @@ def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> fl
     rows is taken. The two agree to 1e-9 where they overlap.
     """
     n = _integer("step count n", n, 0)
+    frm, to = _integer("state frm", frm, 0), _integer("state to", to, 0)
     L = params.L
-    if not (0 <= frm <= L and 0 <= to <= L):
+    if not (frm <= L and to <= L):
         raise ValueError("states must lie in 0..L")
     if (n <= 64 or params.is_degenerate
             or _spectral_scale_log10(params, n, frm, to) > _SPECTRAL_SCALE_LOG10_MAX):

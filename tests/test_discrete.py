@@ -626,10 +626,9 @@ class TestParamValidation:
 
 
 class TestIntegerArguments:
-    """Step counts and window lengths take Python ints, NumPy ints and
-    integral floats; anything else raises a ValueError naming the argument
-    and its minimum (non-integral floats used to return nan, a wrong value
-    or a bare TypeError)."""
+    """Step counts, states and window lengths take Python ints, NumPy ints
+    and integral floats; anything else raises a ValueError naming the
+    argument and its minimum."""
 
     P = D.DiscreteQueueParams(p=0.5, L=20)
     BAD = [100.5, 10.5, -1, math.nan, math.inf]
@@ -644,10 +643,12 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=r"window length N must be an integer >= 1"):
             D.compressibility(self.P, N)
 
-    @pytest.mark.parametrize("N, M, message", [(10, 40.5, r"separation M must be an integer >= 11"),
-                                               (10, 10, r"separation M must be an integer >= 11"),
-                                               (10.5, 40, r"window length N"),
-                                               (10, math.nan, r"separation M")])
+    @pytest.mark.parametrize("N, M, message", [
+        (10, 40.5, r"separation M must be an integer >= 11"),
+        (10, 10, r"separation M must be an integer >= 11"),
+        (10.5, 40, r"window length N"),
+        (10, math.nan, r"separation M"),
+    ])
     def test_correlator_r2(self, N, M, message):
         for branch in ("exact", "analytic"):
             with pytest.raises(ValueError, match=message):
@@ -657,6 +658,17 @@ class TestIntegerArguments:
     def test_green_function(self, n):
         with pytest.raises(ValueError, match=r"step count n must be an integer >= 0"):
             D.green_function(self.P, n, 0, 5)
+
+    @pytest.mark.parametrize("n, frm, to, message", [
+        (10, 0.5, 5, r"state frm must be an integer >= 0"),
+        (100, 2.5, 5, r"state frm"),
+        (100, 2, 5.5, r"state to"),
+        (100, -1, 5, r"state frm"),
+        (100, 2, 21, r"states must lie in 0\.\.L"),
+    ])
+    def test_green_function_states(self, n, frm, to, message):
+        with pytest.raises(ValueError, match=message):
+            D.green_function(self.P, n, frm, to)
 
     @pytest.mark.parametrize("n_steps, burn_in, message", [
         (1000.5, 0, r"n_steps must be an integer >= 1"),
@@ -678,8 +690,7 @@ class TestIntegerArguments:
     def test_integral_values_accepted(self, whole):
         assert D.loss_variance_exact(self.P, whole) == D.loss_variance_exact(self.P, 100)
         assert D.green_function(self.P, whole, 0, 5) == D.green_function(self.P, 100, 0, 5)
-        assert (D.correlator_r2(self.P, 10, whole * 4)
-                == D.correlator_r2(self.P, 10, 400))
+        assert D.correlator_r2(self.P, 10, whole * 4) == D.correlator_r2(self.P, 10, 400)
         path = D.simulate_path(self.P, whole * 10, burn_in=whole, seed=3)
         ref = D.simulate_path(self.P, 1000, burn_in=100, seed=3)
         assert path.n_steps == 1000 and type(path.n_steps) is int

@@ -514,10 +514,10 @@ class TestCsvExport:
             cli.export_events_csv(log, tmp_path / "events.csv")
 
     def test_export_bytes_pinned(self, tmp_path):
-        # Both files as written before the exports moved into the CLI module,
-        # from 300 time units of overloaded uniform-size traffic. The writer
-        # streams the event rows, so its traced peak stays far below the
-        # 1.8 MB file; the parent directory is created.
+        # The exact bytes of both files for 300 time units of overloaded
+        # uniform-size traffic. The writer streams the event rows, so its
+        # traced peak stays far below the 1.8 MB file; the parent directory
+        # is created.
         traffic = S.TrafficModel(
             interarrival=S.Distribution(kind="exponential", mean=0.01),
             packet_size=S.Distribution(kind="uniform", low=0.008, high=0.014),
@@ -534,9 +534,11 @@ class TestCsvExport:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        pinned = {
-            "windows.csv": (1375, "a6704b6625214480493a3464ffa83145c6a082f7449e62280b2153d78242fcaf"),
-            "events.csv": (1851666, "b91abecce7a93fab68438507130a256de8be430b20f6717ec51c6ae49e3fbbf7"),
+        pinned = {  # name: (bytes, SHA-256)
+            "windows.csv":
+                (1375, "a6704b6625214480493a3464ffa83145c6a082f7449e62280b2153d78242fcaf"),
+            "events.csv":
+                (1851666, "b91abecce7a93fab68438507130a256de8be430b20f6717ec51c6ae49e3fbbf7"),
         }
         for name, (size, digest) in pinned.items():
             data = (out / name).read_bytes()
