@@ -128,7 +128,9 @@ PRESETS: dict[str, ExperimentConfig] = {
     "fig2-desk": ExperimentConfig(
         model="discrete",
         grid={"p": [0.5], "l": [100.0]},
-        windows=[float(n) for n in np.unique(np.round(np.logspace(2, 5, 19)).astype(int))],
+        # 19 log-spaced lengths 1e2..1e5, rounded to integers.
+        windows=[100.0, 147.0, 215.0, 316.0, 464.0, 681.0, 1000.0, 1468.0, 2154.0, 3162.0, 4642.0,
+                 6813.0, 10000.0, 14678.0, 21544.0, 31623.0, 46416.0, 68129.0, 100000.0],
         replicas=1,
         seed=20240,
     ),
@@ -266,8 +268,8 @@ def _sim_continuous_point(point, config: ExperimentConfig, seed: Seed | None) ->
     )
     log = simulate.run(traffic, duration=config.duration, seed=seed.value)
     conserved = abs(log.conservation_residual()) <= 1e-9 * max(1.0, log.arrived)
-    est = simulate.estimate_drift_diffusion(log, dt=20.0 * ia_mean)
-    params = est.as_fp_params()
+    est = simulate.estimate_drift_diffusion(log, dt=log.sample_dt)
+    params = fokker_planck.FpParams(a=est.a, sigma2=est.sigma2)
     ctrl = fokker_planck.SeriesControl()
     rows = []
     for t_w in config.windows:

@@ -96,7 +96,12 @@ def stationary_distribution(params: DiscreteQueueParams) -> np.ndarray:
     """Stationary law over queue lengths 0..L, proportional to q^l.
 
     Degenerate arrival probabilities give the point masses at the empty and
-    full states. Evaluated in log space so large capacities cannot overflow.
+    full states. The weights are evaluated in log space relative to the
+    largest one, q^l at q < 1 and q^{l-L} at q > 1, so large capacities
+    neither overflow nor lose digits to a difference of large logarithms;
+    weights below the smallest double underflow to 0. The last entry,
+    pi(L), is the full-buffer weight behind the loss rate and every exact
+    evaluator below.
     """
     L = params.L
     if params.p == 0.0:
@@ -108,8 +113,7 @@ def stationary_distribution(params: DiscreteQueueParams) -> np.ndarray:
         out[L] = 1.0
         return out
     logq = math.log(params.q)
-    logw = np.arange(L + 1) * logq
-    w = np.exp(logw - logw.max())
+    w = np.exp((np.arange(L + 1) - (L if logq > 0.0 else 0)) * logq)
     return w / w.sum()
 
 
@@ -242,24 +246,14 @@ def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> fl
 
 
 def mean_loss_rate_exact(params: DiscreteQueueParams) -> float:
-    """Mean packets discarded per step in the stationary regime.
+    """Mean packets discarded per step in the stationary regime: the arrival
+    probability times the stationary weight pi(L) of the full state.
 
-    Equals the stationary weight of the full state times the arrival
-    probability; the closed form p (q^{L+1} - q^L)/(q^{L+1} - 1) is evaluated
-    in the overflow-free rearrangement p (q-1)/(q - q^{-L}), with the limit
-    value p/(L+1) at p = 1/2.
+    In closed form p (1 - q) q^L / (1 - q^{L+1}), p/(L+1) at p = 1/2; it is
+    exponentially small below p = 1/2 and tends to 2p - 1 above. Where pi(L)
+    is below the smallest double the rate is 0.
     """
-    p, L = params.p, params.L
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    q = params.q
-    if q == 1.0:
-        return p / (L + 1.0)
-    logq = math.log(q)
-    rate = p * math.expm1(logq) / (q - math.exp(-L * logq))
-    return max(rate, 0.0)
+    return params.p * float(stationary_distribution(params)[-1])
 
 
 def _window_weight_sum(lam: np.ndarray, N: int) -> np.ndarray:

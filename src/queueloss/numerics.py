@@ -86,8 +86,11 @@ def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
     ``F`` must be analytic to the right of (and off) the negative real axis
     and accept a complex ndarray; it is called once, on the read-only
     nodes of both contours together. Returns ``(value, error_estimate)``
-    where the estimate is the difference against the coarser contour.
-    Raises ``ValueError`` unless ``tau`` is finite and positive, and
+    where the estimate is the contour-to-contour difference, |fine -
+    coarse|, not a bound: both contours can share an error. Inverting
+    ``fokker_planck.laplace_propagator`` at v = -67.74, tau = 0.2211, x = 0,
+    y = 0.5167 misses the 40-digit value by 2.2e-7 with an estimate of
+    1.0e-8. Raises ``ValueError`` unless ``tau`` is finite and positive, and
     :class:`InversionError` on non-finite node values; overflow in ``F``,
     in the terms or in their sums raises that error, never a NumPy warning.
     """

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+#: The coarse-graining scale, in mean interarrival times: the default
+#: sampling step of :func:`run` and the shortest increment that
+#: :func:`estimate_drift_diffusion` accepts.
+_COARSE_ARRIVALS = 20.0
 
 
 class InsufficientDataError(RuntimeError):
@@ -416,8 +420,10 @@ def run(
     The first packet arrives at t = 0. Identical arguments give bit-identical
     logs (PCG64 behind a 64-bit seed, chunked draws in fixed order). One call
     of the free-path block kernel described in the module docstring runs
-    every arrival. ``sample_dt`` defaults to 20 mean interarrival times, the
-    coarsest grid the drift estimator accepts.
+    every arrival. ``sample_dt`` defaults to the coarse-graining scale of
+    20 mean interarrival times, the shortest increment the drift estimator
+    accepts, so ``estimate_drift_diffusion(log, dt=log.sample_dt)`` uses
+    every grid step.
     """
     mean_eta = traffic.interarrival.mean_value
     if not math.isfinite(duration):
@@ -425,7 +431,7 @@ def run(
     if duration < 50.0 * mean_eta:
         raise ValueError("duration must cover many interarrival times")
     if sample_dt is None:
-        sample_dt = 20.0 * mean_eta
+        sample_dt = _COARSE_ARRIVALS * mean_eta
     elif not (math.isfinite(sample_dt) and sample_dt > 0.0):
         raise ValueError("sample_dt must be finite and positive")
     if not 0.0 <= initial_queue <= 1.0:
@@ -469,11 +475,6 @@ class DriftDiffusionEstimate:
     dt: float
     n_samples: int
 
-    def as_fp_params(self):
-        from .fokker_planck import FpParams
-
-        return FpParams(a=self.a, sigma2=self.sigma2)
-
 
 def estimate_drift_diffusion(
     log: EventLog,
@@ -484,14 +485,18 @@ def estimate_drift_diffusion(
 
     Only increments whose endpoints both lie in the interior band are used,
     so the walls do not bias the free-space moments. ``dt`` must be at
-    least 20 mean interarrival times (and is rounded to the sampling grid).
+    least the coarse-graining scale, the default sampling step of
+    :func:`run` (``dt=log.sample_dt`` on such a log), and is rounded to the
+    sampling grid. The estimate is plain numbers, and
+    ``fokker_planck.FpParams(a=est.a, sigma2=est.sigma2)`` is the continuum
+    model it describes.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
-    floor = 20.0 * log.traffic.interarrival.mean_value
+    floor = _COARSE_ARRIVALS * log.traffic.interarrival.mean_value
     if dt < floor * (1.0 - 1e-9):
         raise ValueError(
-            f"dt={dt:.4g} is below 20 mean interarrival times ({floor:.4g})"
+            f"dt={dt:.4g} is below {_COARSE_ARRIVALS:g} mean interarrival times ({floor:.4g})"
         )
     stride = max(int(round(dt / log.sample_dt)), 1)
     dt_eff = stride * log.sample_dt
@@ -523,10 +528,13 @@ def estimate_drift_diffusion(
 
 @dataclass(frozen=True)
 class LossSample:
-    """Lost volume per observation window, plus the idle time alongside."""
+    """Lost volume and idle time per observation window.
+
+    The windows are back to back: window i covers
+    [t_start + i window_length, t_start + (i+1) window_length).
+    """
 
     window_length: float
-    spacing: float
     t_start: float
     values: np.ndarray = field(repr=False)
     idle: np.ndarray = field(repr=False)
@@ -536,8 +544,7 @@ class LossSample:
         return self.values.size
 
     def window_starts(self) -> np.ndarray:
-        step = self.window_length + self.spacing
-        return self.t_start + step * np.arange(self.n_windows)
+        return self.t_start + self.window_length * np.arange(self.n_windows)
 
 
 def _rough_relaxation(log: EventLog) -> float:
@@ -551,14 +558,17 @@ def _rough_relaxation(log: EventLog) -> float:
 def window_losses(
     log: EventLog,
     t_window: float,
-    spacing: float = 0.0,
+    *,
     warmup: float | None = None,
 ) -> LossSample:
     """Lost volume per window of ``t_window`` after a stationarity warm-up.
 
-    Windows are aligned to the sampling grid, so the sums are exact event
-    totals. The default warm-up is ten relaxation times 2/sigma^2 (rough
-    estimate from the log itself), capped at a third of the run.
+    Windows are aligned to the sampling grid and follow each other without
+    gaps, so the sums are exact event totals; the window length is
+    ``t_window`` rounded to a whole number of grid steps (at least one).
+    The default warm-up is ten relaxation times 2/sigma^2 (rough estimate
+    from the log itself), capped at a third of the run; ``warmup`` is
+    keyword-only.
     """
     if not math.isfinite(t_window):
         raise ValueError(f"window length must be finite, got {t_window}")
@@ -566,27 +576,22 @@ def window_losses(
         raise ValueError("window length must be positive")
     if t_window > log.duration / 10.0:
         raise ValueError("window length must be below a tenth of the run")
-    if not (math.isfinite(spacing) and spacing >= 0.0):
-        raise ValueError("spacing must be finite and non-negative")
     if warmup is not None and not (math.isfinite(warmup) and warmup >= 0.0):
         raise ValueError("warmup must be finite and non-negative")
     dt = log.sample_dt
     k = max(int(round(t_window / dt)), 1)
-    s = int(round(spacing / dt))
     if warmup is None:
         warmup = min(10.0 * _rough_relaxation(log), log.duration / 3.0)
     start = int(math.ceil(warmup / dt))
     n_grid = log.queue_samples.size
-    step = k + s
-    n_windows = (n_grid - 1 - start) // step
+    n_windows = (n_grid - 1 - start) // k
     if n_windows < 1:
         raise InsufficientDataError("run too short for any window after warm-up")
-    starts = start + step * np.arange(n_windows)
+    starts = start + k * np.arange(n_windows)
     values = log.cum_lost[starts + k] - log.cum_lost[starts]
     idle = log.cum_idle[starts + k] - log.cum_idle[starts]
     return LossSample(
         window_length=k * dt,
-        spacing=s * dt,
         t_start=start * dt,
         values=values,
         idle=idle,

@@ -37,15 +37,14 @@ class DegenerateSeriesError(RuntimeError):
 
 @dataclass(frozen=True)
 class WindowedSeries:
-    """Per-window observations with their window geometry.
+    """Per-window observations of back-to-back windows of one length.
 
     ``window_length`` is in steps for discrete paths and in time units for
-    continuous logs; ``spacing`` is the gap between consecutive windows.
+    continuous logs.
     """
 
     values: np.ndarray = field(repr=False)
     window_length: float
-    spacing: float = 0.0
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -61,11 +60,8 @@ class WindowedSeries:
 
     @classmethod
     def from_loss_sample(cls, sample) -> "WindowedSeries":
-        return cls(
-            values=np.asarray(sample.values, dtype=float),
-            window_length=sample.window_length,
-            spacing=sample.spacing,
-        )
+        return cls(values=np.asarray(sample.values, dtype=float),
+                   window_length=sample.window_length)
 
     @property
     def n_windows(self) -> int:

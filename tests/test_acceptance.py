@@ -458,7 +458,7 @@ class TestCriterion9EndToEndBridge:
         log = S.run(traffic, duration=200_000.0, seed=7)
         assert abs(log.conservation_residual()) < 1e-9 * log.arrived
         est = S.estimate_drift_diffusion(log, dt=0.2)
-        params = est.as_fp_params()
+        params = F.FpParams(a=est.a, sigma2=est.sigma2)
 
         sample = S.window_losses(log, t_window=20.0)
         series = ST.WindowedSeries.from_loss_sample(sample)

@@ -200,6 +200,12 @@ class TestExactDiscrete:
         assert late < 0.25
         assert chi[-1] == pytest.approx(2 * 100 / 3.0, rel=0.05)
 
+    def test_fig2_windows_are_log_spaced(self):
+        # The preset lists its windows as a literal (computing them pulls in
+        # numpy.ma at import); they are 19 log-spaced integers 1e2..1e5.
+        spaced = np.unique(np.round(np.logspace(2, 5, 19)).astype(int))
+        assert cli.PRESETS["fig2-desk"].windows == [float(n) for n in spaced]
+
     def test_flag_grid(self, tmp_path):
         rc = cli.main(
             ["exact-discrete", "--p", "0.5", "--L", "9", "--N", "10", "--out", str(tmp_path)]
@@ -207,6 +213,20 @@ class TestExactDiscrete:
         assert rc == 0
         body = read_body(tmp_path / "exact_discrete.csv")
         assert len(body) == 2
+
+    def test_underflowing_rate_writes_its_row(self, tmp_path):
+        # At p = 0.4, L = 2000 the loss rate p pi(L) is below the smallest
+        # double: the row is written with rate 0 and compressibility nan,
+        # and the point does not count as failed.
+        rc = cli.main(["exact-discrete", "--p", "0.4", "--L", "2000", "--N", "10",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "exact_discrete.csv").read_text()
+        assert "failed_point_0" not in text
+        header, row = read_body(tmp_path / "exact_discrete.csv")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["mean_loss_rate"] == "0"
+        assert fields["compressibility"] == "nan"
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
@@ -502,6 +522,31 @@ class TestModuleBoundaries:
         assert {m.name for m in modules} >= {"cli.py", "simulate.py", "discrete.py"}
         found = [call for m in modules if m.name != "cli.py" for call in self._calls(m, writers)]
         assert found == []
+
+    @staticmethod
+    def _package_imports(path):
+        """The package modules that ``path`` imports, lazily or not."""
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("queueloss"):
+                found.update([node.module.partition(".")[2]] if "." in node.module
+                             else [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                found.update(a.name.partition(".")[2] for a in node.names
+                             if a.name.startswith("queueloss."))
+        return {name.partition(".")[0] for name in found}
+
+    @pytest.mark.parametrize("module,allowed", [
+        ("simulate", set()), ("stats", set()),
+        ("discrete", {"numerics"}), ("fokker_planck", {"numerics"}), ("numerics", set()),
+    ])
+    def test_model_modules_stand_alone(self, module, allowed):
+        # The three models meet only in the CLI: the simulator and the
+        # estimators import no other package module, the two exact models
+        # only the shared numerics.
+        assert self._package_imports(self.PACKAGE / f"{module}.py") <= allowed
 
     def test_no_module_rewrites_warning_filters(self):
         # catch_warnings swaps the process-wide filter list; under threads it

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queueloss import discrete as D
@@ -251,6 +251,46 @@ class TestMeanLossRate:
         rate = D.mean_loss_rate_exact(D.DiscreteQueueParams(p=0.4, L=20))
         q = 0.4 / 0.6
         assert 0.0 < rate < q**18
+
+    @staticmethod
+    def _mpmath_rate(p, L, q=None):
+        """p (1 - q) q^L / (1 - q^{L+1}), p/(L+1) at q = 1, at 40 digits;
+        q defaults to p/(1-p) of the exact p."""
+        with mpmath.workdps(40):
+            p = mpmath.mpf(p)
+            q = p / (1 - p) if q is None else mpmath.mpf(q)
+            if q == 1:
+                return p / (L + 1)
+            return p * (1 - q) * q**L / (1 - q ** (L + 1))
+
+    @given(p=st.floats(0.05, 0.95), L=st.integers(1, 100_000))
+    @example(p=0.3, L=3000).via("largest capacity of the benchmark tables")
+    @example(p=0.501, L=100_000).via("near balance, deep buffer")
+    @example(p=0.499, L=100_000).via("near balance, deep buffer")
+    @example(p=0.9, L=100_000).via("heavy load, deep buffer")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mpmath_up_to_large_capacity(self, p, L):
+        # The reference takes the model's own odds ratio q = params.q: the
+        # rounding of p/(1-p) itself, amplified L times by q^L, is a property
+        # of the input (1.6e-11 at L = 1e5), not of the evaluator.
+        params = D.DiscreteQueueParams(p=p, L=L)
+        want = self._mpmath_rate(p, L, params.q)
+        got = D.mean_loss_rate_exact(params)
+        assert abs(got - want) <= 1e-12 * want + 4 * 5e-324
+
+    @pytest.mark.parametrize("p,L", [(0.1, 1000), (0.2, 1000), (0.3, 1000), (0.1, 3000),
+                                     (0.2, 3000), (0.3, 3000), (0.4, 3000), (0.4, 2000)])
+    def test_rate_below_the_smallest_double(self, p, L):
+        # pi(L) ~ q^L underflows here; the rate is 0 and the statistics that
+        # divide by it raise the package error, never a bare OverflowError.
+        params = D.DiscreteQueueParams(p=p, L=L)
+        want = float(self._mpmath_rate(p, L))
+        assert want == 0.0
+        assert D.mean_loss_rate_exact(params) == want
+        with pytest.raises(D.DegenerateParamsError):
+            D.compressibility(params, 10)
+        with pytest.raises(D.DegenerateParamsError):
+            D.correlator_r2(params, 10, 100, branch="analytic")
 
 
 class TestLossVariance:

@@ -290,6 +290,16 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_ma():
+    # numpy.ma costs 12-14 ms to import; nothing the CLI runs at import
+    # time (its presets included) may pull it in.
+    code = "import sys, queueloss.cli; print('numpy.ma' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_check_suite_runs_without_scipy():
     # The invariant suite must pass with SciPy unimportable.
     code = (

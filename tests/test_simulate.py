@@ -374,7 +374,7 @@ class TestWindowLosses:
 
     def test_mean_rate_bridges_to_continuum(self, long_log):
         est = S.estimate_drift_diffusion(long_log, dt=0.2)
-        params = est.as_fp_params()
+        params = F.FpParams(a=est.a, sigma2=est.sigma2)
         sample = S.window_losses(long_log, t_window=20.0)
         series = ST.WindowedSeries.from_loss_sample(sample)
         summary = ST.mean_and_variance(series)
@@ -386,7 +386,8 @@ class TestWindowLosses:
         sample = S.window_losses(long_log, t_window=20.0)
         p_hit = float((sample.values > 0).mean())
         se = math.sqrt(p_hit * (1 - p_hit) / sample.n_windows)
-        predicted = F.loss_probability(est.as_fp_params(), F.SeriesControl(), sample.window_length)
+        params = F.FpParams(a=est.a, sigma2=est.sigma2)
+        predicted = F.loss_probability(params, F.SeriesControl(), sample.window_length)
         assert abs(p_hit - predicted) <= 3.0 * se
 
     def test_window_too_long_rejected(self):
@@ -408,12 +409,6 @@ class TestWindowLosses:
         with pytest.raises(ValueError, match="warmup"):
             S.window_losses(log, t_window=20.0, warmup=warmup)
 
-    @pytest.mark.parametrize("spacing", [-5.0, math.inf, math.nan])
-    def test_rejects_bad_spacing(self, spacing):
-        log = S.run(poisson_traffic(r_out=1.02), duration=2000.0, seed=1)
-        with pytest.raises(ValueError, match="spacing"):
-            S.window_losses(log, t_window=20.0, spacing=spacing, warmup=0.0)
-
 
 class TestContinuumBridgeGrid:
     """Fitted (a, sigma2) fed back into the continuum evaluators must
@@ -427,7 +422,7 @@ class TestContinuumBridgeGrid:
         traffic = poisson_traffic(mean_gap=1.0 / rate, size=0.01, r_out=1.0)
         log = S.run(traffic, duration=120_000.0, seed=seed)
         est = S.estimate_drift_diffusion(log, dt=20.0 / rate)
-        params = est.as_fp_params()
+        params = F.FpParams(a=est.a, sigma2=est.sigma2)
         ctrl = F.SeriesControl()
         sample = S.window_losses(log, t_window=t_window)
         series = ST.WindowedSeries.from_loss_sample(sample)
@@ -460,7 +455,7 @@ class TestContinuumCorrelationDecay:
         traffic = poisson_traffic()
         log = S.run(traffic, duration=150_000.0, seed=77)
         est = S.estimate_drift_diffusion(log, dt=0.2)
-        params = est.as_fp_params()
+        params = F.FpParams(a=est.a, sigma2=est.sigma2)
         ctrl = F.SeriesControl()
         t_w = 5.0
         sample = S.window_losses(log, t_window=t_w)

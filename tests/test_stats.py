@@ -146,12 +146,11 @@ class TestWindowedSeries:
 
         sample = LossSample(
             window_length=5.0,
-            spacing=1.0,
             t_start=0.0,
             values=np.array([0.0, 0.5]),
             idle=np.array([0.1, 0.0]),
         )
         series = ST.WindowedSeries.from_loss_sample(sample)
         assert series.window_length == 5.0
-        assert series.spacing == 1.0
+        assert series.values.tolist() == [0.0, 0.5]
         assert series.n_windows == 2
