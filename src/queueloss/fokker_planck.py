@@ -424,13 +424,24 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
-    """Probability that any traffic is lost during [0, t], inverted from
-    p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
-    tau = _reduced_time(params, t)
+def _loss_probability(params: FpParams, tau: float) -> float:
+    """The loss probability at reduced time tau."""
     p1 = _wall_density(params)
     value = _invert_wall(params, tau, "loss probability", lambda eps, w, _: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
+
+
+#: The conditioning probability of :func:`loss_pdf_conditional`, kept per
+#: (params, tau) next to W so that a conditional density curve inverts it
+#: once. :func:`loss_probability` calls the uncached function: its callers
+#: ask once per (params, t), and cached entries only hold on to memory.
+_conditioning_probability = functools.lru_cache(maxsize=128)(_loss_probability)
+
+
+def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
+    """Probability that any traffic is lost during [0, t], inverted from
+    p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
+    return _loss_probability(params, _reduced_time(params, t))
 
 
 def loss_probability_asymptotic(params: FpParams, t: float, regime: str) -> float:
@@ -492,7 +503,7 @@ def loss_pdf_conditional(params: FpParams, ctrl: SeriesControl, x: float, t: flo
     ValueError where the loss probability is 0 (p(1) underflows at large
     negative drift) and the condition is empty."""
     density = loss_pdf(params, ctrl, x, t)
-    prob = loss_probability(params, ctrl, t)
+    prob = _conditioning_probability(params, _reduced_time(params, t))
     if prob == 0.0:
         raise ValueError(
             f"conditional loss density undefined at a={params.a}, sigma2={params.sigma2}, "

@@ -15,14 +15,19 @@ is pure computation: it writes no files (the CSV exports live in
 :mod:`queueloss.cli`).
 
 One kernel call runs the whole simulation, drawing arrivals in fixed-size
-chunks. It runs arrivals near a wall one at a time and the rest in free-path
-blocks: between wall contacts the queue level is a running sum of packet
-sizes and drained volumes and the clock a running sum of interarrival
-times, so a block of arrivals is two cumulative sums up to its first drop
-or idle clip, which then runs as a single step. Blocks start after a few
-quiet arrivals away from the walls and double while they stay free. The
-result is the per-arrival loop's to the bit, except that the offered and
-serviced volume totals are summed in larger steps.
+chunks and working through each chunk in sub-chunks. Per sub-chunk one
+vectorised pass forms the arrival clock (a running sum of interarrival
+times, which never resets), the drained volumes and the level increments.
+The arrivals then run in order: near a wall one at a time, and in between
+as free-path blocks. Between wall contacts the queue level is a running sum
+of packet sizes and drained volumes, so a block of arrivals is one
+cumulative sum from the current level up to its first drop or idle clip,
+which then runs as a single step. Blocks start after a few quiet arrivals
+away from the walls and double while they stay free. A last vectorised
+pass per sub-chunk samples the grid and writes the optional event record
+from the clock, the levels and the arrivals where a drop or clip happened.
+The result is the per-arrival loop's to the bit, except that the offered
+and serviced volume totals are summed in larger steps.
 """
 
 from __future__ import annotations
@@ -153,6 +158,15 @@ _SCALAR_RUN = 32
 _BLOCK_MIN = 256
 #: Largest speculative block, so an event late in it wastes a bounded cumsum.
 _BLOCK_MAX = 1 << 13
+#: Arrivals whose clock, drains, level increments, grid samples and event
+#: record are formed in one vectorised pass each, so that a block only
+#: accumulates levels; blocks do not cross a sub-chunk's end. At 2^13 the
+#: level and increment buffers hold as many doubles as the largest block
+#: path, 2^14 + 1. 2^14 ran the kernel about 3% faster, but its larger
+#: buffers raised the ``monte-carlo`` benchmark's peak RSS to 72.6-74.0 MB
+#: in 8 of 10 runs; at this size it stays within the 69.6-73.9 MB that the
+#: per-block buffers gave.
+_SUB = 1 << 13
 
 
 def _event_columns(n):
@@ -182,24 +196,39 @@ def _grow(ev, n):
 def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
     """Run the whole simulation from level ``ell`` at t = 0; returns
     ``(final_queue, arrived, serviced, dropped, idle_time, n_arrivals,
-    n_drops, events)`` and fills the grid arrays in place.
+    n_drops, scalar_arrivals, events)`` and fills the grid arrays in place.
 
-    Arrivals are drawn ``_CHUNK`` at a time, interarrival times first. With
-    ``record`` true, ``events`` is the per-arrival record, written straight
-    into one set of columns sized by :func:`_record_capacity` and grown
-    (:func:`_grow`) only when the next arrivals would overflow them;
-    otherwise None.
+    Arrivals are drawn ``_CHUNK`` at a time, interarrival times first, and
+    worked through ``_SUB`` at a time. Per sub-chunk one vectorised pass
+    forms the arrival clock, the cumsum of [t, eta0, eta1, ...] (time never
+    resets, so these are the loop's times to the bit, and the arrival whose
+    interval reaches ``duration`` ends the run), the drains eta r_out and
+    the level increments [., p0, -d0, p1, -d1, ...] (x - y == x + (-y)
+    exactly).
 
-    Near a wall every arrival is a scalar step. Between wall contacts the
-    queue follows the free path ell -> ell + p -> ell + p - eta r_out, the
-    sequential cumsum of [ell, p0, -eta0 r_out, p1, -eta1 r_out, ...]
-    (x - y == x + (-y) exactly), and the arrival times are the cumsum of
-    [t, eta0, eta1, ...]. So once the scalar steps have gone quiet away
-    from the walls, the kernel takes a block of arrivals at once, finds the
-    first drop (ell + p > 1), idle clip (ell + p - eta r_out < 0) or arrival
-    ending the run, commits the free arrivals before it (the grid samples
-    by ``searchsorted`` of the grid times on the arrival times) and hands
-    that arrival to the scalar step. Blocks double while they stay free.
+    The level pass then runs the sub-chunk's arrivals in order, storing
+    each arrival's level after its packet, ell_plus. Near a wall every
+    arrival is a scalar step on Python floats, which notes each drop and
+    idle clip with the running total after it. Between wall contacts the
+    queue follows the free path ell -> ell + p -> ell + p - d, the
+    sequential cumsum of ell and the increments; so once the scalar steps
+    have gone quiet away from the walls, a block of arrivals writes ell
+    into the increment slot before its first arrival, accumulates from
+    there into the level array, commits the arrivals before the first drop
+    (ell + p > 1) or idle clip (ell + p - d < 0) and hands that arrival to
+    the scalar step. Blocks double while they stay free;
+    ``scalar_arrivals`` counts the arrivals that took scalar steps.
+
+    A second vectorised pass samples the grid times that fell in the
+    sub-chunk: the arrival whose interval holds each one (``searchsorted``
+    on the clock), its ell_plus drained for the elapsed time and clipped at
+    0, the lost volume after the last drop at or before that arrival and
+    the idle time after the last clip before it, plus the clipped partial
+    idle. With ``record`` true the same arrays give the sub-chunk's rows of
+    the per-arrival record, written into one set of columns sized by
+    :func:`_record_capacity` and grown (:func:`_grow`) only when a
+    sub-chunk would overflow them; otherwise ``events`` is None.
+
     Levels, times, grid samples, drops and idle time, with their
     compensation terms, are thus the per-arrival loop's to the bit. The
     offered volume enters its compensated sum once per chunk and a block's
@@ -209,20 +238,26 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     r_out = traffic.r_out
     if record:
         ev = _event_columns(_record_capacity(traffic, duration))
-        ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
     t = serviced = dropped = arrived = idle = 0.0
     # Kahan compensation terms: the volume totals grow to ~duration while the
     # per-event increments are tiny, and the conservation identity is checked
     # at 1e-9, which naive accumulation cannot hold over 1e7 events.
     c_serv = c_drop = c_arr = c_idle = 0.0
-    n_drops = n_arrivals = 0
-    n_grid = queue_samples.size
-    grid_times = np.arange(n_grid) * sample_dt
+    n_drops = n_arrivals = n_scalar = 0
+    grid_times = np.arange(queue_samples.size) * sample_dt
     grid_idx = 0
-    next_tg = 0.0
-    path = np.empty(2 * _BLOCK_MAX + 1)
-    drain_buf = np.empty(_BLOCK_MAX)
-    times = np.empty(_BLOCK_MAX + 1)
+    sub = min(_SUB, _CHUNK)
+    clock_buf = np.empty(sub + 1)
+    drain_buf = np.empty(sub)
+    step_buf = np.empty(2 * sub + 1)
+    level_buf = np.empty(2 * sub + 1)
+    # Non-negative doubles order like their bits read as unsigned integers,
+    # and every negative one (sign bit set) reads above 1.0. So the bits of a
+    # level exceed those of 1.0 exactly when it lies outside [0, 1] or is
+    # -0.0, which would only send its arrival to a scalar step.
+    level_bits = level_buf.view(np.uint64)
+    one_bits = np.float64(1.0).view(np.uint64)
+    hit_buf = np.empty(2 * _BLOCK_MAX, dtype=np.bool_)
     while t < duration:
         etas = traffic.interarrival.sample(rng, _CHUNK)
         sizes = traffic.packet_size.sample(rng, _CHUNK)
@@ -231,134 +266,136 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
         gap = _WALL_MOVES * (float(sizes.mean()) + r_out * float(etas.mean()))
         quiet = 0
         block = _BLOCK_MIN
-        n = _CHUNK
-        i = 0
-        while i < n:
-            if quiet < _QUIET or not gap <= ell <= 1.0 - gap:
-                stop = min(i + _SCALAR_RUN, n)
-                if record and n_arrivals + stop > ev_time.size:
-                    ev = _grow(ev, n_arrivals + stop)
-                    ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
-                for p, eta in zip(sizes[i:stop].tolist(), etas[i:stop].tolist()):
-                    quiet += 1
-                    accepted = ell + p <= 1.0
-                    if accepted:
-                        ell_plus = ell + p
-                    else:
-                        ell_plus = ell
-                        yk = p - c_drop
-                        tk = dropped + yk
-                        c_drop = (tk - dropped) - yk
-                        dropped = tk
-                        n_drops += 1
-                        quiet = 0
-                    if record:
-                        row = n_arrivals + i
-                        ev_time[row] = t
-                        ev_size[row] = p
-                        ev_accepted[row] = accepted
-                        ev_q_before[row] = ell
-                        ev_q_after[row] = ell_plus
-                    seg_end = t + eta
-                    while next_tg <= seg_end:
-                        dtg = next_tg - t
-                        q = ell_plus - dtg * r_out
-                        if q < 0.0:
-                            q = 0.0
-                        queue_samples[grid_idx] = q
-                        cum_lost[grid_idx] = dropped
-                        part_idle = dtg - ell_plus / r_out
-                        if part_idle < 0.0:
-                            part_idle = 0.0
-                        cum_idle[grid_idx] = idle + part_idle
-                        grid_idx += 1
-                        next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
-                    drained = eta * r_out
-                    if drained > ell_plus:
-                        yk = (eta - ell_plus / r_out) - c_idle
-                        tk = idle + yk
-                        c_idle = (tk - idle) - yk
-                        idle = tk
-                        drained = ell_plus
-                        quiet = 0
-                    yk = drained - c_serv
-                    tk = serviced + yk
-                    c_serv = (tk - serviced) - yk
-                    serviced = tk
-                    ell = ell_plus - drained
-                    t = seg_end
-                    i += 1
-                    if t >= duration:
-                        n = i  # the run is over: consume nothing more
-                        break
-                    if quiet >= _QUIET and gap <= ell <= 1.0 - gap:
-                        block = _BLOCK_MIN
-                        break
-                continue
-            k = min(block, n - i)
-            free = path[: 2 * k + 1]
-            free[0] = ell
-            free[1::2] = sizes[i : i + k]
-            drain = np.multiply(etas[i : i + k], r_out, out=drain_buf[:k])
-            np.negative(drain, out=free[2::2])
-            np.add.accumulate(free, out=free)
-            clock = times[: k + 1]
+        for s0 in range(0, _CHUNK, sub):
+            m = min(sub, _CHUNK - s0)
+            clock = clock_buf[: m + 1]
             clock[0] = t
-            clock[1:] = etas[i : i + k]
+            clock[1:] = etas[s0 : s0 + m]
             np.add.accumulate(clock, out=clock)
-            # From ell in [0, 1], the first level outside [0, 1] is the first
-            # drop (ell + p > 1) or idle clip (ell + p - eta r_out < 0).
-            hit = np.logical_or(free[1:] > 1.0, free[1:] < 0.0)
-            j = int(hit.argmax())
-            e = j // 2 if hit[j] else k
-            if clock[k] >= duration:
-                e = min(e, int(clock[1:].searchsorted(duration)))
-            if e < k:
-                quiet = 0
-            else:
-                block = min(2 * block, _BLOCK_MAX)
-            if e == 0:
-                continue
-            yk = float(drain[:e].sum()) - c_serv
-            tk = serviced + yk
-            c_serv = (tk - serviced) - yk
-            serviced = tk
-            ell_plus = free[1 : 2 * e : 2]
-            if record:
-                row = n_arrivals + i
-                if row + e > ev_time.size:
-                    ev = _grow(ev, row + e)
-                    ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
-                ev_time[row : row + e] = clock[:e]
-                ev_size[row : row + e] = sizes[i : i + e]
-                ev_accepted[row : row + e] = True
-                ev_q_before[row : row + e] = free[0 : 2 * e : 2]
-                ev_q_after[row : row + e] = ell_plus
-            t = float(clock[e])
-            if next_tg <= t:
-                g_next = grid_idx + int(grid_times[grid_idx:].searchsorted(t, side="right"))
+            if clock[m] >= duration:
+                # The first arrival whose interval reaches the end is the last.
+                m = int(clock[1:].searchsorted(duration)) + 1
+                clock = clock[: m + 1]
+            eta_s = etas[s0 : s0 + m]
+            p_s = sizes[s0 : s0 + m]
+            drain = np.multiply(eta_s, r_out, out=drain_buf[:m])
+            # steps[2i] takes the level before a block that starts at i.
+            steps = step_buf[: 2 * m + 1]
+            steps[1::2] = p_s
+            np.negative(drain, out=steps[2::2])
+            level = level_buf[: 2 * m + 1]
+            ell_plus = level[1::2]
+            start = ell
+            lost = [dropped]
+            drop_at = []
+            idled = [idle]
+            clip_at = []
+            i = 0
+            while i < m:
+                if quiet < _QUIET or not gap <= ell <= 1.0 - gap:
+                    stop = min(i + _SCALAR_RUN, m)
+                    ups = []
+                    arrivals = zip(range(i, stop), p_s[i:stop].tolist(), drain[i:stop].tolist())
+                    for a, p, d in arrivals:
+                        quiet += 1
+                        up = ell + p
+                        if up > 1.0:
+                            up = ell
+                            yk = p - c_drop
+                            tk = dropped + yk
+                            c_drop = (tk - dropped) - yk
+                            dropped = tk
+                            n_drops += 1
+                            drop_at.append(a)
+                            lost.append(dropped)
+                            quiet = 0
+                        ups.append(up)
+                        if d > up:
+                            yk = (float(eta_s[a]) - up / r_out) - c_idle
+                            tk = idle + yk
+                            c_idle = (tk - idle) - yk
+                            idle = tk
+                            clip_at.append(a)
+                            idled.append(idle)
+                            d = up
+                            quiet = 0
+                        yk = d - c_serv
+                        tk = serviced + yk
+                        c_serv = (tk - serviced) - yk
+                        serviced = tk
+                        ell = up - d
+                        if quiet >= _QUIET and gap <= ell <= 1.0 - gap:
+                            block = _BLOCK_MIN
+                            break
+                    ell_plus[i : a + 1] = ups
+                    n_scalar += a + 1 - i
+                    i = a + 1
+                    continue
+                k = min(block, m - i)
+                lo = 2 * i
+                hi = lo + 2 * k + 1
+                steps[lo] = ell
+                np.add.accumulate(steps[lo:hi], out=level[lo:hi])
+                # From ell in [0, 1], the first level outside [0, 1] is the
+                # first drop (ell + p > 1) or idle clip (ell + p - d < 0).
+                hit = np.greater(level_bits[lo + 1 : hi], one_bits, out=hit_buf[: 2 * k])
+                j = int(hit.argmax())
+                e = j // 2 if hit[j] else k
+                if e < k:
+                    quiet = 0
+                else:
+                    block = min(2 * block, _BLOCK_MAX)
+                if e == 0:
+                    continue
+                yk = float(drain[i : i + e].sum()) - c_serv
+                tk = serviced + yk
+                c_serv = (tk - serviced) - yk
+                serviced = tk
+                ell = float(level[lo + 2 * e])
+                i += e
+            t = float(clock[m])
+            g_next = int(grid_times.searchsorted(t, side="right"))
+            if g_next > grid_idx:
                 tg = grid_times[grid_idx:g_next]
-                seg = clock[1 : e + 1].searchsorted(tg)
+                seg = clock[1:].searchsorted(tg)
                 dtg = tg - clock[seg]
                 lp = ell_plus[seg]
                 q = lp - dtg * r_out
                 queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-                cum_lost[grid_idx:g_next] = dropped
+                after_drop = np.searchsorted(drop_at, seg, side="right")
+                cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
                 part_idle = dtg - lp / r_out
-                np.add(idle, np.where(part_idle < 0.0, 0.0, part_idle), out=cum_idle[grid_idx:g_next])
+                np.add(np.take(idled, np.searchsorted(clip_at, seg)),
+                       np.where(part_idle < 0.0, 0.0, part_idle), out=cum_idle[grid_idx:g_next])
                 grid_idx = g_next
-                next_tg = grid_idx * sample_dt if grid_idx < n_grid else math.inf
-            ell = float(free[2 * e])
-            i += e
-        yk = float(sizes[:i].sum()) - c_arr
+            if record:
+                row = n_arrivals + s0
+                if row + m > ev["time"].size:
+                    ev = _grow(ev, row + m)
+                ev["time"][row : row + m] = clock[:m]
+                ev["size"][row : row + m] = p_s
+                accepted = ev["accepted"][row : row + m]
+                accepted[:] = True
+                accepted[drop_at] = False
+                before = ev["queue_before"][row : row + m]
+                before[0] = start
+                # An idle clip is exactly a negative ell_plus - d, after which
+                # the level is 0.
+                after = np.subtract(ell_plus[:-1], drain[:-1], out=before[1:])
+                np.copyto(after, 0.0, where=after < 0.0)
+                ev["queue_after"][row : row + m] = ell_plus
+            if t >= duration:
+                break
+        consumed = s0 + m
+        yk = float(sizes[:consumed].sum()) - c_arr
         tk = arrived + yk
         c_arr = (tk - arrived) - yk
         arrived = tk
-        n_arrivals += i
+        n_arrivals += consumed
     # Views of the first n_arrivals rows: the few spare rows stay allocated
     # with them rather than paying for a copy of the whole record.
     events = {k: c[:n_arrivals] for k, c in ev.items()} if record else None
-    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, events
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_scalar, events
 
 
 @dataclass
@@ -368,6 +405,9 @@ class EventLog:
     ``queue_samples``, ``cum_lost`` and ``cum_idle`` live on the uniform
     grid ``k * sample_dt``; ``events`` holds the optional full per-arrival
     record ``(time, size, accepted, queue_before, queue_after)``.
+    ``scalar_arrivals`` counts the arrivals the kernel ran one at a time
+    near a wall rather than in free-path blocks, a cost diagnostic that
+    :meth:`summary` leaves out.
     """
 
     traffic: TrafficModel
@@ -382,6 +422,7 @@ class EventLog:
     idle_time: float
     n_arrivals: int
     n_drops: int
+    scalar_arrivals: int
     queue_samples: np.ndarray = field(repr=False)
     cum_lost: np.ndarray = field(repr=False)
     cum_idle: np.ndarray = field(repr=False)
@@ -441,7 +482,7 @@ def run(
     cum_lost = np.zeros(n_grid)
     cum_idle = np.zeros(n_grid)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    final, arrived, serviced, dropped, idle, n_arrivals, n_drops, events = _kernel(
+    final, arrived, serviced, dropped, idle, n_arrivals, n_drops, scalar, events = _kernel(
         traffic, rng, duration, sample_dt, float(initial_queue), queue_samples, cum_lost,
         cum_idle, record_events)
     return EventLog(
@@ -457,6 +498,7 @@ def run(
         idle_time=idle,
         n_arrivals=n_arrivals,
         n_drops=n_drops,
+        scalar_arrivals=scalar,
         queue_samples=queue_samples,
         cum_lost=cum_lost,
         cum_idle=cum_idle,

@@ -321,4 +321,5 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
         if record:
             chunks.append({k: c[:consumed] for k, c in ev.items()})
     events = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]} if record else None
-    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, events
+    # Every arrival of the loop is a scalar step.
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_arrivals, events

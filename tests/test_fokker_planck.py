@@ -567,6 +567,7 @@ def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
     F._wall_on_contours.cache_clear()
     F._wall_density.cache_clear()
+    F._conditioning_probability.cache_clear()
 
 
 class TestWallTransformCache:
@@ -596,6 +597,25 @@ class TestWallTransformCache:
         assert len(calls) == 2
         fine = F.numerics.LAPLACE_NODES
         assert calls == [fine + fine - fine // 6] * 2
+
+    def test_conditional_curve_inverts_the_probability_once(self, monkeypatch):
+        # n points: n density inversions and one of the loss probability.
+        clear_inversion_caches()
+        calls = []
+        invert = F.numerics.laplace_invert
+
+        def counted(transform, tau):
+            calls.append(tau)
+            return invert(transform, tau)
+
+        monkeypatch.setattr(F.numerics, "laplace_invert", counted)
+        xs = np.linspace(0.05, 1.0, 12)
+        curve = [F.loss_pdf_conditional(self.PARAMS, CTRL, x, 0.7) for x in xs]
+        assert len(calls) == xs.size + 1
+        clear_inversion_caches()
+        monkeypatch.setattr(F.numerics, "laplace_invert", invert)
+        prob = F.loss_probability(self.PARAMS, CTRL, 0.7)
+        assert curve == [F.loss_pdf(self.PARAMS, CTRL, x, 0.7) / prob for x in xs]
 
     def test_cold_and_warm_curves_identical(self):
         xs = np.linspace(0.0, 1.2, 25)

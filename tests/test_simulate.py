@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queueloss import cli
 from queueloss import fokker_planck as F
@@ -235,35 +237,98 @@ class TestKernelMatchesLoop:
     def test_interior_arrivals_run_in_blocks(self, monkeypatch):
         # Deterministic traffic in balance keeps the queue at 0.5, far from
         # both walls; after the first quiet arrivals the kernel must take
-        # blocks, which write the event record by slices, not per arrival.
-        class CountingArray(np.ndarray):
-            per_arrival_writes = 0
-
-            def __setitem__(self, key, value):
-                if isinstance(key, int):
-                    CountingArray.per_arrival_writes += 1
-                super().__setitem__(key, value)
-
-        columns = S._event_columns
-
-        def counting_columns(n):
-            ev = columns(n)
-            ev["time"] = ev["time"].view(CountingArray)
-            return ev
-
-        monkeypatch.setattr(S, "_event_columns", counting_columns)
+        # blocks, and the loop's every arrival is a scalar step.
         monkeypatch.setattr(S, "_CHUNK", 20_000)
         gap = S.Distribution(kind="deterministic", mean=0.01)
         traffic = S.TrafficModel(interarrival=gap, packet_size=gap, r_out=1.0)
-        log = S.run(traffic, duration=200.0, seed=0, record_events=True,
-                    sample_dt=0.2, initial_queue=0.5)
-        n = log.n_arrivals
+        new, ref = _run_both(monkeypatch, traffic, 200.0, 0, sample_dt=0.2, initial_queue=0.5)
+        n = new.n_arrivals
         assert n > 19_000
-        assert CountingArray.per_arrival_writes < n // 100
+        assert S._QUIET <= new.scalar_arrivals < n // 100
+        assert ref.scalar_arrivals == n
+        assert "scalar_arrivals" not in new.summary()
 
     def test_bit_identical_at_default_chunk(self, monkeypatch):
         new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.02), 2000.0, 7,
                              sample_dt=0.05)
+        _assert_same_log(new, ref)
+
+
+def _poisson_clock(seed, n):
+    """The first n + 1 arrival times of ``run(poisson_traffic(), seed=seed)``
+    with 3001-arrival chunks: sequential sums of the chunks' interarrival
+    draws (deterministic sizes draw nothing)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    etas = np.concatenate([rng.exponential(0.01, 3001) for _ in range(n // 3001 + 1)])
+    return np.add.accumulate(np.concatenate([[0.0], etas[:n]]))
+
+
+class TestSubChunkSeams:
+    """Sub-chunks of 257 arrivals, which straddle chunks of 3001, against
+    the per-arrival loop: sub-chunk ends inside and at a chunk's end, runs
+    that end there, grid steps from a fraction of one interarrival time to
+    more than a sub-chunk's span, and every start level."""
+
+    @staticmethod
+    def _seams(mp):
+        mp.setattr(S, "_CHUNK", 3001)
+        mp.setattr(S, "_SUB", 257)
+
+    @pytest.mark.parametrize("last", [257, 514, 3001, 3258])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_run_ending_on_a_sub_chunk_end(self, monkeypatch, last, record):
+        # The run ends with the first arrival whose interval reaches the
+        # duration: here the last arrival of a sub-chunk (3001 ends the first
+        # chunk, 3258 = 3001 + 257 the second chunk's first sub-chunk).
+        self._seams(monkeypatch)
+        duration = float(_poisson_clock(11, last)[last])
+        new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.0), duration, 11,
+                             record_events=record, sample_dt=0.05, initial_queue=0.5)
+        assert new.n_arrivals == last
+        _assert_same_log(new, ref)
+
+    @pytest.mark.parametrize("initial_queue", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("r_out", [1.0, 50.0])
+    @pytest.mark.parametrize("sample_dt", [0.003, 5.0])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_grid_steps_and_start_levels(self, monkeypatch, initial_queue, r_out, sample_dt,
+                                         record):
+        # 0.003 puts several grid points in one arrival's interval; 5.0 is
+        # about twice a sub-chunk's span, so some sub-chunks sample nothing.
+        # At r_out = 50 every arrival clips.
+        self._seams(monkeypatch)
+        new, ref = _run_both(monkeypatch, poisson_traffic(r_out=r_out), 60.0, 4,
+                             record_events=record, sample_dt=sample_dt,
+                             initial_queue=initial_queue)
+        assert new.n_arrivals > 5000
+        _assert_same_log(new, ref)
+
+    @pytest.mark.parametrize("r_out", [0.98, 1.02])
+    def test_grid_times_on_sub_chunk_ends(self, monkeypatch, r_out):
+        # Gaps of 1/64 sum exactly, so with a grid step of 257 gaps every
+        # grid time is the end of a sub-chunk's last interval; the loop
+        # samples it with that arrival, not the next sub-chunk's first.
+        self._seams(monkeypatch)
+        gap = S.Distribution(kind="deterministic", mean=1.0 / 64.0)
+        traffic = S.TrafficModel(interarrival=gap, packet_size=gap, r_out=r_out)
+        new, ref = _run_both(monkeypatch, traffic, 2000.0 / 64.0, 0, record_events=True,
+                             sample_dt=257.0 / 64.0, initial_queue=0.5)
+        _assert_same_log(new, ref)
+
+    @given(law=st.sampled_from(["exponential", "uniform", "deterministic"]),
+           r_out=st.one_of(st.floats(0.95, 1.05), st.just(50.0)),
+           initial_queue=st.sampled_from([0.0, 0.5, 1.0]),
+           sample_dt=st.floats(0.002, 8.0), record=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_loop(self, law, r_out, initial_queue, sample_dt, record, seed):
+        traffic = S.TrafficModel(
+            interarrival=_law(law, 0.01), packet_size=_law(law, 0.01), r_out=r_out
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            self._seams(mp)
+            new, ref = _run_both(mp, traffic, 40.0, seed, record_events=record,
+                                 sample_dt=sample_dt, initial_queue=initial_queue)
         _assert_same_log(new, ref)
 
 
@@ -272,7 +337,7 @@ class TestEventRecord:
         # 4096-arrival chunks: a 3000-unit run fills 73 of them and ends
         # in a partial one. The record is written straight into its
         # columns, so the run's peak is the record (10 MB) plus the grid
-        # (5%) and the kernel's fixed 0.3 MB of chunk and block buffers,
+        # (5%) and the kernel's fixed 0.3 MB of chunk and sub-chunk buffers,
         # and the columns are exactly what the per-arrival loop records.
         monkeypatch.setattr(S, "_CHUNK", 4096)
         traffic = poisson_traffic()
