@@ -444,59 +444,122 @@ class DiscretePath:
 #: Steps drawn and walked per pass of :func:`simulate_path`: its uniforms
 #: exist one chunk at a time (PCG64 gives the same stream in any chunking).
 _CHUNK = 1 << 20
-#: Steps per block of the clip-map scan; near the square root of a chunk,
-#: so the row passes and the scalar pass over the block maps cost alike.
-_BLOCK = 256
+#: Bytes (eight steps each) per block of the clip-map scan. Longer blocks
+#: shorten the scalar pass over the block maps but lengthen the row passes:
+#: on a 2-vCPU VM a chunk (2^17 bytes) took 6.5 ms at 64, 7.0 at 128 and
+#: 8.7 at 256.
+_BLOCK = 64
+#: The identity map's code, which pads the last block row.
+_PAD = 256
 
 
-def _walk_chunk(l0, L, p, u, replay=True):
+@dataclass(frozen=True)
+class _ByteMaps:
+    """The walk's 8-step maps on 0..L, one per byte of up-steps (bit i set
+    when step i goes up) plus the identity, code ``_PAD``.
+
+    Eight steps compose to the clip map x -> min(max(x + shift, lo), hi),
+    with shift the net step, lo = f(0) and hi = f(L). Row x - o + 1 of
+    ``hit`` (flattened, ``_PAD + 1`` codes a row) has bit i set when step i,
+    started at x >= o = max(L - 8, 0), meets a full buffer; row 0 is zero,
+    for every start below o, which cannot reach L and step up again.
+    """
+
+    L: int
+    o: int
+    shift: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    hit: np.ndarray
+
+
+def _byte_maps(L: int) -> _ByteMaps:
+    """Walk each byte's eight steps, with both walls, from 0, from L and
+    from every state in o..L, so the tables are exact at any L >= 1."""
+    # int16 holds every state, block shift and state + shift up to L = 32759.
+    dtype = np.int16 if L + 8 <= np.iinfo(np.int16).max else np.int64
+    o = max(L - 8, 0)
+    up = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").reshape(256, 8).T == 1
+    x = np.empty((L - o + 3, 256), dtype=np.int64)
+    x[0], x[1], x[2:] = 0, L, np.arange(o, L + 1)[:, None]
+    hit = np.zeros((L - o + 2, _PAD + 1), dtype=np.uint8)
+    for i, u in enumerate(up):
+        hit[1:, :256] |= ((x[2:] == L) & u).astype(np.uint8) << i
+        x = np.where(u, np.minimum(x + 1, L), np.maximum(x - 1, 0))
+    shift = np.append(2 * up.sum(axis=0) - 8, 0)
+    return _ByteMaps(L, o, shift.astype(dtype), np.append(x[0], 0).astype(dtype),
+                     np.append(x[1], L).astype(dtype), hit.reshape(-1))
+
+
+def _walk_chunk(l0, p, u, maps, replay=True):
     """Walk ``u.size`` steps from ``l0``, up where ``u < p`` and down
-    otherwise; returns ``(end_state, loss_steps)``, the sorted indices of
-    the steps that hit a full buffer, or ``(end_state, None)`` without the
-    ``replay`` that finds them.
+    otherwise; returns ``(end_state, loss_steps)``, the sorted int64
+    indices of the steps that hit a full buffer, or ``(end_state, None)``
+    without the ``replay`` that finds them.
 
-    A step is the clip map x -> min(max(x + c, 0), L), c = +-1, and clip
-    maps compose to clip maps x -> min(max(x + C, lo), hi). The steps are
-    laid out as ``b`` rows of one step from each of ``n/b`` contiguous
+    The steps are packed eight to a byte, whose map is a clip map (see
+    :class:`_ByteMaps`), and clip maps compose to clip maps. The bytes are
+    laid out as ``b`` rows of one byte from each of ``nb`` contiguous
     blocks: ``b`` whole-row passes compose each block's map, a scalar pass
     over the block maps gives each block's start state, and ``b`` more row
-    passes replay the states in one row, marking the hits.
+    passes replay each byte's start state, from which one table lookup per
+    byte gives its hit bits. The last ``u.size % 8`` steps run one at a time.
     """
-    n = u.size
-    b = min(_BLOCK, math.isqrt(n - 1) + 1)
-    nb = -(-n // b)
-    # int16 holds every state and block shift up to L = 32766.
-    dtype = np.int16 if L < np.iinfo(np.int16).max else np.int64
-    # Steps +1/-1, padded with 0 (the identity on 0..L, which never hits)
-    # to whole blocks.
-    steps = np.zeros(nb * b, dtype=np.int8)
-    steps[:n] = u < p
-    steps[:n] += steps[:n] - 1
-    rows = np.ascontiguousarray(steps.reshape(nb, b).T)
-    shift = np.zeros(nb, dtype=dtype)
-    bounds = np.zeros((2, nb), dtype=dtype)
-    bounds[1] = L
-    for c in rows:
-        shift += c
-        bounds += c
-        np.maximum(bounds, 0, out=bounds)
-        np.minimum(bounds, L, out=bounds)
-    starts = []
+    L = maps.L
+    n8 = u.size // 8
     x = int(l0)
-    for s, lo, hi in zip(shift.tolist(), *bounds.tolist()):
-        starts.append(x)
-        x = min(max(x + s, lo), hi)
+    hits = []
+    if n8:
+        codes = np.packbits(u[: 8 * n8] < p, bitorder="little")
+        b = min(_BLOCK, math.isqrt(n8 - 1) + 1)
+        nb = -(-n8 // b)
+        padded = np.full(nb * b, _PAD, dtype=np.int16)
+        padded[:n8] = codes
+        rows = np.ascontiguousarray(padded.reshape(nb, b).T)
+        # mode="clip" skips the bounds check; every code is in range.
+        shift, lo, hi = (t.take(rows, mode="clip") for t in (maps.shift, maps.lo, maps.hi))
+        bounds = np.zeros((2, nb), dtype=shift.dtype)
+        bounds[1] = L
+        for c, lo_r, hi_r in zip(shift, lo, hi):
+            bounds += c
+            np.maximum(bounds, lo_r, out=bounds)
+            np.minimum(bounds, hi_r, out=bounds)
+        starts = []
+        for s, lo_b, hi_b in zip(shift.sum(axis=0).tolist(), *bounds.tolist()):
+            starts.append(x)
+            x += s
+            if x < lo_b:
+                x = lo_b
+            elif x > hi_b:
+                x = hi_b
+        if replay:
+            first = np.empty((b, nb), dtype=shift.dtype)
+            state = np.array(starts, dtype=shift.dtype)
+            for c, lo_r, hi_r, first_r in zip(shift, lo, hi, first):
+                first_r[:] = state
+                state += c
+                np.maximum(state, lo_r, out=state)
+                np.minimum(state, hi_r, out=state)
+            row = first.T.reshape(-1)[:n8] - (maps.o - 1)
+            np.maximum(row, 0, out=row)
+            bits = maps.hit.take(row * (_PAD + 1) + codes, mode="clip")
+            at = np.flatnonzero(bits != 0)
+            # unpackbits gives 0 or 1, so its bytes are valid booleans.
+            k = np.flatnonzero(np.unpackbits(bits[at], bitorder="little").view(np.bool_))
+            hits.append(8 * at[k >> 3] + (k & 7))
+    tail = []
+    for i, step_up in enumerate((u[8 * n8 :] < p).tolist(), 8 * n8):
+        if step_up:
+            if x == L:
+                tail.append(i)
+            else:
+                x += 1
+        elif x > 0:
+            x -= 1
     if not replay:
         return x, None
-    full = np.empty((b, nb), dtype=np.bool_)
-    state = np.array(starts, dtype=dtype)
-    for c, hit in zip(rows, full):
-        state += c
-        np.greater(state, L, out=hit)
-        np.maximum(state, 0, out=state)
-        np.minimum(state, L, out=state)
-    # Column j of ``full`` is block j, so its transpose runs in step order.
-    return x, np.flatnonzero(full.T)
+    hits.append(np.array(tail, dtype=np.int64))
+    return x, np.concatenate(hits)
 
 
 def simulate_path(
@@ -513,8 +576,9 @@ def simulate_path(
     steps are discarded. Identical seeds give identical paths (the generator
     is the counter-based PCG64 behind a 64-bit seed).
 
-    The uniforms are drawn and walked one chunk at a time, each chunk as
-    blocks of composed clip maps (see :func:`_walk_chunk`), and the path
+    The uniforms are drawn into one buffer and walked one chunk at a time,
+    eight steps to a byte map and each chunk as blocks of composed byte
+    maps (see :func:`_walk_chunk`), and the path
     keeps only the end states and the loss steps: 8 bytes per loss, none
     per step.
     """
@@ -522,17 +586,22 @@ def simulate_path(
     burn_in = _integer("burn-in length burn_in", burn_in, 0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     L, p = params.L, params.p
+    maps = _byte_maps(L)
+    # One buffer takes every chunk's uniforms: a fresh 8 MiB array per chunk
+    # raised the monte-carlo benchmark's peak RSS from 70-76 MB to 79-82 MB.
+    u = np.empty(min(_CHUNK, max(n_steps, burn_in)))
     if burn_in > 0:
         ell = 0
         for s in range(0, burn_in, _CHUNK):
-            ell, _ = _walk_chunk(ell, L, p, rng.random(min(_CHUNK, burn_in - s)), replay=False)
+            chunk = rng.random(out=u[: min(_CHUNK, burn_in - s)])
+            ell, _ = _walk_chunk(ell, p, chunk, maps, replay=False)
     else:
         pi = stationary_distribution(params)
         ell = int(rng.choice(L + 1, p=pi))
     start = ell
     hits = []
     for s in range(0, n_steps, _CHUNK):
-        ell, chunk_hits = _walk_chunk(ell, L, p, rng.random(min(_CHUNK, n_steps - s)))
+        ell, chunk_hits = _walk_chunk(ell, p, rng.random(out=u[: min(_CHUNK, n_steps - s)]), maps)
         chunk_hits += s
         hits.append(chunk_hits)
     return DiscretePath(params=params, seed=seed, n_steps=n_steps, start=start, end=ell,

@@ -27,7 +27,9 @@ away from the walls and double while they stay free. A last vectorised
 pass per sub-chunk samples the grid and writes the optional event record
 from the clock, the levels and the arrivals where a drop or clip happened.
 The result is the per-arrival loop's to the bit, except that the offered
-and serviced volume totals are summed in larger steps.
+and serviced volume totals are summed in larger steps: the serviced volume
+of a sub-chunk is one sum of its drains, each idle clip's cut to the level
+it drained.
 """
 
 from __future__ import annotations
@@ -101,7 +103,10 @@ class Distribution:
         """``n`` draws; for the deterministic law a read-only zero-stride
         view of its mean, which takes no memory."""
         if self.kind == "exponential":
-            return rng.exponential(self.mean, n)
+            # The bits of rng.exponential(mean, n), without its broadcasting.
+            draws = rng.standard_exponential(n)
+            draws *= self.mean
+            return draws
         if self.kind == "deterministic":
             return np.broadcast_to(np.float64(self.mean), (n,))
         return rng.uniform(self.low, self.high, n)
@@ -224,16 +229,21 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     on the clock), its ell_plus drained for the elapsed time and clipped at
     0, the lost volume after the last drop at or before that arrival and
     the idle time after the last clip before it, plus the clipped partial
-    idle. With ``record`` true the same arrays give the sub-chunk's rows of
-    the per-arrival record, written into one set of columns sized by
+    idle; the lookups run only in a sub-chunk with a drop or a clip. The
+    sub-chunk's serviced volume is one sum of its drains, into which each
+    idle clip's scalar step has written ell_plus, the volume it drained.
+    (Subtracting the clipped excess from the full drains instead cancels
+    where the queue is mostly idle: 1e-11 relative at r_out = 50.) With
+    ``record`` true the same arrays give the sub-chunk's rows of the
+    per-arrival record, written into one set of columns sized by
     :func:`_record_capacity` and grown (:func:`_grow`) only when a
     sub-chunk would overflow them; otherwise ``events`` is None.
 
     Levels, times, grid samples, drops and idle time, with their
     compensation terms, are thus the per-arrival loop's to the bit. The
-    offered volume enters its compensated sum once per chunk and a block's
-    serviced volume once per block, so those two totals may differ from a
-    per-arrival sum in the last bits.
+    offered volume enters its compensated sum once per chunk and the
+    serviced volume once per sub-chunk, so those two totals may differ from
+    a per-arrival sum in the last bits.
     """
     r_out = traffic.r_out
     if record:
@@ -261,8 +271,8 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     while t < duration:
         etas = traffic.interarrival.sample(rng, _CHUNK)
         sizes = traffic.packet_size.sample(rng, _CHUNK)
-        # Reset per chunk: block placement, and with it the last bits of the
-        # serviced total, depends on them.
+        # Reset per chunk. Block placement sets only the speed: no output
+        # depends on it.
         gap = _WALL_MOVES * (float(sizes.mean()) + r_out * float(etas.mean()))
         quiet = 0
         block = _BLOCK_MIN
@@ -317,12 +327,10 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                             idle = tk
                             clip_at.append(a)
                             idled.append(idle)
-                            d = up
+                            # What the arrival serviced, for the sub-chunk's
+                            # serviced total; a block never reads it again.
+                            drain[a] = d = up
                             quiet = 0
-                        yk = d - c_serv
-                        tk = serviced + yk
-                        c_serv = (tk - serviced) - yk
-                        serviced = tk
                         ell = up - d
                         if quiet >= _QUIET and gap <= ell <= 1.0 - gap:
                             block = _BLOCK_MIN
@@ -347,12 +355,12 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                     block = min(2 * block, _BLOCK_MAX)
                 if e == 0:
                     continue
-                yk = float(drain[i : i + e].sum()) - c_serv
-                tk = serviced + yk
-                c_serv = (tk - serviced) - yk
-                serviced = tk
                 ell = float(level[lo + 2 * e])
                 i += e
+            yk = float(np.add.reduce(drain)) - c_serv
+            tk = serviced + yk
+            c_serv = (tk - serviced) - yk
+            serviced = tk
             t = float(clock[m])
             g_next = int(grid_times.searchsorted(t, side="right"))
             if g_next > grid_idx:
@@ -362,11 +370,17 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                 lp = ell_plus[seg]
                 q = lp - dtg * r_out
                 queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-                after_drop = np.searchsorted(drop_at, seg, side="right")
-                cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
+                # Without a drop (clip) in the sub-chunk, every sample takes
+                # the lost volume (idle time) it started with.
+                if drop_at:
+                    after_drop = np.searchsorted(drop_at, seg, side="right")
+                    cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
+                else:
+                    cum_lost[grid_idx:g_next] = dropped
                 part_idle = dtg - lp / r_out
-                np.add(np.take(idled, np.searchsorted(clip_at, seg)),
-                       np.where(part_idle < 0.0, 0.0, part_idle), out=cum_idle[grid_idx:g_next])
+                np.copyto(part_idle, 0.0, where=part_idle < 0.0)
+                part_idle += np.take(idled, np.searchsorted(clip_at, seg)) if clip_at else idle
+                cum_idle[grid_idx:g_next] = part_idle
                 grid_idx = g_next
             if record:
                 row = n_arrivals + s0

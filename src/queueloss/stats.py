@@ -135,6 +135,8 @@ def compressibility_estimate(series: WindowedSeries) -> ScalarEstimate:
     stats = mean_and_variance(series)
     if stats.mean <= 0.0:
         raise DegenerateSeriesError("compressibility needs a positive mean loss")
+    if stats.variance <= 0.0:
+        raise DegenerateSeriesError("zero variance series has no compressibility error")
     value = stats.variance / stats.mean
     rel = math.sqrt(
         (stats.variance_se / stats.variance) ** 2 + (stats.mean_se / stats.mean) ** 2

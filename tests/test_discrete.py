@@ -595,19 +595,27 @@ class TestSimulatePath:
 
 
 class TestWalkKernel:
-    """The clip-map block kernel against the per-step loop, bit for bit."""
+    """The byte-map kernel against the per-step loop, bit for bit."""
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.97, 1.0])
-    @pytest.mark.parametrize("L", [1, 2, 20, 300, 40000])
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 9, 15, 16, 17, 20, 300, 32759, 32766, 40000])
     def test_path_matches_loop(self, monkeypatch, p, L):
-        # A 4096-step chunk makes the paths cross chunk boundaries; 10007 is
-        # prime, so neither the chunks nor the blocks divide it. L = 40000
-        # takes the int64 states.
-        monkeypatch.setattr(D, "_CHUNK", 4096)
+        # 4096- and 4099-step chunks make the paths cross chunk boundaries,
+        # the second 3 steps into a byte; 10007 is prime, so neither the
+        # chunks, the bytes nor the blocks divide it. Up to L = 17 the hit
+        # tables' states o..L meet the bottom wall or lie just above it;
+        # L = 32759 is the last with int16 states (L + 8 = 32767), and
+        # L = 32766 and 40000 take the int64 states.
         params = D.DiscreteQueueParams(p=p, L=L)
-        for n_steps, burn_in in ((1, 0), (1, 5), (10007, 0), (10007, 4099)):
-            path = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
-            _assert_path_matches_loop(path, params, n_steps, burn_in=burn_in, seed=17)
+        for n_steps in (*range(1, 18), 10007):
+            for burn_in in (0, 5, 4099, 4099 + 4):
+                monkeypatch.setattr(D, "_CHUNK", 4096)
+                path = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
+                _assert_path_matches_loop(path, params, n_steps, burn_in=burn_in, seed=17)
+                monkeypatch.setattr(D, "_CHUNK", 4096 + 3)
+                again = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
+                assert (again.start, again.end) == (path.start, path.end)
+                assert np.array_equal(again.loss_steps, path.loss_steps)
 
     def test_default_chunk_matches_loop(self):
         params = D.DiscreteQueueParams(p=0.5, L=20)
@@ -616,23 +624,48 @@ class TestWalkKernel:
 
     @pytest.mark.parametrize("l0", [0, 3, 7])
     def test_chunk_kernel_matches_loop(self, l0):
-        # Prefixes of every size class: one step, fewer steps than a block
-        # row, a partial last block, and whole blocks.
+        # Prefixes of every size class: fewer steps than a byte, whole and
+        # partial bytes, fewer bytes than a block row, a partial last block,
+        # and whole blocks.
         u = np.random.default_rng(5).random(3001)
         ref_len = np.zeros(u.size + 1, dtype=np.int64)
         ref_loss = np.zeros(u.size, dtype=np.bool_)
         ref_len[0] = l0
         walk_chunk_py(l0, 7, 0.55, u, ref_len, ref_loss)
-        for m in (1, 2, 5, 55, 56, 57, 1000, 2999, 3001):
-            end, hits = D._walk_chunk(l0, 7, 0.55, u[:m])
+        maps = D._byte_maps(7)
+        for m in (1, 2, 5, 7, 8, 9, 16, 17, 55, 56, 57, 1000, 2999, 3001):
+            end, hits = D._walk_chunk(l0, 0.55, u[:m], maps)
             assert end == ref_len[m], m
+            assert hits.dtype == np.int64
             assert np.array_equal(hits, np.flatnonzero(ref_loss[:m])), m
-            assert D._walk_chunk(l0, 7, 0.55, u[:m], replay=False) == (end, None)
+            assert D._walk_chunk(l0, 0.55, u[:m], maps, replay=False) == (end, None)
+
+    @pytest.mark.parametrize("L", [1, 2, 8, 9, 20])
+    def test_byte_tables_match_loop(self, L):
+        # Every byte from every start state: its clip map gives the loop's
+        # end state, and its hit bits the loop's losses (none below o).
+        maps = D._byte_maps(L)
+        width = D._PAD + 1
+        assert maps.o == max(L - 8, 0)
+        assert (maps.shift[D._PAD], maps.lo[D._PAD], maps.hi[D._PAD]) == (0, 0, L)
+        assert not maps.hit.reshape(-1, width)[:, D._PAD].any()
+        assert not maps.hit[:width].any()
+        for code in range(256):
+            up = (code >> np.arange(8)) & 1 == 1
+            u = np.where(up, 0.25, 0.75)
+            for x in range(L + 1):
+                lengths = np.zeros(9, dtype=np.int64)
+                losses = np.zeros(8, dtype=np.bool_)
+                end = walk_chunk_py(x, L, 0.5, u, lengths, losses)
+                assert min(max(x + maps.shift[code], maps.lo[code]), maps.hi[code]) == end
+                row = max(x - maps.o + 1, 0)
+                bits = int(np.packbits(losses, bitorder="little")[0])
+                assert maps.hit[row * width + code] == bits, (code, x)
 
     def test_memory_stays_within_a_few_chunks(self):
         # A path keeps its loss steps only: 5e6 steps at p = 1/2, L = 20 hold
         # about 120 000 losses (1 MB), so the peak is set by one chunk of
-        # uniforms (8 MiB) and the chunk's step rows, not by the path length.
+        # uniforms (8 MiB) and the chunk's byte rows, not by the path length.
         params = D.DiscreteQueueParams(p=0.5, L=20)
         D.simulate_path(params, 10, seed=1)  # first-call allocations
         tracemalloc.start()

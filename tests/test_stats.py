@@ -89,6 +89,20 @@ class TestCompressibilityEstimate:
         with pytest.raises(ST.DegenerateSeriesError):
             ST.compressibility_estimate(ST.WindowedSeries.from_counts(np.zeros(100), 1))
 
+    def test_zero_variance_rejected(self):
+        with pytest.raises(ST.DegenerateSeriesError, match="zero variance"):
+            ST.compressibility_estimate(ST.WindowedSeries(np.full(100, 2.0), 10))
+
+    def test_saturated_walk_rejected(self):
+        # At p = 1 every step from the full start state is a loss, so every
+        # window holds exactly N losses.
+        params = D.DiscreteQueueParams(p=1.0, L=5)
+        path = D.simulate_path(params, n_steps=5000, seed=3)
+        counts = path.window_counts(50)
+        assert np.all(counts == 50)
+        with pytest.raises(ST.DegenerateSeriesError, match="zero variance"):
+            ST.compressibility_estimate(ST.WindowedSeries.from_counts(counts, 50))
+
 
 class TestCorrelationEstimate:
     def test_white_noise_uncorrelated(self):
