@@ -103,10 +103,7 @@ class Distribution:
         """``n`` draws; for the deterministic law a read-only zero-stride
         view of its mean, which takes no memory."""
         if self.kind == "exponential":
-            # The bits of rng.exponential(mean, n), without its broadcasting.
-            draws = rng.standard_exponential(n)
-            draws *= self.mean
-            return draws
+            return rng.exponential(self.mean, n)
         if self.kind == "deterministic":
             return np.broadcast_to(np.float64(self.mean), (n,))
         return rng.uniform(self.low, self.high, n)
@@ -229,12 +226,11 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     on the clock), its ell_plus drained for the elapsed time and clipped at
     0, the lost volume after the last drop at or before that arrival and
     the idle time after the last clip before it, plus the clipped partial
-    idle; the lookups run only in a sub-chunk with a drop or a clip. The
-    sub-chunk's serviced volume is one sum of its drains, into which each
-    idle clip's scalar step has written ell_plus, the volume it drained.
-    (Subtracting the clipped excess from the full drains instead cancels
-    where the queue is mostly idle: 1e-11 relative at r_out = 50.) With
-    ``record`` true the same arrays give the sub-chunk's rows of the
+    idle. The sub-chunk's serviced volume is one sum of its drains, into
+    which each idle clip's scalar step has written ell_plus, the volume it
+    drained. (Subtracting the clipped excess from the full drains instead
+    cancels where the queue is mostly idle: 1e-11 relative at r_out = 50.)
+    With ``record`` true the same arrays give the sub-chunk's rows of the
     per-arrival record, written into one set of columns sized by
     :func:`_record_capacity` and grown (:func:`_grow`) only when a
     sub-chunk would overflow them; otherwise ``events`` is None.
@@ -370,16 +366,11 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                 lp = ell_plus[seg]
                 q = lp - dtg * r_out
                 queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-                # Without a drop (clip) in the sub-chunk, every sample takes
-                # the lost volume (idle time) it started with.
-                if drop_at:
-                    after_drop = np.searchsorted(drop_at, seg, side="right")
-                    cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
-                else:
-                    cum_lost[grid_idx:g_next] = dropped
+                after_drop = np.searchsorted(drop_at, seg, side="right")
+                cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
                 part_idle = dtg - lp / r_out
                 np.copyto(part_idle, 0.0, where=part_idle < 0.0)
-                part_idle += np.take(idled, np.searchsorted(clip_at, seg)) if clip_at else idle
+                part_idle += np.take(idled, np.searchsorted(clip_at, seg))
                 cum_idle[grid_idx:g_next] = part_idle
                 grid_idx = g_next
             if record:
@@ -393,10 +384,9 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                 accepted[drop_at] = False
                 before = ev["queue_before"][row : row + m]
                 before[0] = start
-                # An idle clip is exactly a negative ell_plus - d, after which
-                # the level is 0.
-                after = np.subtract(ell_plus[:-1], drain[:-1], out=before[1:])
-                np.copyto(after, 0.0, where=after < 0.0)
+                # An idle clip's drain already holds its ell_plus, so the
+                # level after it is 0.0.
+                np.subtract(ell_plus[:-1], drain[:-1], out=before[1:])
                 ev["queue_after"][row : row + m] = ell_plus
             if t >= duration:
                 break
