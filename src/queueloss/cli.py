@@ -23,9 +23,8 @@ except the output directory, so one experiment written to two directories
 gives byte-for-byte identical files.
 
 This module owns every file format the package writes: the experiment
-tables and the window and event exports of packet runs
-(:func:`export_windows_csv`, :func:`export_events_csv`) all go through one
-CSV writer; the model modules write no files.
+tables and the window export of packet runs (:func:`export_windows_csv`)
+all go through one CSV writer; the model modules write no files.
 """
 
 from __future__ import annotations
@@ -171,19 +170,6 @@ def export_windows_csv(sample: simulate.LossSample, path, metadata: dict | None 
     """Write the window table: window_index, t_start, lost_volume, idle_time."""
     rows = zip(range(sample.n_windows), sample.window_starts(), sample.values, sample.idle)
     _write_csv(Path(path), "window_index,t_start,lost_volume,idle_time", rows, metadata or {})
-
-
-def export_events_csv(log: simulate.EventLog, path, metadata: dict | None = None) -> None:
-    """Write the full event record (requires ``record_events=True``).
-
-    Columns, in order: time, size, accepted, queue_before, queue_after.
-    """
-    if log.events is None:
-        raise ValueError("log was run without record_events=True")
-    ev = log.events
-    rows = ((time, size, int(accepted), before, after) for time, size, accepted, before, after
-            in zip(ev["time"], ev["size"], ev["accepted"], ev["queue_before"], ev["queue_after"]))
-    _write_csv(Path(path), "time,size,accepted,queue_before,queue_after", rows, metadata or {})
 
 
 def _rate_asymptote(p: float, L: float) -> float:

@@ -9,10 +9,9 @@ piecewise-linear dynamics with no discretization error.
 
 Runs stream their results onto a uniform sampling grid (queue level,
 cumulative lost volume, cumulative idle time), which is what the
-drift/diffusion estimator and the window extractor consume; full per-event
-records are optional because long runs would not fit in memory. The module
-is pure computation: it writes no files (the CSV exports live in
-:mod:`queueloss.cli`).
+drift/diffusion estimator and the window extractor consume; no per-arrival
+record is kept. The module is pure computation: it writes no files (the CSV
+export lives in :mod:`queueloss.cli`).
 
 One kernel call runs the whole simulation, drawing arrivals in fixed-size
 chunks and working through each chunk in sub-chunks. Per sub-chunk one
@@ -24,8 +23,8 @@ of packet sizes and drained volumes, so a block of arrivals is one
 cumulative sum from the current level up to its first drop or idle clip,
 which then runs as a single step. Blocks start after a few quiet arrivals
 away from the walls and double while they stay free. A last vectorised
-pass per sub-chunk samples the grid and writes the optional event record
-from the clock, the levels and the arrivals where a drop or clip happened.
+pass per sub-chunk samples the grid from the clock, the levels and the
+arrivals where a drop or clip happened.
 The result is the per-arrival loop's to the bit, except that the offered
 and serviced volume totals are summed in larger steps: the serviced volume
 of a sub-chunk is one sum of its drains, each idle clip's cut to the level
@@ -91,14 +90,6 @@ class Distribution:
             return 0.5 * (self.low + self.high)
         return float(self.mean)
 
-    @property
-    def variance(self) -> float:
-        if self.kind == "exponential":
-            return float(self.mean) ** 2
-        if self.kind == "uniform":
-            return (self.high - self.low) ** 2 / 12.0
-        return 0.0
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws; for the deterministic law a read-only zero-stride
         view of its mean, which takes no memory."""
@@ -160,45 +151,21 @@ _SCALAR_RUN = 32
 _BLOCK_MIN = 256
 #: Largest speculative block, so an event late in it wastes a bounded cumsum.
 _BLOCK_MAX = 1 << 13
-#: Arrivals whose clock, drains, level increments, grid samples and event
-#: record are formed in one vectorised pass each, so that a block only
-#: accumulates levels; blocks do not cross a sub-chunk's end. At 2^13 the
-#: level and increment buffers hold as many doubles as the largest block
-#: path, 2^14 + 1. 2^14 ran the kernel about 3% faster, but its larger
+#: Arrivals whose clock, drains, level increments and grid samples are
+#: formed in one vectorised pass each, so that a block only accumulates
+#: levels; blocks do not cross a sub-chunk's end. At 2^13 the level and
+#: increment buffers hold as many doubles as the largest block path,
+#: 2^14 + 1. 2^14 ran the kernel about 3% faster, but its larger
 #: buffers raised the ``monte-carlo`` benchmark's peak RSS to 72.6-74.0 MB
 #: in 8 of 10 runs; at this size it stays within the 69.6-73.9 MB that the
 #: per-block buffers gave.
 _SUB = 1 << 13
 
 
-def _event_columns(n):
-    """Zeroed per-arrival record columns for ``n`` arrivals."""
-    return {"time": np.zeros(n), "size": np.zeros(n), "accepted": np.zeros(n, dtype=np.bool_),
-            "queue_before": np.zeros(n), "queue_after": np.zeros(n)}
-
-
-def _record_capacity(traffic, duration):
-    """Arrivals the event record of a run is first sized for: the mean
-    renewal count duration/mean plus six of its standard deviations,
-    sqrt(duration/mean) std/mean, and a few spare."""
-    law = traffic.interarrival
-    n = duration / law.mean_value
-    return int(n + 6.0 * math.sqrt(n * law.variance) / law.mean_value) + 64
-
-
-def _grow(ev, n):
-    """The record columns ``ev`` copied into zeroed columns for ``n``
-    arrivals, or for a quarter more than ``ev`` holds if that is more."""
-    grown = _event_columns(max(n, ev["time"].size * 5 // 4))
-    for k, c in ev.items():
-        grown[k][: c.size] = c
-    return grown
-
-
-def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
+def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle):
     """Run the whole simulation from level ``ell`` at t = 0; returns
     ``(final_queue, arrived, serviced, dropped, idle_time, n_arrivals,
-    n_drops, scalar_arrivals, events)`` and fills the grid arrays in place.
+    n_drops, scalar_arrivals)`` and fills the grid arrays in place.
 
     Arrivals are drawn ``_CHUNK`` at a time, interarrival times first, and
     worked through ``_SUB`` at a time. Per sub-chunk one vectorised pass
@@ -230,10 +197,6 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     which each idle clip's scalar step has written ell_plus, the volume it
     drained. (Subtracting the clipped excess from the full drains instead
     cancels where the queue is mostly idle: 1e-11 relative at r_out = 50.)
-    With ``record`` true the same arrays give the sub-chunk's rows of the
-    per-arrival record, written into one set of columns sized by
-    :func:`_record_capacity` and grown (:func:`_grow`) only when a
-    sub-chunk would overflow them; otherwise ``events`` is None.
 
     Levels, times, grid samples, drops and idle time, with their
     compensation terms, are thus the per-arrival loop's to the bit. The
@@ -242,8 +205,6 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     a per-arrival sum in the last bits.
     """
     r_out = traffic.r_out
-    if record:
-        ev = _event_columns(_record_capacity(traffic, duration))
     t = serviced = dropped = arrived = idle = 0.0
     # Kahan compensation terms: the volume totals grow to ~duration while the
     # per-event increments are tiny, and the conservation identity is checked
@@ -291,7 +252,6 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
             np.negative(drain, out=steps[2::2])
             level = level_buf[: 2 * m + 1]
             ell_plus = level[1::2]
-            start = ell
             lost = [dropped]
             drop_at = []
             idled = [idle]
@@ -373,21 +333,6 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                 part_idle += np.take(idled, np.searchsorted(clip_at, seg))
                 cum_idle[grid_idx:g_next] = part_idle
                 grid_idx = g_next
-            if record:
-                row = n_arrivals + s0
-                if row + m > ev["time"].size:
-                    ev = _grow(ev, row + m)
-                ev["time"][row : row + m] = clock[:m]
-                ev["size"][row : row + m] = p_s
-                accepted = ev["accepted"][row : row + m]
-                accepted[:] = True
-                accepted[drop_at] = False
-                before = ev["queue_before"][row : row + m]
-                before[0] = start
-                # An idle clip's drain already holds its ell_plus, so the
-                # level after it is 0.0.
-                np.subtract(ell_plus[:-1], drain[:-1], out=before[1:])
-                ev["queue_after"][row : row + m] = ell_plus
             if t >= duration:
                 break
         consumed = s0 + m
@@ -396,10 +341,7 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
         c_arr = (tk - arrived) - yk
         arrived = tk
         n_arrivals += consumed
-    # Views of the first n_arrivals rows: the few spare rows stay allocated
-    # with them rather than paying for a copy of the whole record.
-    events = {k: c[:n_arrivals] for k, c in ev.items()} if record else None
-    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_scalar, events
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_scalar
 
 
 @dataclass
@@ -407,8 +349,7 @@ class EventLog:
     """Streamed summary of one simulation run.
 
     ``queue_samples``, ``cum_lost`` and ``cum_idle`` live on the uniform
-    grid ``k * sample_dt``; ``events`` holds the optional full per-arrival
-    record ``(time, size, accepted, queue_before, queue_after)``.
+    grid ``k * sample_dt``.
     ``scalar_arrivals`` counts the arrivals the kernel ran one at a time
     near a wall rather than in free-path blocks, a cost diagnostic that
     :meth:`summary` leaves out.
@@ -430,7 +371,6 @@ class EventLog:
     queue_samples: np.ndarray = field(repr=False)
     cum_lost: np.ndarray = field(repr=False)
     cum_idle: np.ndarray = field(repr=False)
-    events: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def conservation_residual(self) -> float:
         """arrived - (serviced + dropped + final - initial); ~0 by volume
@@ -456,7 +396,6 @@ def run(
     traffic: TrafficModel,
     duration: float,
     seed: int,
-    record_events: bool = False,
     sample_dt: float | None = None,
     initial_queue: float = 0.0,
 ) -> EventLog:
@@ -486,9 +425,9 @@ def run(
     cum_lost = np.zeros(n_grid)
     cum_idle = np.zeros(n_grid)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    final, arrived, serviced, dropped, idle, n_arrivals, n_drops, scalar, events = _kernel(
+    final, arrived, serviced, dropped, idle, n_arrivals, n_drops, scalar = _kernel(
         traffic, rng, duration, sample_dt, float(initial_queue), queue_samples, cum_lost,
-        cum_idle, record_events)
+        cum_idle)
     return EventLog(
         traffic=traffic,
         duration=duration,
@@ -506,7 +445,6 @@ def run(
         queue_samples=queue_samples,
         cum_lost=cum_lost,
         cum_idle=cum_idle,
-        events=events,
     )
 
 

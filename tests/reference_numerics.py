@@ -240,10 +240,12 @@ def simulate_path_py(params, n_steps: int, burn_in: int = 0, seed: int = 0):
     return lengths, losses
 
 
-def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, record):
+def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, *,
+              events: list | None = None):
     """The per-arrival loop ``simulate._kernel`` replaced, with its signature:
-    the same chunked draws, one arrival at a time, and the event record
-    joined from per-chunk columns."""
+    the same chunked draws, one arrival at a time. Given a list ``events``,
+    it appends one ``(time, size, accepted, queue_before, queue_after)``
+    row per arrival, for tests that check the queue rules by hand."""
     from queueloss import simulate as S
 
     r_out = traffic.r_out
@@ -255,13 +257,9 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
     n_drops = n_arrivals = 0
     n_grid = queue_samples.size
     grid_idx = 0
-    chunks = []
     while t < duration:
         etas = traffic.interarrival.sample(rng, S._CHUNK)
         sizes = traffic.packet_size.sample(rng, S._CHUNK)
-        if record:
-            ev = S._event_columns(S._CHUNK)
-            ev_time, ev_size, ev_accepted, ev_q_before, ev_q_after = ev.values()
         consumed = 0
         for i in range(etas.size):
             p = sizes[i]
@@ -281,12 +279,8 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
             tk = arrived + yk
             c_arr = (tk - arrived) - yk
             arrived = tk
-            if record:
-                ev_time[i] = t
-                ev_size[i] = p
-                ev_accepted[i] = accepted
-                ev_q_before[i] = ell
-                ev_q_after[i] = ell_plus
+            if events is not None:
+                events.append((t, p, accepted, ell, ell_plus))
             seg_end = t + eta
             while grid_idx < n_grid and grid_idx * sample_dt <= seg_end:
                 tg = grid_idx * sample_dt
@@ -318,8 +312,5 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
             if t >= duration:
                 break
         n_arrivals += consumed
-        if record:
-            chunks.append({k: c[:consumed] for k, c in ev.items()})
-    events = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]} if record else None
     # Every arrival of the loop is a scalar step.
-    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_arrivals, events
+    return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_arrivals

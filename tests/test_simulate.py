@@ -1,6 +1,6 @@
+import functools
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ class TestDistribution:
         rng = np.random.default_rng(0)
         xs = dist.sample(rng, 200_000)
         assert xs.mean() == pytest.approx(0.5, rel=0.02)
-        assert dist.variance == 0.25
 
     def test_uniform_bounds(self):
         dist = S.Distribution(kind="uniform", low=0.002, high=0.004)
@@ -40,7 +39,6 @@ class TestDistribution:
     def test_deterministic(self):
         dist = S.Distribution(kind="deterministic", mean=0.01)
         assert (dist.sample(np.random.default_rng(2), 5) == 0.01).all()
-        assert dist.variance == 0.0
 
     def test_deterministic_sample_is_a_zero_byte_view(self):
         # A constant needs no per-draw storage; the view must not be
@@ -153,7 +151,7 @@ class TestRun:
         assert log.queue_samples.min() >= 0.0
         assert log.queue_samples.max() <= 1.0
 
-    def test_drop_rule_hand_computed(self):
+    def test_drop_rule_hand_computed(self, monkeypatch):
         # Deterministic arrivals every 0.5 with packets of 0.04 against
         # r_out = 0.02: drain 0.01 per gap, so net +0.03 per arrival.
         # The queue first exceeds 1 - 0.04 after arrival 33, which is the
@@ -163,8 +161,7 @@ class TestRun:
             packet_size=S.Distribution(kind="deterministic", mean=0.04),
             r_out=0.02,
         )
-        log = S.run(traffic, duration=30.0, seed=0, record_events=True)
-        ev = log.events
+        log, ev = _run_with_rows(monkeypatch, traffic, duration=30.0)
         # queue after arrival k (1-based) is 0.04 + 0.03 (k-1) until a drop
         assert ev["queue_after"][0] == pytest.approx(0.04)
         assert ev["queue_after"][10] == pytest.approx(0.04 + 0.03 * 10)
@@ -175,15 +172,25 @@ class TestRun:
         # a drop happens exactly when the packet does not fit
         fits = ev["queue_before"] + ev["size"] <= 1.0
         assert np.array_equal(ev["accepted"], fits)
+        # From then on the queue sits at the top, where the drain of four
+        # gaps (0.04) makes room for one packet: of the 28 arrivals from the
+        # 33rd to the 60th, the last at t = 29.5, 21 are dropped.
+        assert log.n_arrivals == 60 and k_drop == 32
+        assert log.n_drops == int((~fits).sum()) == 21
+        assert log.dropped == pytest.approx(21 * 0.04, rel=1e-12)
+        # A grid time equal to an arrival's time samples the queue before
+        # that arrival, so the lost volume first shows at t = 20 (grid step
+        # 10), the first grid time after the drop at t = 16.
+        assert ev["time"][k_drop] == 16.0
+        assert int(np.flatnonzero(log.cum_lost)[0]) == 2
 
-    def test_piecewise_linear_drain_between_events(self):
+    def test_piecewise_linear_drain_between_events(self, monkeypatch):
         traffic = S.TrafficModel(
             interarrival=S.Distribution(kind="deterministic", mean=0.2),
             packet_size=S.Distribution(kind="deterministic", mean=0.01),
             r_out=0.01,
         )
-        log = S.run(traffic, duration=400.0, seed=0, record_events=True, sample_dt=4.0)
-        ev = log.events
+        log, ev = _run_with_rows(monkeypatch, traffic, duration=400.0, sample_dt=4.0)
         for g, tg in ((20, 80.0), (55, 220.0)):
             i = int(np.searchsorted(ev["time"], tg, side="right") - 1)
             expected = max(ev["queue_after"][i] - (tg - ev["time"][i]) * traffic.r_out, 0.0)
@@ -223,6 +230,19 @@ def _run_both(monkeypatch, traffic, duration, seed, **kwargs):
     return new, ref
 
 
+def _run_with_rows(monkeypatch, traffic, duration, **kwargs):
+    """The run by the block kernel (seed 0), tied bit for bit to the
+    per-arrival loop's, and the loop's per-arrival columns time, size,
+    accepted, queue_before and queue_after."""
+    new = S.run(traffic, duration=duration, seed=0, **kwargs)
+    rows = []
+    monkeypatch.setattr(S, "_kernel", functools.partial(kernel_py, events=rows))
+    ref = S.run(traffic, duration=duration, seed=0, **kwargs)
+    _assert_same_log(new, ref)
+    names = ("time", "size", "accepted", "queue_before", "queue_after")
+    return new, {name: np.array(column) for name, column in zip(names, zip(*rows))}
+
+
 def _assert_same_log(new, ref):
     for name in ("queue_samples", "cum_lost", "cum_idle"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
@@ -231,10 +251,6 @@ def _assert_same_log(new, ref):
     # The block kernel adds offered and serviced volume in larger steps.
     assert new.arrived == pytest.approx(ref.arrived, rel=1e-12, abs=0.0)
     assert new.serviced == pytest.approx(ref.serviced, rel=1e-12, abs=0.0)
-    assert (new.events is None) == (ref.events is None)
-    if ref.events is not None:
-        for name, column in ref.events.items():
-            assert np.array_equal(new.events[name], column), name
 
 
 class TestKernelMatchesLoop:
@@ -242,15 +258,13 @@ class TestKernelMatchesLoop:
 
     @pytest.mark.parametrize("law", ["exponential", "uniform", "deterministic"])
     @pytest.mark.parametrize("r_out", [0.98, 1.0, 1.02, 50.0])
-    @pytest.mark.parametrize("record", [False, True])
-    def test_bit_identical_across_chunks(self, monkeypatch, law, r_out, record):
+    def test_bit_identical_across_chunks(self, monkeypatch, law, r_out):
         # 3001-arrival chunks: a 300-unit run crosses about ten of them.
         monkeypatch.setattr(S, "_CHUNK", 3001)
         traffic = S.TrafficModel(
             interarrival=_law(law, 0.01), packet_size=_law(law, 0.01), r_out=r_out
         )
-        new, ref = _run_both(monkeypatch, traffic, 300.0, 7,
-                             record_events=record, initial_queue=0.96)
+        new, ref = _run_both(monkeypatch, traffic, 300.0, 7, initial_queue=0.96)
         _assert_same_log(new, ref)
 
     def test_interior_arrivals_run_in_blocks(self, monkeypatch):
@@ -303,31 +317,27 @@ class TestSubChunkSeams:
         mp.setattr(S, "_SUB", 257)
 
     @pytest.mark.parametrize("last", [257, 514, 3001, 3258])
-    @pytest.mark.parametrize("record", [False, True])
-    def test_run_ending_on_a_sub_chunk_end(self, monkeypatch, last, record):
+    def test_run_ending_on_a_sub_chunk_end(self, monkeypatch, last):
         # The run ends with the first arrival whose interval reaches the
         # duration: here the last arrival of a sub-chunk (3001 ends the first
         # chunk, 3258 = 3001 + 257 the second chunk's first sub-chunk).
         self._seams(monkeypatch)
         duration = float(_poisson_clock(11, last)[last])
         new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.0), duration, 11,
-                             record_events=record, sample_dt=0.05, initial_queue=0.5)
+                             sample_dt=0.05, initial_queue=0.5)
         assert new.n_arrivals == last
         _assert_same_log(new, ref)
 
     @pytest.mark.parametrize("initial_queue", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("r_out", [1.0, 50.0])
     @pytest.mark.parametrize("sample_dt", [0.003, 5.0])
-    @pytest.mark.parametrize("record", [False, True])
-    def test_grid_steps_and_start_levels(self, monkeypatch, initial_queue, r_out, sample_dt,
-                                         record):
+    def test_grid_steps_and_start_levels(self, monkeypatch, initial_queue, r_out, sample_dt):
         # 0.003 puts several grid points in one arrival's interval; 5.0 is
         # about twice a sub-chunk's span, so some sub-chunks sample nothing.
         # At r_out = 50 every arrival clips.
         self._seams(monkeypatch)
         new, ref = _run_both(monkeypatch, poisson_traffic(r_out=r_out), 60.0, 4,
-                             record_events=record, sample_dt=sample_dt,
-                             initial_queue=initial_queue)
+                             sample_dt=sample_dt, initial_queue=initial_queue)
         assert new.n_arrivals > 5000
         _assert_same_log(new, ref)
 
@@ -339,63 +349,23 @@ class TestSubChunkSeams:
         self._seams(monkeypatch)
         gap = S.Distribution(kind="deterministic", mean=1.0 / 64.0)
         traffic = S.TrafficModel(interarrival=gap, packet_size=gap, r_out=r_out)
-        new, ref = _run_both(monkeypatch, traffic, 2000.0 / 64.0, 0, record_events=True,
+        new, ref = _run_both(monkeypatch, traffic, 2000.0 / 64.0, 0,
                              sample_dt=257.0 / 64.0, initial_queue=0.5)
         _assert_same_log(new, ref)
 
     @given(law=st.sampled_from(["exponential", "uniform", "deterministic"]),
            r_out=st.one_of(st.floats(0.95, 1.05), st.just(50.0)),
            initial_queue=st.sampled_from([0.0, 0.5, 1.0]),
-           sample_dt=st.floats(0.002, 8.0), record=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
+           sample_dt=st.floats(0.002, 8.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_matches_loop(self, law, r_out, initial_queue, sample_dt, record, seed):
+    def test_matches_loop(self, law, r_out, initial_queue, sample_dt, seed):
         traffic = S.TrafficModel(
             interarrival=_law(law, 0.01), packet_size=_law(law, 0.01), r_out=r_out
         )
         with pytest.MonkeyPatch.context() as mp:
             self._seams(mp)
-            new, ref = _run_both(mp, traffic, 40.0, seed, record_events=record,
-                                 sample_dt=sample_dt, initial_queue=initial_queue)
-        _assert_same_log(new, ref)
-
-
-class TestEventRecord:
-    def test_record_assembly_peak_and_bits(self, monkeypatch):
-        # 4096-arrival chunks: a 3000-unit run fills 73 of them and ends
-        # in a partial one. The record is written straight into its
-        # columns, so the run's peak is the record (10 MB) plus the grid
-        # (5%) and the kernel's fixed 0.3 MB of chunk and sub-chunk buffers,
-        # and the columns are exactly what the per-arrival loop records.
-        monkeypatch.setattr(S, "_CHUNK", 4096)
-        traffic = poisson_traffic()
-        S.run(traffic, duration=1.0, seed=0, record_events=True)  # first-call allocations
-        tracemalloc.start()
-        try:
-            log = S.run(traffic, duration=3000.0, seed=5, record_events=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        record_bytes = sum(column.nbytes for column in log.events.values())
-        assert log.n_arrivals > 3 * S._CHUNK
-        assert peak < 1.15 * record_bytes
-
-        monkeypatch.setattr(S, "_kernel", kernel_py)
-        ref = S.run(traffic, duration=3000.0, seed=5, record_events=True)
-        assert list(log.events) == list(ref.events)
-        for name, column in ref.events.items():
-            assert log.events[name].dtype == column.dtype, name
-            assert np.array_equal(log.events[name], column), name
-
-    @pytest.mark.parametrize("capacity", [1, 100, 5000])
-    def test_record_grows_past_its_estimate(self, monkeypatch, capacity):
-        # Columns sized below the run's arrival count must grow, in scalar
-        # steps and in blocks alike, without changing a bit of the record.
-        monkeypatch.setattr(S, "_CHUNK", 3001)
-        monkeypatch.setattr(S, "_record_capacity", lambda traffic, duration: capacity)
-        new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.02), 300.0, 3,
-                             record_events=True, initial_queue=0.5)
-        assert new.n_arrivals > 5 * capacity
+            new, ref = _run_both(mp, traffic, 40.0, seed, sample_dt=sample_dt,
+                                 initial_queue=initial_queue)
         _assert_same_log(new, ref)
 
 
@@ -568,7 +538,7 @@ class TestContinuumCorrelationDecay:
 
 
 class TestCsvExport:
-    """The window and event exports, written by the CLI module's one CSV writer."""
+    """The window export, written by the CLI module's one CSV writer."""
 
     def test_window_schema(self, tmp_path):
         log = S.run(poisson_traffic(), duration=2000.0, seed=12)
@@ -583,51 +553,28 @@ class TestCsvExport:
         assert int(first[0]) == 0
         assert float(first[1]) == pytest.approx(sample.t_start)
 
-    def test_event_schema_roundtrip(self, tmp_path):
-        log = S.run(poisson_traffic(), duration=100.0, seed=12, record_events=True)
-        path = tmp_path / "events.csv"
-        cli.export_events_csv(log, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "time,size,accepted,queue_before,queue_after"
-        assert len(lines) == 1 + log.n_arrivals
-        cols = np.array([line.split(",") for line in lines[1:]])
-        times = cols[:, 0].astype(float)
-        assert (np.diff(times) >= 0).all()
-        dropped = (cols[:, 2] == "0").sum()
-        assert dropped == log.n_drops
-
-    def test_event_export_requires_recording(self, tmp_path):
-        log = S.run(poisson_traffic(), duration=100.0, seed=12)
-        with pytest.raises(ValueError):
-            cli.export_events_csv(log, tmp_path / "events.csv")
-
     def test_export_bytes_pinned(self, tmp_path):
-        # The exact bytes of both files for 300 time units of overloaded
-        # uniform-size traffic. The writer streams the event rows, so its
-        # traced peak stays far below the 1.8 MB file; the parent directory
-        # is created.
+        # The exact bytes of the run's grid arrays and of its window file for
+        # 300 time units of overloaded uniform-size traffic; the parent
+        # directory is created.
         traffic = S.TrafficModel(
             interarrival=S.Distribution(kind="exponential", mean=0.01),
             packet_size=S.Distribution(kind="uniform", low=0.008, high=0.014),
             r_out=1.02,
         )
-        log = S.run(traffic, duration=300.0, seed=3, record_events=True)
-        sample = S.window_losses(log, t_window=5.0, warmup=10.0)
-        out = tmp_path / "exports"
-        cli.export_windows_csv(sample, out / "windows.csv", metadata={"seed": 3, "t_window": 5.0})
-        tracemalloc.start()
-        try:
-            cli.export_events_csv(log, str(out / "events.csv"), metadata={"seed": 3})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        pinned = {  # name: (bytes, SHA-256)
-            "windows.csv":
-                (1375, "a6704b6625214480493a3464ffa83145c6a082f7449e62280b2153d78242fcaf"),
-            "events.csv":
-                (1851666, "b91abecce7a93fab68438507130a256de8be430b20f6717ec51c6ae49e3fbbf7"),
+        log = S.run(traffic, duration=300.0, seed=3)
+        grid = {  # name: SHA-256 of the float64 array's bytes
+            "queue_samples": "8b1381466dab89fb584055e85c660d9a688b84a4cf304f341ff66fa535817011",
+            "cum_lost": "d5092ce9d152f7d812b79d5b0a995d122fa69eaad495eda080160ecd5d5b3a29",
+            "cum_idle": "633490cd7198e762379989e6a843249d10849f5eebbf1806b60ef013d489d5ec",
         }
-        for name, (size, digest) in pinned.items():
-            data = (out / name).read_bytes()
-            assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), name
+        for name, digest in grid.items():
+            column = getattr(log, name)
+            assert column.dtype == np.float64 and column.size == 1501, name
+            assert hashlib.sha256(column.tobytes()).hexdigest() == digest, name
+        sample = S.window_losses(log, t_window=5.0, warmup=10.0)
+        path = tmp_path / "exports" / "windows.csv"
+        cli.export_windows_csv(sample, path, metadata={"seed": 3, "t_window": 5.0})
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            1375, "a6704b6625214480493a3464ffa83145c6a082f7449e62280b2153d78242fcaf")
