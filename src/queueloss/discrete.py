@@ -10,11 +10,14 @@ spectrum is known in closed form (Feller, vol. 1, XVI.3): with
 theta_k = pi k/(L+1), the transient eigenvalues are 2 sqrt(p(1-p)) cos theta_k
 and the eigenvectors are sinusoids. All exact evaluators below run off that
 spectrum in O(L) work, which turns the time sums appearing in window
-variances and correlators into closed geometric sums.
+variances and correlators into closed geometric sums. The mode table is
+built once per (p, L) and kept in a small bounded cache, and the mode
+powers lam^n that underflow to zero are written as zeros, not computed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,9 +125,13 @@ def _angles(L: int) -> np.ndarray:
     return (np.pi / (L + 1)) * np.arange(1, L + 1)
 
 
+@functools.lru_cache(maxsize=8)
 def _modes(params: DiscreteQueueParams) -> tuple[float, np.ndarray, np.ndarray]:
     """Closed-form transient modes of D^{1/2} K D^{-1/2}, D = diag(stationary
-    law): ``(pi_L, lam, w)``.
+    law): ``(pi_L, lam, w)``, kept per parameters in a small bounded cache
+    with read-only arrays, so that a table of windows at one (p, L) builds
+    it once. Its callers take every power lam^n through :func:`_power`,
+    which leaves the powers that underflow uncomputed.
 
     The similarity transform makes the kernel symmetric tridiagonal with
     off-diagonal sqrt(p(1-p)) and diagonal (1-p, 0, ..., 0, p). Besides the
@@ -147,7 +154,25 @@ def _modes(params: DiscreteQueueParams) -> tuple[float, np.ndarray, np.ndarray]:
     half = np.sin(0.5 * theta)
     w = 2.0 * np.sin(theta) ** 2 / ((L + 1) * ((1.0 - rq) ** 2 + 4.0 * rq * half * half))
     pi_L = float(stationary_distribution(params)[-1])
-    return pi_L, lam, w
+    return pi_L, numerics._read_only(lam), numerics._read_only(w)
+
+
+#: log2 of the smallest |lam|^n that :func:`_power` computes. Below it the
+#: power is at least 2^25 below the smallest subnormal, 2^-1074, so ``pow``
+#: rounds it to a signed zero with room to spare for its own rounding.
+_POWER_LOG2_MIN = -1100.0
+
+
+def _power(lam: np.ndarray, n: int) -> np.ndarray:
+    """np.power(lam, n), bit for bit, computing only the modes with
+    |lam|^n >= 2^-1100; the rest are the signed zeros ``pow`` returns there
+    (negative for lam < 0 and odd n). Deep windows and separations leave
+    most powers below that cut."""
+    if n == 0:
+        return np.power(lam, n)
+    out = lam * 0.0 if n % 2 else np.zeros_like(lam)  # lam * 0.0 is -0.0 where lam < 0
+    cut = 2.0 ** (_POWER_LOG2_MIN / n)
+    return np.power(lam, n, out=out, where=np.abs(lam) >= cut)
 
 
 def _eigvec_row(params: DiscreteQueueParams, theta: np.ndarray, ell: int) -> np.ndarray:
@@ -219,7 +244,7 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
     theta = _angles(L)
     norm2 = _eigvec_row(params, theta, L) ** 2 / w
     rows = _eigvec_row(params, theta, frm) * _eigvec_row(params, theta, to) / norm2
-    amp = float(np.dot(rows, np.power(lam, int(n))))
+    amp = float(np.dot(rows, _power(lam, n)))
     ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
     return float(stationary_distribution(params)[to]) + ratio * amp
 
@@ -261,26 +286,24 @@ def _window_weight_sum(lam: np.ndarray, N: int) -> np.ndarray:
 
     Direct form [(N-1)(1-lam) - lam(1 - lam^{N-1})] / (1-lam)^2 cancels badly
     when (N-1)(1-lam) is small; a 4-term Taylor expansion in (1-lam) covers
-    that corner.
+    that corner, and only a non-empty corner splits the modes.
     """
-    lam = np.asarray(lam, dtype=float)
     x = 1.0 - lam
     nm1 = float(N - 1)
-    out = np.empty_like(lam)
     small = nm1 * np.abs(x) < 1e-3
-    if np.any(small):
-        xs = x[small]
-        c2 = nm1 * (N - 2.0) / 2.0
-        c3 = c2 * (N - 3.0) / 3.0
-        c4 = c3 * (N - 4.0) / 4.0
-        c5 = c4 * (N - 5.0) / 5.0
-        out[small] = (c2 + nm1) - (c3 + c2) * xs + (c4 + c3) * xs**2 - (c5 + c4) * xs**3
-    big = ~small
-    if np.any(big):
-        lb = lam[big]
-        xb = x[big]
-        lam_pow = np.power(lb, N - 1)
-        out[big] = (nm1 * xb - lb * (1.0 - lam_pow)) / (xb * xb)
+    corner = small.any()
+    lb, xb = (lam[~small], x[~small]) if corner else (lam, x)
+    direct = (nm1 * xb - lb * (1.0 - _power(lb, N - 1))) / (xb * xb)
+    if not corner:
+        return direct
+    out = np.empty_like(lam)
+    out[~small] = direct
+    xs = x[small]
+    c2 = nm1 * (N - 2.0) / 2.0
+    c3 = c2 * (N - 3.0) / 3.0
+    c4 = c3 * (N - 4.0) / 4.0
+    c5 = c4 * (N - 5.0) / 5.0
+    out[small] = (c2 + nm1) - (c3 + c2) * xs + (c4 + c3) * xs**2 - (c5 + c4) * xs**3
     return out
 
 
@@ -340,17 +363,18 @@ def critical_coefficient() -> float:
 
 
 def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:
-    """(1 - lam^N) / (1 - lam), stable at lam -> 1."""
-    lam = np.asarray(lam, dtype=float)
+    """(1 - lam^N) / (1 - lam), stable at lam -> 1; as in
+    :func:`_window_weight_sum`, only a non-empty corner splits the modes."""
     x = 1.0 - lam
-    out = np.empty_like(lam)
     small = N * np.abs(x) < 1e-6
-    if np.any(small):
-        xs = x[small]
-        out[small] = N * (1.0 - (N - 1.0) * xs / 2.0)
-    big = ~small
-    if np.any(big):
-        out[big] = (1.0 - np.power(lam[big], N)) / x[big]
+    corner = small.any()
+    lb, xb = (lam[~small], x[~small]) if corner else (lam, x)
+    direct = (1.0 - _power(lb, N)) / xb
+    if not corner:
+        return direct
+    out = np.empty_like(lam)
+    out[~small] = direct
+    out[small] = N * (1.0 - (N - 1.0) * x[small] / 2.0)
     return out
 
 
@@ -393,7 +417,7 @@ def correlator_r2(
     pi_L, lam, w = _modes(params)
     p = params.p
     geom = _geometric_window_factor(lam, N)
-    cov = pi_L * p * p * float(np.dot(w, np.power(lam, M - N) * geom * geom))
+    cov = pi_L * p * p * float(np.dot(w, _power(lam, M - N) * geom * geom))
     var = _window_variance(p, N, pi_L, lam, w)
     if var == 0.0:
         raise DegenerateParamsError(

@@ -493,8 +493,14 @@ def loss_pdf(
     if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
         return (0.0, "tail-cutoff") if return_regime else 0.0
 
-    value = _invert_wall(params, tau, "loss pdf",
-                         lambda eps, w, d: p1 * np.exp(-x / w) / d)
+    def transform(eps, w, d):
+        # p1 exp(-x / w) / d, in that order of operations, in one buffer.
+        out = np.divide(-x, w)
+        np.exp(out, out=out)
+        np.multiply(p1, out, out=out)
+        return np.divide(out, d, out=out)
+
+    value = _invert_wall(params, tau, "loss pdf", transform)
     return (value, "inverted") if return_regime else value
 
 

@@ -6,14 +6,16 @@ the overflow-safe hyperbolic ratios are implemented here on NumPy and
 asymptotic series of the erfc tail serves both erfcx and erfcx_gap from
 x = 7 on. All kernels are pure functions and safe for concurrent use. The
 inversion keeps each time's contour data in a bounded
-``functools.lru_cache``: the nodes, and on the off-axis nodes of both
-contours together the factors e^{s tau} and 1 + i sigma, so one call forms
-every term in one pass and sums each contour with one ``math.fsum`` over a
-list. The continuum layer caches likewise what does not depend on the lost
-volume: W(1, eps; 1) and the lost-volume density's denominator eps^2 W^2
-per (parameters, tau), and p(1) per parameters. The cached arrays are
-read-only, so every caller shares them without copying and none can change
-what another reads.
+``functools.lru_cache``: the nodes of both contours together and, on every
+node, the factors e^{s tau} and 1 + i sigma, with each contour's head node
+s = r folded in as 0.5 e^{r tau} and 1. One call forms every term in one
+pass with no gather, and sums each contour as its head term plus one
+``math.fsum`` over its off-axis terms. The continuum layer caches likewise
+what does not depend on the lost volume: W(1, eps; 1) and the lost-volume
+density's denominator eps^2 W^2 per (parameters, tau), and p(1) per
+parameters; the discrete layer caches its mode table per (p, L). The cached
+arrays are read-only, so every caller shares them without copying and none
+can change what another reads.
 """
 
 from __future__ import annotations
@@ -50,19 +52,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _talbot_contours(tau: float):
-    """Both inversion contours at ``tau``, as the tuple (nodes, off,
-    e^{s tau}, 1 + i sigma, contours): the nodes of the fine (48) and coarse
-    (40) contour concatenated in that order; the indices of their off-axis
-    nodes, and e^{s tau} and 1 + i sigma on those, concatenated likewise;
-    and per contour the tuple (the index of its head node s = r, the slice
-    of the off-axis arrays it owns, the head factor 0.5 e^{r tau}, the
+    """Both inversion contours at ``tau``, as the tuple (nodes, factor,
+    1 + i sigma, contours): the nodes of the fine (48) and coarse (40)
+    contour concatenated in that order, and on the same nodes the factors
+    whose product with F(s) is each node's term, the head node s = r of
+    each contour folded in as factor 0.5 e^{r tau} and 1 + i sigma = 1,
+    every off-axis node as e^{s tau} and 1 + i sigma; and per contour the
+    tuple (the index of its head node, the slice of its off-axis nodes, the
     scale r/m).
     """
     # Contour s(theta) = r*theta*(cot(theta) + i), theta in (-pi, pi),
     # with the customary radius r = 2m/(5 tau); node 0 is the real axis
     # crossing s = r, the rest the upper half (the lower half is conjugate).
-    nodes, off, exp_s_tau, one_i_sigma, contours, start = [], [], [], [], [], 0
-    at = 0  # off-axis nodes so far
+    nodes, factor, one_i_sigma, contours, start = [], [], [], [], 0
     for m in (LAPLACE_NODES, LAPLACE_NODES - LAPLACE_NODES // 6):
         r = 2.0 * m / (5.0 * tau)
         theta = np.arange(1, m) * (np.pi / m)
@@ -70,13 +72,11 @@ def _talbot_contours(tau: float):
         s = np.concatenate(([r], r * theta * (cot + 1j)))
         sigma = theta + (theta * cot - 1.0) * cot
         nodes.append(s)
-        off.append(np.arange(start + 1, start + m))
-        exp_s_tau.append(np.exp(s[1:] * tau))
-        one_i_sigma.append(1.0 + 1j * sigma)
-        contours.append((start, slice(at, at + m - 1), 0.5 * math.exp(r * tau), r / m))
+        factor.append(np.concatenate(([0.5 * math.exp(r * tau)], np.exp(s[1:] * tau))))
+        one_i_sigma.append(np.concatenate(([1.0], 1.0 + 1j * sigma)))
+        contours.append((start, slice(start + 1, start + m), r / m))
         start += m
-        at += m - 1
-    return (*(_read_only(np.concatenate(a)) for a in (nodes, off, exp_s_tau, one_i_sigma)),
+    return (*(_read_only(np.concatenate(a)) for a in (nodes, factor, one_i_sigma)),
             tuple(contours))
 
 
@@ -98,14 +98,11 @@ def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
         raise ValueError(f"tau must be finite, got {tau}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    nodes, off, exp_s_tau, one_i_sigma, contours = _talbot_contours(float(tau))
+    nodes, factor, one_i_sigma, contours = _talbot_contours(float(tau))
     with np.errstate(over="ignore", invalid="ignore"):
-        fs = np.asarray(F(nodes), dtype=complex)
-        terms = ((exp_s_tau * fs[off]) * one_i_sigma).real.tolist()
-    re = fs.real
+        terms = ((factor * F(nodes)) * one_i_sigma).real.tolist()
     try:
-        v1, v2 = [scale * (head_factor * float(re[head]) + math.fsum(terms[at]))
-                  for head, at, head_factor, scale in contours]
+        v1, v2 = [scale * (terms[head] + math.fsum(terms[off])) for head, off, scale in contours]
     except (ValueError, OverflowError):  # fsum met inf - inf or left the float range
         v1 = v2 = math.nan
     if not (math.isfinite(v1) and math.isfinite(v2)):

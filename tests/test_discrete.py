@@ -117,6 +117,33 @@ class TestClosedFormSpectrum:
         assert np.abs(np.concatenate(([1.0], lam)) - vals).max() <= 1e-12
         assert np.abs(np.concatenate(([pi_L], w)) - weights).max() <= 1e-12
 
+    def test_mode_table_is_read_only(self):
+        _, lam, w = D._modes(D.DiscreteQueueParams(p=0.45, L=30))
+        for a in (lam, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_mode_cache_is_bounded(self):
+        D._modes.cache_clear()
+        maxsize = D._modes.cache_parameters()["maxsize"]
+        for i in range(maxsize + 10):
+            D.loss_variance_exact(D.DiscreteQueueParams(p=0.3 + 0.01 * i, L=40), 100)
+        info = D._modes.cache_info()
+        assert info.misses == maxsize + 10
+        assert info.currsize <= maxsize
+
+    @given(p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           L=st.integers(1, 5000), k=st.integers(0, 4999), offset=st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_power_is_numpy_power_bit_for_bit(self, p, L, k, offset):
+        # Modes with |lam|^n below 2^-1100 are written as the signed zero pow
+        # returns there, not computed; n near mode k's cut puts modes on
+        # both sides of it.
+        _, lam, _ = D._modes(D.DiscreteQueueParams(p=p, L=L))
+        near_cut = max(0, round(-1100.0 / math.log2(abs(lam[k % L]))) + offset)
+        for n in (0, 1, 2, near_cut, 10**6):
+            assert D._power(lam, n).tobytes() == np.power(lam, n).tobytes()
+
 
 class TestGreenFunction:
     def test_zero_steps_is_identity(self):
@@ -327,6 +354,41 @@ class TestLossVariance:
     def test_degenerate_paths_have_no_variance(self):
         assert D.loss_variance_exact(D.DiscreteQueueParams(p=1.0, L=4), 100) == 0.0
         assert D.loss_variance_exact(D.DiscreteQueueParams(p=0.0, L=4), 100) == 0.0
+
+
+class TestExactPins:
+    # float.hex() of (loss_variance_exact, compressibility, correlator_r2) at
+    # (p, L, N, M): the cached mode table and the powers left uncomputed
+    # below 2^-1100 must not move a bit.
+    PINNED = [
+        (0.05, 1, 1, 2, ('0x1.46dc5d638865cp-9', '0x1.feb851eb851ecp-1',
+                         '0x1.77207486f662fp-60')),
+        (0.97, 2, 5, 7, ('0x1.07f276dbdf99dp-1', '0x1.c142275bf31f6p-4',
+                         '0x1.e0d2df6b455f1p-10')),
+        (0.3, 20, 10, 100, ('0x1.3b4a8113019e2p-23', '0x1.f5bc1ab8c98f5p+0',
+                            '0x1.c8fe3e1a9403dp-20')),
+        (0.5, 20, 1, 2, ('0x1.7ccea8583c5f3p-6', '0x1.f3cf3cf3cf3cfp-1',
+                         '0x1.da895da895da8p-3')),
+        (0.7, 100, 100, 1000, ('0x1.4580069358e53p+6', '0x1.04666ba913ea9p+1',
+                               '0x1.6c02b67282999p-128')),
+        (0.45, 100, 1000, 10000, ('0x1.92622ca2b4766p-20', '0x1.302bcfbef3952p+3',
+                                  '0x1.0ebd67d20dccfp-80')),
+        (0.5, 1000, 100000, 200000, ('0x1.bf289345f2b3ap+13', '0x1.1e77b5ebee4e3p+8',
+                                     '0x1.23948bb247386p-3')),
+        (0.51, 3000, 100000, 1000000, ('0x1.8196800000ee0p+16', '0x1.8ad78d4fe02e9p+5',
+                                       '0x1.d08bab41401dep-278')),
+        (0.55, 3000, 10000, 50000, ('0x1.33d4000000008p+13', '0x1.3b374bc6a7efbp+3',
+                                    '0x1.06c8235779445p-309')),
+        (0.5, 3000, 100, 101, ('0x1.6a6f7cef37ae5p-3', '0x1.53e583ce19e5fp+3',
+                               '0x1.a32b227fd488bp-2')),
+    ]
+
+    @pytest.mark.parametrize("p, L, N, M, want", PINNED)
+    def test_values_are_pinned_to_the_bit(self, p, L, N, M, want):
+        params = D.DiscreteQueueParams(p=p, L=L)
+        got = (D.loss_variance_exact(params, N), D.compressibility(params, N),
+               D.correlator_r2(params, N, M))
+        assert tuple(v.hex() for v in got) == want
 
 
 class TestCompressibility:

@@ -1,0 +1,46 @@
+"""The output digest ``tools/exact_digest.py`` on a reduced grid."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "exact_digest.py"
+_spec = importlib.util.spec_from_file_location("exact_digest", _TOOL)
+exact_digest = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = exact_digest  # the Grid dataclass looks its module up
+_spec.loader.exec_module(exact_digest)
+
+SMALL = exact_digest.Grid(ps=(0.3, 0.5), Ls=(2, 100), Ns=(1, 1000),
+                          steps=((1, 0, 1), (200, 3000, 0)), drifts=(0.0, 2.0),
+                          sigma2s=(2.0,), times=(0.01, 10.0), panels=1)
+#: The ``all`` digest of SMALL, taken before the discrete mode table was
+#: cached and its underflowing powers skipped: those changes kept every bit.
+PINNED = "e27a30a75f22621b4b38b86fca479c70922367a64824fc855b4234abea5761e8"
+
+
+def _clear_package_caches():
+    for module in (exact_digest.D, exact_digest.F, exact_digest.F.numerics):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_cold_and_warm_runs_agree():
+    _clear_package_caches()
+    cold = exact_digest.digests(SMALL)
+    assert exact_digest.digests(SMALL) == cold
+    assert {name: count for name, (count, _) in cold.items()} == {
+        "discrete": 2 * 2 * (1 + 2 * 6 + 2), "continuum": 2 * 2 * (4 + 8), "all": 108}
+
+
+def test_reduced_grid_digest_is_pinned():
+    assert exact_digest.digests(SMALL)["all"][1] == PINNED
+
+
+def test_main_prints_one_row_per_part(capsys, monkeypatch):
+    monkeypatch.setattr(exact_digest, "Grid", lambda: SMALL)
+    assert exact_digest.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [[name, str(count), sha]
+                    for name, (count, sha) in exact_digest.digests(SMALL).items()]
+

@@ -1,0 +1,134 @@
+"""Digest the exact evaluators' outputs over a fixed grid, bit for bit.
+
+Every value is fed to SHA-256 as its ``float.hex()`` string, with the call
+that made it; a call that raises is fed the name of the exception type. Two
+checkouts whose digests agree return the same bits on the whole grid, so a
+change meant to leave every output bit-identical can be checked by running
+this tool on both.
+
+The grid:
+
+- ``discrete``: p in {0.05, 0.3, 0.5, 0.51, 0.7, 0.97} x L in {1, 2, 20,
+  100, 3000} x N in {1, 2, 10, 100, 1000, 100000}: ``mean_loss_rate_exact``,
+  ``loss_variance_exact``, ``compressibility``, ``correlator_r2`` on both
+  branches at M = N + 1 and M = 10 N, and ``green_function`` at a few
+  (n, frm, to);
+- ``continuum``: a in {-1, 0, 0.5, 1, 2} x sigma2 in {0.5, 2} x t in
+  {1e-3, 1e-2, 0.1, 1, 10, 100}: ``loss_moment`` k = 2..4,
+  ``loss_probability`` and ``loss_pdf`` on 8-point Gauss-Legendre nodes of
+  four panels of [0, p(1)(tau + 6 sqrt(tau) + 1)].
+
+Usage::
+
+    python tools/exact_digest.py
+
+Imports ``queueloss`` from ``src/`` next to this directory and prints one
+``part values sha256`` row per part, then the ``all`` row over both.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from queueloss import discrete as D  # noqa: E402
+from queueloss import fokker_planck as F  # noqa: E402
+
+_GL_NODES = np.polynomial.legendre.leggauss(8)[0]
+
+
+@dataclass(frozen=True)
+class Grid:
+    ps: tuple = (0.05, 0.3, 0.5, 0.51, 0.7, 0.97)
+    Ls: tuple = (1, 2, 20, 100, 3000)
+    Ns: tuple = (1, 2, 10, 100, 1000, 100000)
+    #: (n, frm, to) of green_function, clipped to 0..L
+    steps: tuple = ((0, 0, 0), (1, 0, 1), (65, 0, 2000), (200, 3000, 0), (5000, 1, 1))
+    drifts: tuple = (-1.0, 0.0, 0.5, 1.0, 2.0)
+    sigma2s: tuple = (0.5, 2.0)
+    times: tuple = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
+    panels: int = 4
+
+
+class _Digest:
+    """SHA-256 over ``(label, value)`` records; a value is a float's hex
+    form or, for a call that raised, the exception's type name."""
+
+    def __init__(self) -> None:
+        self.h = hashlib.sha256()
+        self.count = 0
+
+    def call(self, label: str, fn, *args) -> None:
+        try:
+            value = float(fn(*args)).hex()
+        except Exception as exc:  # noqa: BLE001 - the error's type is the output
+            value = type(exc).__name__
+        self.h.update(f"{label} {args!r} {value}\n".encode())
+        self.count += 1
+
+
+def discrete_part(grid: Grid) -> _Digest:
+    out = _Digest()
+    for p in grid.ps:
+        for L in grid.Ls:
+            params = D.DiscreteQueueParams(p=p, L=L)
+            out.call("rate", D.mean_loss_rate_exact, params)
+            for N in grid.Ns:
+                out.call("variance", D.loss_variance_exact, params, N)
+                out.call("chi", D.compressibility, params, N)
+                for M in (N + 1, 10 * N):
+                    for branch in ("exact", "analytic"):
+                        out.call("r2", D.correlator_r2, params, N, M, branch)
+            for n, frm, to in grid.steps:
+                out.call("green", D.green_function, params, n, min(frm, L), min(to, L))
+    return out
+
+
+def pdf_nodes(params: F.FpParams, t: float, panels: int) -> list[float]:
+    """Gauss-Legendre nodes on ``panels`` equal panels of [0, top],
+    top = p(1)(tau + 6 sqrt(tau) + 1), the x range of a loss_pdf curve."""
+    tau = 0.5 * params.sigma2 * t
+    top = float(F.stationary_density(params, 1.0)) * (tau + 6.0 * math.sqrt(tau) + 1.0)
+    edges = np.linspace(0.0, top, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (half * (_GL_NODES + 1.0) + edges[:-1, None]).ravel().tolist()
+
+
+def continuum_part(grid: Grid) -> _Digest:
+    out = _Digest()
+    ctrl = F.SeriesControl()
+    for a in grid.drifts:
+        for s2 in grid.sigma2s:
+            params = F.FpParams(a=a, sigma2=s2)
+            for t in grid.times:
+                for k in (2, 3, 4):
+                    out.call("moment", F.loss_moment, params, ctrl, k, t)
+                out.call("p_loss", F.loss_probability, params, ctrl, t)
+                for x in pdf_nodes(params, t, grid.panels):
+                    out.call("pdf", F.loss_pdf, params, ctrl, x, t)
+    return out
+
+
+def digests(grid: Grid) -> dict[str, tuple[int, str]]:
+    """``part -> (values, sha256)`` for both parts, and ``all`` over both."""
+    parts = {"discrete": discrete_part(grid), "continuum": continuum_part(grid)}
+    total = hashlib.sha256("".join(d.h.hexdigest() for d in parts.values()).encode())
+    return {**{name: (d.count, d.h.hexdigest()) for name, d in parts.items()},
+            "all": (sum(d.count for d in parts.values()), total.hexdigest())}
+
+
+def main() -> int:
+    for name, (count, sha) in digests(Grid()).items():
+        print(name, count, sha)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
