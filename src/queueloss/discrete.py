@@ -125,13 +125,16 @@ def _angles(L: int) -> np.ndarray:
     return (np.pi / (L + 1)) * np.arange(1, L + 1)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _modes(params: DiscreteQueueParams) -> tuple[float, np.ndarray, np.ndarray]:
     """Closed-form transient modes of D^{1/2} K D^{-1/2}, D = diag(stationary
     law): ``(pi_L, lam, w)``, kept per parameters in a small bounded cache
     with read-only arrays, so that a table of windows at one (p, L) builds
-    it once. Its callers take every power lam^n through :func:`_power`,
-    which leaves the powers that underflow uncomputed.
+    it once, and a grid of up to 16 (p, L) revisited point by point (a CLI
+    table, then correlators on the same grid) builds each table once. The
+    cache holds at most 16 x 2 x L doubles: 48 KB per table at L = 3000.
+    Its callers take every power lam^n through :func:`_power`, which leaves
+    the powers that underflow uncomputed.
 
     The similarity transform makes the kernel symmetric tridiagonal with
     off-diagonal sqrt(p(1-p)) and diagonal (1-p, 0, ..., 0, p). Besides the

@@ -22,7 +22,15 @@ in :func:`laplace_propagator`, which the test suite checks against it to
 
 Loss moments and the lost-volume PDF are given in the Laplace domain
 conjugate to tau and are inverted numerically; short- and long-time closed
-forms are exposed as separate asymptotic evaluators.
+forms are exposed as separate asymptotic evaluators. Every inversion reads
+one bounded cache entry per (params, tau), the wall record: p(1), the
+read-only W = W(1, eps; 1) and eps^2 W^2 on the nodes of both inversion
+contours, the contour data, the deep-tail cutoff of the lost-volume PDF
+and a bound on x below which none of its terms can overflow. Moments and
+the loss probability invert through ``numerics.laplace_invert``; a
+``loss_pdf`` point forms its terms in one buffer from the record and
+sums them with the same contour sum, entering ``np.errstate`` only past
+that x, so a warm point costs one cache lookup and its own arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -357,27 +366,86 @@ def _wall_density(params: FpParams) -> float:
     return float(stationary_density(params, 1.0))
 
 
-@functools.lru_cache(maxsize=128)
-def _wall_on_contours(params: FpParams, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """W = W(1, eps; 1) and the lost-volume density's denominator eps^2 W^2
-    on the nodes of both inversion contours at ``tau``, read-only and in
-    the order :func:`numerics.laplace_invert` passes them."""
-    eps = numerics._talbot_contours(tau)[0]
-    w = boundary_return_transform(params, eps)
-    return numerics._read_only(w), numerics._read_only(eps * eps * w * w)
+#: The largest magnitude any step of a loss_pdf point's arithmetic may
+#: reach outside ``np.errstate``: 2^24 below the overflow threshold, far
+#: above the rounding of the bound itself.
+_STEP_MAX = 2.0**1000
 
 
-def _invert_wall(params: FpParams, tau: float, what: str, g) -> float:
-    """Invert g(eps, W, eps^2 W^2) at reduced time tau, W = W(1, eps; 1).
+class _WallRecord(NamedTuple):
+    """Everything a loss_pdf point at one (params, tau) reads but x."""
 
-    W and eps^2 W^2 are evaluated once per (params, tau), on the nodes of
-    both contours together, and kept in a bounded cache: every moment, the
-    loss probability and every loss_pdf point at one (params, t) share them.
+    p1: float
+    #: W(1, eps; 1) and the density's denominator eps^2 W^2 on every node
+    w: np.ndarray
+    d: np.ndarray
+    #: the contour data of numerics._talbot_contours(tau)
+    factor: np.ndarray
+    one_i_sigma: np.ndarray
+    contours: tuple
+    #: the deep-tail cutoff p(1) (tau + 12 sqrt(tau) + 1)
+    x_cut: float
+    #: up to here no step of a point's arithmetic can overflow
+    x_safe: float
+
+
+def _overflow_free_x(p1: float, w, d, factor, one_i_sigma) -> float:
+    """A lost volume x up to which no step of a loss_pdf point's terms can
+    overflow on any node; -inf where even x = 0 is not shown safe.
+
+    The steps are -x/W, e^{-x/W}, its product with p(1), the quotient by
+    eps^2 W^2 and the products with the contour factor and with 1 + i sigma.
+    On node k, |e^{-x/W_k}| = e^{x Re(-1/W_k)}, and each later step's
+    magnitude is at most that times the product of the operands' largest
+    magnitudes over the nodes, doubled for each complex product or quotient
+    to cover its partial products. With the largest Re(-1/W_k), every step,
+    |-x/W_k| and the quotients' reciprocals 1/|W_k| and 1/|eps^2 W_k^2| are
+    held below 2^1000. NumPy forms both parts of -x/W to a few rounding
+    units, so Re(-x/W_k) is x Re(-1/W_k) within a relative 1e-15. Below the
+    returned x no operation can raise NumPy's overflow or invalid flag.
     """
-    w, d = _wall_on_contours(params, tau)
-    # laplace_invert calls the transform once, on exactly the nodes w and d
-    # were evaluated on.
-    value, err = numerics.laplace_invert(lambda eps: g(eps, w, d), tau)
+    w_abs, d_abs = np.abs(w), np.abs(d)
+    if not (math.isfinite(w_abs.max()) and math.isfinite(d_abs.max())):
+        return -math.inf
+    w_min, d_min = float(w_abs.min()), float(d_abs.min())
+    if min(w_min, d_min) <= 2.0 / _STEP_MAX:
+        return -math.inf
+    # The largest step after e^{-x/W}, over e^{x Re(-1/W)}: at most
+    # max(1, p1, 2 p1/|d|, 4 p1 |factor|/|d|, 8 p1 |factor| |1 + i sigma|/|d|).
+    scale = max(1.0, 2.0 * float(np.abs(one_i_sigma).max()))
+    scale = max(1.0, 2.0 * float(np.abs(factor).max()) * scale)
+    scale = max(1.0, p1 * max(1.0, 2.0 / d_min * scale))
+    if not scale < _STEP_MAX:  # also NaN, where p(1) = 0 meets an overflowed quotient
+        return -math.inf
+    x = 0.5 * _STEP_MAX * w_min  # |-x/W| <= 2 x/|W|
+    rate = float((-1.0 / w).real.max())
+    if rate > 0.0:
+        x = min(x, (math.log(_STEP_MAX) - math.log(scale)) / rate)
+    return x
+
+
+@functools.lru_cache(maxsize=128)
+def _wall_record(params: FpParams, tau: float) -> _WallRecord:
+    """The :class:`_WallRecord` at (params, tau): W = W(1, eps; 1) and
+    eps^2 W^2 on the nodes of both inversion contours, read-only and in
+    the order of :func:`numerics._talbot_contours`, next to p(1), the
+    contour data, the deep-tail cutoff and :func:`_overflow_free_x`.
+
+    One bounded cache entry serves every moment, the loss probability and
+    every loss_pdf point at one (params, t), so a point costs one lookup.
+    """
+    p1 = _wall_density(params)
+    eps, factor, one_i_sigma, contours = numerics._talbot_contours(tau)
+    w = boundary_return_transform(params, eps)
+    d = eps * eps * w * w
+    return _WallRecord(p1, numerics._read_only(w), numerics._read_only(d), factor,
+                       one_i_sigma, contours, p1 * (tau + 12.0 * math.sqrt(tau) + 1.0),
+                       _overflow_free_x(p1, w, d, factor, one_i_sigma))
+
+
+def _settled(value: float, err: float, tau: float, what: str) -> float:
+    """``value`` of an inversion at reduced time tau, unless its error
+    estimate ``err`` exceeds 1e-3 |value| + 1e-4: then InversionError."""
     # The guard catches genuine non-convergence (wild contour-to-contour
     # drift, non-finite nodes); accuracy at the package's working scales is
     # pinned separately by the validation suite against known inverses and
@@ -389,6 +457,16 @@ def _invert_wall(params: FpParams, tau: float, what: str, g) -> float:
             f"(estimate {err:.3g} with {numerics.LAPLACE_NODES} nodes)"
         )
     return value
+
+
+def _invert_wall(params: FpParams, tau: float, what: str, g) -> float:
+    """Invert g(eps, W, eps^2 W^2) at reduced time tau, W = W(1, eps; 1),
+    with W and eps^2 W^2 from :func:`_wall_record`."""
+    record = _wall_record(params, tau)
+    w, d = record.w, record.d
+    # laplace_invert calls the transform once, on exactly the nodes w and d
+    # were evaluated on.
+    return _settled(*numerics.laplace_invert(lambda eps: g(eps, w, d), tau), tau, what)
 
 
 def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> float:
@@ -482,26 +560,38 @@ def loss_pdf(
     if x < 0.0:
         raise ValueError("lost volume must be >= 0")
     tau = _reduced_time(params, t)
-    p1 = _wall_density(params)
     if tau > PDF_INVERSION_TAU_MAX:
+        p1 = _wall_density(params)
         # With p(1) = 0 there is no loss mass, and the surrogate would be 0/0.
         value = float(loss_pdf_asymptotic(params, x, t, "long")) if p1 > 0.0 else 0.0
         return (value, "surrogate") if return_regime else value
+    p1, w, d, factor, one_i_sigma, contours, x_cut, x_safe = _wall_record(params, tau)
     # Deep-tail cutoff: losses beyond tau p(1) by many diffusive spreads have
     # density below double-precision inversion resolution, and the shifted
     # effective time there turns negative, which no contour can represent.
-    if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
+    if x > x_cut:
         return (0.0, "tail-cutoff") if return_regime else 0.0
-
-    def transform(eps, w, d):
-        # p1 exp(-x / w) / d, in that order of operations, in one buffer.
-        out = np.divide(-x, w)
-        np.exp(out, out=out)
-        np.multiply(p1, out, out=out)
-        return np.divide(out, d, out=out)
-
-    value = _invert_wall(params, tau, "loss pdf", transform)
+    if x <= x_safe:
+        terms = _pdf_terms(x, p1, w, d, factor, one_i_sigma)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _pdf_terms(x, p1, w, d, factor, one_i_sigma)
+    value, err = numerics._contour_sums(terms, contours, tau)
+    value = _settled(value, err, tau, "loss pdf")
     return (value, "inverted") if return_regime else value
+
+
+def _pdf_terms(x: float, p1: float, w, d, factor, one_i_sigma) -> list:
+    """Real parts of the loss_pdf terms on every contour node: the transform
+    p1 exp(-x / W) / d, in that order of operations, times the contour
+    factor and then 1 + i sigma, all in one buffer."""
+    out = np.divide(-x, w)
+    np.exp(out, out=out)
+    np.multiply(p1, out, out=out)
+    np.divide(out, d, out=out)
+    np.multiply(factor, out, out=out)
+    np.multiply(out, one_i_sigma, out=out)
+    return out.real.tolist()
 
 
 def loss_pdf_conditional(params: FpParams, ctrl: SeriesControl, x: float, t: float) -> float:

@@ -9,13 +9,17 @@ inversion keeps each time's contour data in a bounded
 ``functools.lru_cache``: the nodes of both contours together and, on every
 node, the factors e^{s tau} and 1 + i sigma, with each contour's head node
 s = r folded in as 0.5 e^{r tau} and 1. One call forms every term in one
-pass with no gather, and sums each contour as its head term plus one
-``math.fsum`` over its off-axis terms. The continuum layer caches likewise
-what does not depend on the lost volume: W(1, eps; 1) and the lost-volume
-density's denominator eps^2 W^2 per (parameters, tau), and p(1) per
-parameters; the discrete layer caches its mode table per (p, L). The cached
-arrays are read-only, so every caller shares them without copying and none
-can change what another reads.
+pass with no gather, inside ``np.errstate`` so that overflow shows as a
+non-finite sum, not as a NumPy warning. One contour sum, ``_contour_sums``,
+ends every inversion in the package: each contour's value is its head term
+plus one ``math.fsum`` over its off-axis terms, and a non-finite value
+raises :class:`InversionError`. The continuum layer's ``loss_pdf`` forms its
+terms itself and ends in the same sum: it reads one cached record per
+(parameters, tau) holding everything a point needs but x, and enters
+``np.errstate`` only past the record's overflow-free x, below which no step
+can overflow. The discrete layer caches its mode table per (p, L). The
+cached arrays are read-only, so every caller shares them without copying
+and none can change what another reads.
 """
 
 from __future__ import annotations
@@ -101,8 +105,21 @@ def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
     nodes, factor, one_i_sigma, contours = _talbot_contours(float(tau))
     with np.errstate(over="ignore", invalid="ignore"):
         terms = ((factor * F(nodes)) * one_i_sigma).real.tolist()
+    return _contour_sums(terms, contours, tau)
+
+
+def _contour_sums(terms: list, contours: tuple, tau: float) -> tuple[float, float]:
+    """``(value, |fine - coarse|)`` from ``terms``, the real parts of
+    factor F(s) (1 + i sigma) on every node of :func:`_talbot_contours`
+    ``(tau)``, and its ``contours``: each contour's value is its scale times
+    its head term plus one ``math.fsum`` over its off-axis terms.
+    :class:`InversionError` unless both values are finite. Every inversion
+    in the package ends here.
+    """
+    (head1, off1, scale1), (head2, off2, scale2) = contours
     try:
-        v1, v2 = [scale * (terms[head] + math.fsum(terms[off])) for head, off, scale in contours]
+        v1 = scale1 * (terms[head1] + math.fsum(terms[off1]))
+        v2 = scale2 * (terms[head2] + math.fsum(terms[off2]))
     except (ValueError, OverflowError):  # fsum met inf - inf or left the float range
         v1 = v2 = math.nan
     if not (math.isfinite(v1) and math.isfinite(v2)):

@@ -196,6 +196,32 @@ def inverted_propagator(v: float, x: float, y: float, tau: float, dps: int = 40)
         return float(mpmath.invertlaplace(transform, mpmath.mpf(tau), method="talbot"))
 
 
+def loss_pdf_via_laplace_invert(params, x: float, t: float) -> float:
+    """The lost-volume density as :func:`F.loss_pdf` evaluated it when every
+    point went through :func:`numerics.laplace_invert`: the same validation,
+    surrogate and tail cutoff, and below them p(1) e^{-x/W} / (eps^2 W^2),
+    W = W(1, eps; 1) evaluated afresh on the contour nodes, inverted there
+    under the error budget 1e-3 |value| + 1e-4."""
+    if not math.isfinite(x):
+        raise ValueError(f"lost volume must be finite, got {x}")
+    if x < 0.0:
+        raise ValueError("lost volume must be >= 0")
+    tau = F._reduced_time(params, t)
+    p1 = float(F.stationary_density(params, 1.0))
+    if tau > F.PDF_INVERSION_TAU_MAX:
+        return float(F.loss_pdf_asymptotic(params, x, t, "long")) if p1 > 0.0 else 0.0
+    if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
+        return 0.0
+
+    eps = numerics._talbot_contours(tau)[0]  # the nodes laplace_invert passes
+    w = F.boundary_return_transform(params, eps)
+    d = eps * eps * w * w
+    value, err = numerics.laplace_invert(lambda _: p1 * np.exp(-x / w) / d, tau)
+    if err > 1e-3 * abs(value) + 1e-4:
+        raise numerics.InversionError(f"loss pdf inversion at tau={tau:.3g} did not settle")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Per-step Monte Carlo loops
 # ---------------------------------------------------------------------------

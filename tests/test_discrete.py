@@ -132,6 +132,25 @@ class TestClosedFormSpectrum:
         assert info.misses == maxsize + 10
         assert info.currsize <= maxsize
 
+    def test_mode_cache_builds_each_table_of_a_revisited_grid_once(self):
+        # A window table over a 4 x 3 (p, L) grid, point by point as the CLI
+        # writes it, then correlators on the same grid, then a preset's three
+        # (p, L): 15 distinct tables, each built once.
+        D._modes.cache_clear()
+        grid = [D.DiscreteQueueParams(p=p, L=L)
+                for p in (0.45, 0.5, 0.51, 0.55) for L in (100, 1000, 3000)]
+        for params in grid:
+            for N in (1, 100, 1000):
+                D.loss_variance_exact(params, N)
+        for params in grid:
+            for N, M in ((100, 1_000), (1_000, 10_000)):
+                D.correlator_r2(params, N, M)
+        for p in (0.3, 0.5, 0.7):
+            D.loss_variance_exact(D.DiscreteQueueParams(p=p, L=20), 1000)
+        info = D._modes.cache_info()
+        assert info.misses == len(grid) + 3 == 15
+        assert info.hits > 0
+
     @given(p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            L=st.integers(1, 5000), k=st.integers(0, 4999), offset=st.integers(-2, 2))
     @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from queueloss import fokker_planck as F
 from reference_numerics import (
     integrate,
     inverted_propagator,
+    loss_pdf_via_laplace_invert,
     mode_sum_loss_correlator,
     quadrature_loss_correlator,
 )
@@ -565,7 +566,7 @@ class TestZeroLossMass:
 
 def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
-    F._wall_on_contours.cache_clear()
+    F._wall_record.cache_clear()
     F._wall_density.cache_clear()
     F._conditioning_probability.cache_clear()
 
@@ -600,20 +601,29 @@ class TestWallTransformCache:
 
     def test_conditional_curve_inverts_the_probability_once(self, monkeypatch):
         # n points: n density inversions and one of the loss probability.
+        # Every inversion ends in one contour sum; only the probability's
+        # goes through laplace_invert.
         clear_inversion_caches()
-        calls = []
-        invert = F.numerics.laplace_invert
+        calls, sums = [], []
+        invert, contour_sums = F.numerics.laplace_invert, F.numerics._contour_sums
 
         def counted(transform, tau):
             calls.append(tau)
             return invert(transform, tau)
 
+        def counted_sums(terms, contours, tau):
+            sums.append(tau)
+            return contour_sums(terms, contours, tau)
+
         monkeypatch.setattr(F.numerics, "laplace_invert", counted)
+        monkeypatch.setattr(F.numerics, "_contour_sums", counted_sums)
         xs = np.linspace(0.05, 1.0, 12)
         curve = [F.loss_pdf_conditional(self.PARAMS, CTRL, x, 0.7) for x in xs]
-        assert len(calls) == xs.size + 1
+        assert len(sums) == xs.size + 1
+        assert len(calls) == 1
         clear_inversion_caches()
         monkeypatch.setattr(F.numerics, "laplace_invert", invert)
+        monkeypatch.setattr(F.numerics, "_contour_sums", contour_sums)
         prob = F.loss_probability(self.PARAMS, CTRL, 0.7)
         assert curve == [F.loss_pdf(self.PARAMS, CTRL, x, 0.7) / prob for x in xs]
 
@@ -628,20 +638,22 @@ class TestWallTransformCache:
         assert again == cold
 
     def test_cached_wall_values_read_only(self):
-        cached = F._wall_on_contours(self.PARAMS, 0.45)
+        cached = F._wall_record(self.PARAMS, 0.45)
         arrays = [a for a in cached if isinstance(a, np.ndarray)]
-        # W(1, eps; 1) and the density's denominator eps^2 W^2
-        assert len(arrays) == 2
+        # W(1, eps; 1), the density's denominator eps^2 W^2, and the contour
+        # factors e^{s tau} and 1 + i sigma
+        assert len(arrays) == 4
+        assert cached.w is arrays[0] and cached.d is arrays[1]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
     def test_wall_cache_is_bounded(self):
         clear_inversion_caches()
-        maxsize = F._wall_on_contours.cache_parameters()["maxsize"]
+        maxsize = F._wall_record.cache_parameters()["maxsize"]
         for i in range(maxsize + 10):
             F.loss_probability(self.PARAMS, CTRL, 0.1 + 0.01 * i)
-        info = F._wall_on_contours.cache_info()
+        info = F._wall_record.cache_info()
         assert info.misses == maxsize + 10
         assert info.currsize <= maxsize
 
@@ -693,6 +705,74 @@ class TestWallTransformCache:
             F.loss_probability(params, CTRL, t),
         )
         assert tuple(v.hex() for v in got) == want
+
+
+def _outcome(f, *args):
+    """float.hex() of f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+class TestWallRecordParity:
+    """loss_pdf reads one cached record per (params, tau) and enters
+    np.errstate only past the record's overflow-free x; it must return what
+    the direct laplace_invert path returns, bit for bit, error for error."""
+
+    @given(a=st.floats(-6.0, 6.0), sigma2=st.floats(0.05, 4.0),
+           log10_t=st.floats(-4.0, 2.0), near_bound=st.booleans(),
+           u=st.floats(0.0, 1.1), rel=st.floats(-1e-3, 1e-3))
+    @settings(max_examples=300, deadline=None)
+    @example(a=5.0, sigma2=0.5, log10_t=1.0, near_bound=False, u=87.6, rel=0.0)
+    @example(a=2.0, sigma2=1.0, log10_t=1.0, near_bound=False, u=78.96, rel=0.0)
+    def test_matches_the_laplace_invert_path(self, a, sigma2, log10_t, near_bound, u, rel):
+        # x is u times the tail cutoff, or within rel of the overflow-free
+        # bound where that lies below the cutoff; the two examples are the
+        # deep-tail points that overflow (u there is x itself).
+        params, t = F.FpParams(a=a, sigma2=sigma2), 10.0**log10_t
+        tau = params.tau(t)
+        x = u
+        if tau <= F.PDF_INVERSION_TAU_MAX and log10_t != 1.0:
+            record = F._wall_record(params, tau)
+            x = u * record.x_cut
+            if near_bound and 0.0 < record.x_safe < record.x_cut:
+                x = record.x_safe * (1.0 + rel)
+        assert _outcome(F.loss_pdf, params, CTRL, x, t) == \
+            _outcome(loss_pdf_via_laplace_invert, params, x, t)
+
+    @given(a=st.floats(-6.0, 6.0), sigma2=st.floats(0.05, 4.0), log10_t=st.floats(-4.0, 1.3))
+    @settings(max_examples=150, deadline=None)
+    @example(a=5.0, sigma2=0.5, log10_t=1.0)
+    @example(a=2.0, sigma2=1.0, log10_t=1.0)
+    def test_no_step_overflows_up_to_the_bound(self, a, sigma2, log10_t):
+        params = F.FpParams(a=a, sigma2=sigma2)
+        record = F._wall_record(params, params.tau(10.0**log10_t))
+        assert record.x_safe > 0.0
+        p1, w, d, factor, one_i_sigma, *_ = record
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for x in (0.0, record.x_safe):
+                assert np.isfinite(F._pdf_terms(x, p1, w, d, factor, one_i_sigma)).all()
+
+    def test_errstate_only_past_the_bound(self, monkeypatch):
+        params, t = F.FpParams(a=5.0, sigma2=0.5), 10.0
+        record = F._wall_record(params, params.tau(t))
+        entered = []
+        errstate = np.errstate
+
+        def counted(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(F.np, "errstate", counted)
+        # Far in the tail some of these points miss the error budget.
+        outcomes = [_outcome(F.loss_pdf, params, CTRL, x, t)
+                    for x in np.linspace(0.0, record.x_safe, 9)]
+        assert entered == []
+        assert F.InversionError in outcomes and str in map(type, outcomes)
+        with pytest.raises(F.InversionError, match="non-finite"):
+            F.loss_pdf(params, CTRL, 87.6, t)
+        assert entered == [{"over": "ignore", "invalid": "ignore"}]
 
 
 class TestLossVarianceLongtime:
