@@ -35,7 +35,6 @@ import hashlib
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -376,6 +375,9 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
              for point, seed in itertools.product(points, replicas)]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: the process pool's modules cost start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_point, tasks))
     else:

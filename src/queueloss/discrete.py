@@ -255,18 +255,22 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
 def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
     """n-step transition probability from state ``frm`` to state ``to``.
 
-    Up to 64 steps, for a degenerate walk, and wherever the spectral sum
-    would have to cancel terms too large for double precision
-    (q^{(to-frm)/2} huge and n too short for the modes to decay), the row of
-    ``frm`` is propagated through n steps of the walk (O(nL), the row of the
-    matrix power). Otherwise the spectral sum over closed-form eigenvector
-    rows is taken. The two agree to 1e-9 where they overlap.
+    It is exactly 0 where n steps cannot cover the distance. Otherwise, up
+    to 64 steps, for a degenerate walk, and wherever the spectral sum would
+    have to cancel terms too large for double precision (q^{(to-frm)/2}
+    huge and n too short for the modes to decay), the row of ``frm`` is
+    propagated through n steps of the walk (O(nL), the row of the matrix
+    power). Otherwise the spectral sum over closed-form eigenvector rows is
+    taken. The two agree to 1e-9 where they overlap.
     """
     n = _integer("step count n", n, 0)
     frm, to = _integer("state frm", frm, 0), _integer("state to", to, 0)
     L = params.L
     if not (frm <= L and to <= L):
         raise ValueError("states must lie in 0..L")
+    if n < abs(to - frm):
+        # The walk moves at most one state per step.
+        return 0.0
     if (n <= 64 or params.is_degenerate
             or _spectral_scale_log10(params, n, frm, to) > _SPECTRAL_SCALE_LOG10_MAX):
         return float(_propagate_row(params, n, frm)[to])
@@ -407,16 +411,16 @@ def correlator_r2(
     """
     N = _integer("window length N", N, 1)
     M = _integer("separation M", M, N + 1)
+    if branch not in ("exact", "analytic"):
+        raise ValueError(f"unknown branch {branch!r}")
+    if params.is_degenerate:
+        raise DegenerateParamsError("correlator undefined at degenerate p")
     if branch == "analytic":
         p = params.p
         x = abs(2.0 * p - 1.0) * math.sqrt(M / 2.0)
         chi = compressibility(params, N)
         bracket = math.sqrt(2.0 / (math.pi * M)) * math.exp(-x * x) * numerics.erfcx_gap(x)
         return (p * N / chi) * bracket
-    if branch != "exact":
-        raise ValueError(f"unknown branch {branch!r}")
-    if params.is_degenerate:
-        raise DegenerateParamsError("correlator undefined at degenerate p")
     pi_L, lam, w = _modes(params)
     p = params.p
     geom = _geometric_window_factor(lam, N)

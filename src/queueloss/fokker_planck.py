@@ -490,16 +490,24 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     """Closed-form short/long-time branches of the k-th loss moment.
 
     short: k! p(1) tau^{(k+1)/2} / Gamma((k+3)/2); long: p(1)^k tau^k.
+    ValueError where the moment overflows a double.
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
     tau = _reduced_time(params, t)
     p1 = _wall_density(params)
-    if regime == "short":
-        return math.factorial(k) * p1 * tau ** ((k + 1) / 2.0) / math.gamma((k + 3) / 2.0)
-    if regime == "long":
-        return p1**k * tau**k
-    raise ValueError(f"unknown regime {regime!r}")
+    if regime not in ("short", "long"):
+        raise ValueError(f"unknown regime {regime!r}")
+    try:
+        if regime == "short":
+            value = math.factorial(k) * p1 * tau ** ((k + 1) / 2.0) / math.gamma((k + 3) / 2.0)
+        else:
+            value = p1**k * tau**k
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"{regime}-time loss moment k={k} overflows a double at tau={tau:.3g}")
+    return value
 
 
 def _loss_probability(params: FpParams, tau: float) -> float:
@@ -561,9 +569,7 @@ def loss_pdf(
         raise ValueError("lost volume must be >= 0")
     tau = _reduced_time(params, t)
     if tau > PDF_INVERSION_TAU_MAX:
-        p1 = _wall_density(params)
-        # With p(1) = 0 there is no loss mass, and the surrogate would be 0/0.
-        value = float(loss_pdf_asymptotic(params, x, t, "long")) if p1 > 0.0 else 0.0
+        value = float(loss_pdf_asymptotic(params, x, t, "long"))
         return (value, "surrogate") if return_regime else value
     p1, w, d, factor, one_i_sigma, contours, x_cut, x_safe = _wall_record(params, tau)
     # Deep-tail cutoff: losses beyond tau p(1) by many diffusive spreads have
@@ -623,7 +629,8 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
     """Regime branches of the lost-volume density.
 
     short: p(1) erfc(x / sqrt(4 tau)); long: narrow-Gaussian surrogate for
-    the concentration at tau p(1) (asymptotic stand-in, not an inversion).
+    the concentration at tau p(1) (asymptotic stand-in, not an inversion),
+    0 where p(1) underflows to 0.
     """
     tau = _reduced_time(params, t)
     xs = np.asarray(x, dtype=float)
@@ -632,7 +639,11 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
         out = p1 * numerics.erfc(xs / math.sqrt(4.0 * tau))
     elif regime == "long":
         mean, var = loss_pdf_longtime_summary(params, t)
-        out = np.exp(-((xs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        if var > 0.0:
+            out = np.exp(-((xs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        else:
+            # p(1) underflows to 0: there is no loss mass to concentrate.
+            out = np.zeros_like(xs)
     else:
         raise ValueError(f"unknown regime {regime!r}")
     return out if np.ndim(x) else float(out)
@@ -712,6 +723,7 @@ def loss_correlator_asymptotic(
     window (2/sigma^2 >> T >> t1, t2):
         m1(t1) m1(t2) sqrt(2/(pi sigma^2 T)) / p(1);
     separated (T >> 2/sigma^2): 0 (the decay is exponential for v != 0).
+    Both are 0 where p(1) underflows to 0.
     """
     tau1, tau2, _ = (_reduced_time(params, t) for t in (t1, t2, T))
     if regime == "separated":
@@ -719,4 +731,6 @@ def loss_correlator_asymptotic(
     if regime != "window":
         raise ValueError(f"unknown regime {regime!r}")
     p1 = _wall_density(params)
+    if p1 == 0.0:
+        return 0.0
     return p1 * tau1 * (p1 * tau2) * math.sqrt(2.0 / (math.pi * params.sigma2 * T)) / p1

@@ -17,14 +17,20 @@ One kernel call runs the whole simulation, drawing arrivals in fixed-size
 chunks and working through each chunk in sub-chunks. Per sub-chunk one
 vectorised pass forms the arrival clock (a running sum of interarrival
 times, which never resets), the drained volumes and the level increments.
-The arrivals then run in order: near a wall one at a time, and in between
-as free-path blocks. Between wall contacts the queue level is a running sum
-of packet sizes and drained volumes, so a block of arrivals is one
-cumulative sum from the current level up to its first drop or idle clip,
-which then runs as a single step. Blocks start after a few quiet arrivals
-away from the walls and double while they stay free. A last vectorised
-pass per sub-chunk samples the grid from the clock, the levels and the
-arrivals where a drop or clip happened.
+The arrivals then run in order as free-path blocks: between wall contacts
+the queue level is a running sum of packet sizes and drained volumes, so a
+block of arrivals is one cumulative sum from the current level up to its
+first drop or idle clip. The rest of that wall's event cluster over the
+block's free path is settled in a few array passes. Idle clips are the
+free path's new running minima (the Lindley recursion), and each segment
+between two clips is summed again from 0.0; with a constant packet size
+the drops are where a running maximum steps up, and the levels are summed
+again with the dropped packets' increments set to 0.0. Both passes verify
+the levels they produce against the drop and clip rules and commit only
+what agrees. Only an arrival that both drops and clips, and drops under a
+random size law, run one at a time. A last vectorised pass per sub-chunk
+samples the grid from the clock, the levels and the arrivals where a drop
+or clip happened.
 The result is the per-arrival loop's to the bit, except that the offered
 and serviced volume totals are summed in larger steps: the serviced volume
 of a sub-chunk is one sum of its drains, each idle clip's cut to the level
@@ -138,19 +144,24 @@ class TrafficModel:
         return abs(self.input_rate * self.eta0 - 1.0)
 
 
-#: Quiet arrivals (neither a drop nor an idle clip) the scalar steps wait
-#: for before speculating on a block: wall events cluster a few apart.
+#: Arrivals without a drop that the scalar steps of a drop under a random
+#: size law wait for before handing back to blocks: drops cluster.
 _QUIET = 4
-#: Nor before the queue is this many mean arrival-plus-drain moves from both
-#: walls: nearer, a block would most likely end within a few arrivals.
+#: Nor before the queue is this many mean arrival-plus-drain moves below the
+#: top wall: nearer, a block would most likely end within a few arrivals.
 _WALL_MOVES = 2.0
 #: Arrivals converted to Python floats at a time for the scalar steps, whose
 #: arithmetic on NumPy scalars would cost several times as much.
 _SCALAR_RUN = 32
-#: First speculative block: a block's fixed cost is that of ~40 scalar steps.
+#: First free-path block after scalar steps: a block's fixed cost is that of
+#: ~40 scalar steps. Blocks double while they stay free, and after a wall
+#: pass one runs to the sub-chunk's end, so the next pass sees all of it.
 _BLOCK_MIN = 256
-#: Largest speculative block, so an event late in it wastes a bounded cumsum.
-_BLOCK_MAX = 1 << 13
+#: Segments between idle clips of at most this many level increments are
+#: accumulated together, as the zero-padded columns of one 2-D accumulate;
+#: each longer one takes an accumulate call of its own. 64 to 512 rows ran
+#: slower at r_out = 1.02, where the padded area grows with the columns.
+_SEG_ROWS = 32
 #: Arrivals whose clock, drains, level increments and grid samples are
 #: formed in one vectorised pass each, so that a block only accumulates
 #: levels; blocks do not cross a sub-chunk's end. At 2^13 the level and
@@ -160,6 +171,107 @@ _BLOCK_MAX = 1 << 13
 #: in 8 of 10 runs; at this size it stays within the 69.6-73.9 MB that the
 #: per-block buffers gave.
 _SUB = 1 << 13
+
+
+def _compensated(total, comp, values, totals):
+    """Add ``values`` to ``total`` one at a time with Kahan compensation
+    ``comp``, appending each running total to ``totals``; returns the new
+    ``(total, comp)``."""
+    for y in values:
+        yk = y - comp
+        tk = total + yk
+        comp = (tk - total) - yk
+        total = tk
+        totals.append(total)
+    return total, comp
+
+
+def _clip_levels(step_buf, level_buf, e, end, pad, one_bits):
+    """Settle the idle-clip cluster that starts with the clip of arrival
+    ``e``, over the free path up to arrival ``end``; returns the clips the
+    per-arrival loop makes, ``e`` first, through the last one verified.
+
+    The loop's queue is the free path reflected at 0 (the Lindley
+    recursion), so it clips wherever the free path's drained level sets a
+    new running minimum. Each segment between two such clips is accumulated
+    from 0.0 into ``level_buf``, where the loop restarts it: segments of at
+    most ``_SEG_ROWS`` increments as the zero-padded columns of a 2-D
+    accumulate (``step_buf[pad]`` holds the 0.0), in batches whose padded
+    area fits a path buffer, and longer ones one call each. A segment is
+    verified when its levels stay inside [0, 1] up to its clip's negative
+    drained level.
+    """
+    # Level before e, then the drained levels: the first is below 0.
+    floor = np.minimum.accumulate(level_buf[2 * e : 2 * end + 1 : 2])
+    clips = (floor[1:] < floor[:-1]).nonzero()[0]
+    clips += e
+    if clips.size == 1:
+        return clips
+    starts = 2 * clips[:-1] + 3
+    lengths = clips[1:] - clips[:-1]
+    lengths *= 2
+    short = lengths <= _SEG_ROWS
+    rows = lengths[short]
+    if rows.size:
+        firsts = starts[short]
+        row = np.arange(int(rows.max()))[:, None]
+        width = pad // row.size
+        for c in range(0, rows.size, width):
+            idx = firsts[c : c + width] + row
+            idx[row >= rows[c : c + width]] = pad
+            level_buf.put(idx, np.add.accumulate(step_buf.take(idx), axis=0))
+    for a, b in zip(starts[~short].tolist(), (starts + lengths)[~short].tolist()):
+        np.add.accumulate(step_buf[a:b], out=level_buf[a:b])
+    # Levels outside [0, 1] must be exactly the clips' drained levels.
+    lo = int(starts[0])
+    hits = np.greater(level_buf[lo : 2 * int(clips[-1]) + 3].view(np.uint64), one_bits)
+    hits = hits.nonzero()[0]
+    hits += lo
+    expected = starts + lengths
+    expected -= 1
+    n = min(hits.size, expected.size)
+    wrong = np.not_equal(hits[:n], expected[:n]).nonzero()[0]
+    return clips[: int(wrong[0]) + 1 if wrong.size else n + 1]
+
+
+def _drop_levels(step_buf, level_buf, e, end, size, one_bits):
+    """Settle the drop cluster of constant-size packets that starts with the
+    drop of arrival ``e``, over the free path up to arrival ``end``.
+
+    Through arrival j the loop has dropped D_j = max_{k<=j} ceil((U_k -
+    1) / size) packets, U being the free path's up-levels, as long as the
+    queue does not empty. The levels follow with each dropped packet's
+    increment set to 0.0 (ell + 0.0 == ell), accumulated from the exact
+    level before ``e`` into ``level_buf``. Returns the number of arrivals
+    from ``e`` whose levels the loop would reach too (at least one: each
+    predicted drop's packet does not fit, and every level stays in [0, 1]),
+    and the drops among them.
+    """
+    lo, hi = 2 * e, 2 * end + 1
+    owed = np.maximum.accumulate(level_buf[lo + 1 : hi : 2])
+    owed -= 1.0
+    owed /= size
+    np.ceil(owed, out=owed)
+    new = np.empty(owed.size, dtype=np.bool_)
+    new[0] = True
+    np.not_equal(owed[1:], owed[:-1], out=new[1:])
+    drops = new.nonzero()[0]
+    drops += e
+    packets = 2 * drops + 1
+    step_buf[packets] = 0.0
+    step_buf[lo] = level_buf[lo]
+    np.add.accumulate(step_buf[lo:hi], out=level_buf[lo:hi])
+    step_buf[packets] = size
+    # A missed drop leaves an up-level above 1.0, a missed clip a drained
+    # level below 0.0; a predicted drop must not fit.
+    out = np.greater(level_buf[lo + 1 : hi].view(np.uint64), one_bits)
+    f = int(out.argmax())
+    f = f // 2 if out[f] else end - e
+    fits = np.less_equal(level_buf[packets - 1] + size, 1.0)
+    q = int(fits.argmax())
+    if fits[q]:
+        f = min(f, int(drops[q]) - e)
+    return f, drops[: int(drops.searchsorted(e + f))]
 
 
 def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle):
@@ -176,17 +288,30 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     exactly).
 
     The level pass then runs the sub-chunk's arrivals in order, storing
-    each arrival's level after its packet, ell_plus. Near a wall every
-    arrival is a scalar step on Python floats, which notes each drop and
-    idle clip with the running total after it. Between wall contacts the
-    queue follows the free path ell -> ell + p -> ell + p - d, the
-    sequential cumsum of ell and the increments; so once the scalar steps
-    have gone quiet away from the walls, a block of arrivals writes ell
-    into the increment slot before its first arrival, accumulates from
-    there into the level array, commits the arrivals before the first drop
-    (ell + p > 1) or idle clip (ell + p - d < 0) and hands that arrival to
-    the scalar step. Blocks double while they stay free;
-    ``scalar_arrivals`` counts the arrivals that took scalar steps.
+    each arrival's level after its packet, ell_plus. Between wall contacts
+    the queue follows the free path ell -> ell + p -> ell + p - d, the
+    sequential cumsum of ell and the increments; so a block of arrivals
+    writes ell into the increment slot before its first arrival,
+    accumulates from there into the level array and commits the arrivals
+    before the first drop (ell + p > 1) or idle clip (ell + p - d < 0).
+    The wall event and the rest of its cluster over the block's free path
+    are then settled in a few array passes, which commit what they verify:
+
+    - An idle clip: :func:`_clip_levels`. The arrivals through the last
+      verified clip commit; the stretch after it is left to the next block,
+      whose free path starts at 0.0 as the loop's does.
+    - A drop under a constant packet size: :func:`_drop_levels`.
+    - An arrival that both drops and clips, or a drop under a random size
+      law, where a packet that fits may follow one that did not: scalar
+      steps on Python floats, until the constant-size arrival is done or,
+      under a random law, the queue is quiet below the top wall.
+
+    Blocks double while they stay free, from ``_BLOCK_MIN`` after scalar
+    steps; after a pass, the next block runs to the sub-chunk's end, so the
+    pass it ends in sees the rest of the path.
+
+    Every event notes its running total (lost volume, idle time) in arrival
+    order; ``scalar_arrivals`` counts the arrivals that took scalar steps.
 
     A second vectorised pass samples the grid times that fell in the
     sub-chunk: the arrival whose interval holds each one (``searchsorted``
@@ -194,9 +319,9 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     0, the lost volume after the last drop at or before that arrival and
     the idle time after the last clip before it, plus the clipped partial
     idle. The sub-chunk's serviced volume is one sum of its drains, into
-    which each idle clip's scalar step has written ell_plus, the volume it
-    drained. (Subtracting the clipped excess from the full drains instead
-    cancels where the queue is mostly idle: 1e-11 relative at r_out = 50.)
+    which each idle clip has written ell_plus, the volume it drained.
+    (Subtracting the clipped excess from the full drains instead cancels
+    where the queue is mostly idle: 1e-11 relative at r_out = 50.)
 
     Levels, times, grid samples, drops and idle time, with their
     compensation terms, are thus the per-arrival loop's to the bit. The
@@ -213,26 +338,38 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     n_drops = n_arrivals = n_scalar = 0
     grid_times = np.arange(queue_samples.size) * sample_dt
     grid_idx = 0
+    # A constant size makes a drop cluster's drops a running maximum, and
+    # the scalar steps then take just the arrival that both drops and clips.
+    # Under a random size law they wait until quiet below the top wall.
+    # Where the blocks start sets only the speed: no output depends on it.
+    size = None
+    need, top = 0, 1.0
+    if traffic.packet_size.kind == "deterministic":
+        size = float(traffic.packet_size.mean)
+    else:
+        need = _QUIET
+        moves = traffic.packet_size.mean_value + r_out * traffic.interarrival.mean_value
+        top = max(1.0 - _WALL_MOVES * moves, 0.0)
     sub = min(_SUB, _CHUNK)
     clock_buf = np.empty(sub + 1)
     drain_buf = np.empty(sub)
-    step_buf = np.empty(2 * sub + 1)
-    level_buf = np.empty(2 * sub + 1)
+    # One slot past the longest path: 0.0 in step_buf, the clip pass's pad.
+    pad = 2 * sub + 1
+    step_buf = np.zeros(pad + 1)
+    level_buf = np.empty(pad + 1)
     # Non-negative doubles order like their bits read as unsigned integers,
     # and every negative one (sign bit set) reads above 1.0. So the bits of a
     # level exceed those of 1.0 exactly when it lies outside [0, 1] or is
-    # -0.0, which would only send its arrival to a scalar step.
+    # -0.0, which no level reached from [0, 1] is.
     level_bits = level_buf.view(np.uint64)
     one_bits = np.float64(1.0).view(np.uint64)
-    hit_buf = np.empty(2 * _BLOCK_MAX, dtype=np.bool_)
+    hit_buf = np.empty(2 * sub, dtype=np.bool_)
+    scalar = False
+    quiet = 0
+    block = _BLOCK_MIN
     while t < duration:
         etas = traffic.interarrival.sample(rng, _CHUNK)
         sizes = traffic.packet_size.sample(rng, _CHUNK)
-        # Reset per chunk. Block placement sets only the speed: no output
-        # depends on it.
-        gap = _WALL_MOVES * (float(sizes.mean()) + r_out * float(etas.mean()))
-        quiet = 0
-        block = _BLOCK_MIN
         for s0 in range(0, _CHUNK, sub):
             m = min(sub, _CHUNK - s0)
             clock = clock_buf[: m + 1]
@@ -258,7 +395,7 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
             clip_at = []
             i = 0
             while i < m:
-                if quiet < _QUIET or not gap <= ell <= 1.0 - gap:
+                if scalar:
                     stop = min(i + _SCALAR_RUN, m)
                     ups = []
                     arrivals = zip(range(i, stop), p_s[i:stop].tolist(), drain[i:stop].tolist())
@@ -267,29 +404,21 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                         up = ell + p
                         if up > 1.0:
                             up = ell
-                            yk = p - c_drop
-                            tk = dropped + yk
-                            c_drop = (tk - dropped) - yk
-                            dropped = tk
+                            dropped, c_drop = _compensated(dropped, c_drop, (p,), lost)
                             n_drops += 1
                             drop_at.append(a)
-                            lost.append(dropped)
                             quiet = 0
                         ups.append(up)
                         if d > up:
-                            yk = (float(eta_s[a]) - up / r_out) - c_idle
-                            tk = idle + yk
-                            c_idle = (tk - idle) - yk
-                            idle = tk
+                            gap = float(eta_s[a]) - up / r_out
+                            idle, c_idle = _compensated(idle, c_idle, (gap,), idled)
                             clip_at.append(a)
-                            idled.append(idle)
                             # What the arrival serviced, for the sub-chunk's
                             # serviced total; a block never reads it again.
                             drain[a] = d = up
-                            quiet = 0
                         ell = up - d
-                        if quiet >= _QUIET and gap <= ell <= 1.0 - gap:
-                            block = _BLOCK_MIN
+                        if quiet >= need and ell <= top:
+                            scalar = False
                             break
                     ell_plus[i : a + 1] = ups
                     n_scalar += a + 1 - i
@@ -304,15 +433,35 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                 # first drop (ell + p > 1) or idle clip (ell + p - d < 0).
                 hit = np.greater(level_bits[lo + 1 : hi], one_bits, out=hit_buf[: 2 * k])
                 j = int(hit.argmax())
-                e = j // 2 if hit[j] else k
-                if e < k:
-                    quiet = 0
-                else:
-                    block = min(2 * block, _BLOCK_MAX)
-                if e == 0:
+                if not hit[j]:
+                    ell = float(level[hi - 1])
+                    i += k
+                    block = min(2 * block, sub)
                     continue
-                ell = float(level[lo + 2 * e])
-                i += e
+                block = sub
+                e = i + j // 2
+                if j % 2:
+                    clips = _clip_levels(step_buf, level_buf, e, i + k, pad, one_bits)
+                    ups = level[2 * clips + 1]
+                    excess = (eta_s[clips] - ups / r_out).tolist()
+                    idle, c_idle = _compensated(idle, c_idle, excess, idled)
+                    clip_at.extend(clips.tolist())
+                    drain[clips] = ups
+                    ell = 0.0
+                    i = int(clips[-1]) + 1
+                elif size is not None and drain[e] <= level[2 * e]:
+                    f, drops = _drop_levels(step_buf, level_buf, e, i + k, size, one_bits)
+                    dropped, c_drop = _compensated(dropped, c_drop, [size] * drops.size, lost)
+                    drop_at.extend(drops.tolist())
+                    n_drops += drops.size
+                    i = e + f
+                    ell = float(level[2 * i])
+                else:
+                    i = e
+                    ell = float(level[2 * e])
+                    scalar = True
+                    quiet = 0
+                    block = _BLOCK_MIN
             yk = float(np.add.reduce(drain)) - c_serv
             tk = serviced + yk
             c_serv = (tk - serviced) - yk
@@ -351,7 +500,7 @@ class EventLog:
     ``queue_samples``, ``cum_lost`` and ``cum_idle`` live on the uniform
     grid ``k * sample_dt``.
     ``scalar_arrivals`` counts the arrivals the kernel ran one at a time
-    near a wall rather than in free-path blocks, a cost diagnostic that
+    rather than in free-path blocks and wall passes, a cost diagnostic that
     :meth:`summary` leaves out.
     """
 
@@ -403,7 +552,7 @@ def run(
 
     The first packet arrives at t = 0. Identical arguments give bit-identical
     logs (PCG64 behind a 64-bit seed, chunked draws in fixed order). One call
-    of the free-path block kernel described in the module docstring runs
+    of the block-and-wall-pass kernel described in the module docstring runs
     every arrival. ``sample_dt`` defaults to the coarse-graining scale of
     20 mean interarrival times, the shortest increment the drift estimator
     accepts, so ``estimate_drift_diffusion(log, dt=log.sample_dt)`` uses

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 from pathlib import Path
 
 import numpy as np
@@ -455,7 +456,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         rc = cli.main(["fp-eval", "--a=0,1", "--sigma2=2", "--t=0.5", "--jobs", "64",
                        "--out", str(tmp_path)])
         assert rc == 0

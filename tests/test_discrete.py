@@ -245,6 +245,17 @@ class TestGreenFunction:
         for frm, to in ((0, 0), (0, 30), (1000, 1000), (980, 1000)):
             assert D.green_function(params, 64, frm, to) == pytest.approx(power[frm, to], abs=1e-13)
 
+    def test_unreachable_state_is_zero_without_stepping(self, monkeypatch):
+        # 2e4 steps cannot cover 1e5 states: the walk moves one state per step.
+        def fail(*args):
+            raise AssertionError("no row or spectral sum is needed")
+
+        monkeypatch.setattr(D, "_propagate_row", fail)
+        monkeypatch.setattr(D, "_spectral_green", fail)
+        params = D.DiscreteQueueParams(p=0.9, L=100000)
+        assert D.green_function(params, 20000, 0, 100000) == 0.0
+        assert D.green_function(params, 20000, 100000, 79999) == 0.0
+
     def test_degenerate_long_run_is_a_point_mass(self):
         # p = 0 drives every state to 0 within L steps; the propagation
         # stops once the row is fixed, so a huge n costs no more than L.
@@ -488,6 +499,12 @@ class TestCorrelatorR2:
         want = brute_force_r2(params, N, M)
         got = D.correlator_r2(params, N, M, branch="exact")
         assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("branch", ["exact", "analytic"])
+    def test_degenerate_p_rejected(self, p, branch):
+        with pytest.raises(D.DegenerateParamsError, match="degenerate p"):
+            D.correlator_r2(D.DiscreteQueueParams(p=p, L=5), 10, 30, branch)
 
     def test_critical_closed_form_reduction(self):
         # At balance the analytic branch divided by the critical closed form

@@ -12,10 +12,15 @@ _spec.loader.exec_module(exact_digest)
 
 SMALL = exact_digest.Grid(ps=(0.3, 0.5), Ls=(2, 100), Ns=(1, 1000),
                           steps=((1, 0, 1), (200, 3000, 0)), drifts=(0.0, 2.0),
-                          sigma2s=(2.0,), times=(0.01, 10.0), panels=1)
+                          sigma2s=(2.0,), times=(0.01, 10.0), panels=1,
+                          size_laws=("deterministic", "exponential"), r_outs=(0.98, 1.02, 50.0),
+                          initial_queues=(0.0, 1.0), duration=200.0)
 #: The ``all`` digest of SMALL, taken before the discrete mode table was
 #: cached and its underflowing powers skipped: those changes kept every bit.
 PINNED = "e27a30a75f22621b4b38b86fca479c70922367a64824fc855b4234abea5761e8"
+#: The ``packet`` digest of SMALL, taken before the packet kernel settled
+#: whole wall-event clusters per pass: that change kept every bit.
+PINNED_PACKET = "8a9698476f19e31f13b774fec7fad3244713eef7ff687425776138d9364347a1"
 
 
 def _clear_package_caches():
@@ -29,12 +34,18 @@ def test_cold_and_warm_runs_agree():
     _clear_package_caches()
     cold = exact_digest.digests(SMALL)
     assert exact_digest.digests(SMALL) == cold
+    # A packet run feeds three grids of 1001 samples and seven totals.
     assert {name: count for name, (count, _) in cold.items()} == {
-        "discrete": 2 * 2 * (1 + 2 * 6 + 2), "continuum": 2 * 2 * (4 + 8), "all": 108}
+        "discrete": 2 * 2 * (1 + 2 * 6 + 2), "continuum": 2 * 2 * (4 + 8), "all": 108,
+        "packet": 2 * 3 * 2 * (3 * 1001 + 7)}
 
 
 def test_reduced_grid_digest_is_pinned():
     assert exact_digest.digests(SMALL)["all"][1] == PINNED
+
+
+def test_packet_digest_is_pinned():
+    assert exact_digest.digests(SMALL)["packet"][1] == PINNED_PACKET
 
 
 def test_main_prints_one_row_per_part(capsys, monkeypatch):

@@ -564,6 +564,32 @@ class TestZeroLossMass:
             F.loss_pdf_conditional(self.PARAMS, CTRL, x, t)
 
 
+class TestUnderflowingWallDensity:
+    # v = -2000: p(1) underflows to 0, so the closed-form branches have no
+    # loss mass to work with and return 0 without a warning.
+    PARAMS = F.FpParams(a=-1.0, sigma2=1e-3)
+
+    def test_window_correlator_is_zero(self):
+        assert F.stationary_density(self.PARAMS, 1.0) == 0.0
+        assert F.loss_correlator_asymptotic(self.PARAMS, 1.0, 2.0, 5.0, "window") == 0.0
+
+    def test_long_time_density_is_zero(self):
+        assert F.loss_pdf_asymptotic(self.PARAMS, 0.0, 1e6, "long") == 0.0
+        dens = F.loss_pdf_asymptotic(self.PARAMS, np.array([0.0, 0.5]), 1e6, "long")
+        assert dens.tolist() == [0.0, 0.0]
+
+
+class TestMomentOverflow:
+    @pytest.mark.parametrize("regime", ["short", "long"])
+    def test_overflow_is_named(self, regime):
+        with pytest.raises(ValueError, match="overflows"):
+            F.loss_moment_asymptotic(F.FpParams(0.0, 1.0), 2, 1e300, regime)
+
+    def test_large_order_is_named(self):
+        with pytest.raises(ValueError, match="overflows"):
+            F.loss_moment_asymptotic(F.FpParams(0.0, 1.0), 400, 1.0, "short")
+
+
 def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
     F._wall_record.cache_clear()

@@ -293,6 +293,16 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # The process pool's modules cost ~15 ms to import; only a grid run
+    # with --jobs above 1 makes a pool.
+    code = "import sys, queueloss.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_loads_no_numpy_ma():
     # numpy.ma costs 12-14 ms to import; nothing the CLI runs at import
     # time (its presets included) may pull it in.

@@ -1,4 +1,4 @@
-"""Digest the exact evaluators' outputs over a fixed grid, bit for bit.
+"""Digest the exact evaluators' and the packet kernel's outputs, bit for bit.
 
 Every value is fed to SHA-256 as its ``float.hex()`` string, with the call
 that made it; a call that raises is fed the name of the exception type. Two
@@ -16,14 +16,20 @@ The grid:
 - ``continuum``: a in {-1, 0, 0.5, 1, 2} x sigma2 in {0.5, 2} x t in
   {1e-3, 1e-2, 0.1, 1, 10, 100}: ``loss_moment`` k = 2..4,
   ``loss_probability`` and ``loss_pdf`` on 8-point Gauss-Legendre nodes of
-  four panels of [0, p(1)(tau + 6 sqrt(tau) + 1)].
+  four panels of [0, p(1)(tau + 6 sqrt(tau) + 1)];
+- ``packet``: seeded ``simulate.run`` logs with exponential gaps of mean
+  0.01 and deterministic, uniform or exponential sizes of mean 0.01 x r_out
+  in {0.98, 1, 1.02, 50} x initial_queue in {0, 0.5, 1}: every grid sample
+  of ``queue_samples``, ``cum_lost`` and ``cum_idle``, and every total and
+  count. The critical r_out keep the queue on both walls; at 50 it idles.
 
 Usage::
 
     python tools/exact_digest.py
 
 Imports ``queueloss`` from ``src/`` next to this directory and prints one
-``part values sha256`` row per part, then the ``all`` row over both.
+``part values sha256`` row per part: ``discrete``, ``continuum``, the
+``all`` row over those two, then ``packet``, which ``all`` leaves out.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from queueloss import discrete as D  # noqa: E402
 from queueloss import fokker_planck as F  # noqa: E402
+from queueloss import simulate as S  # noqa: E402
 
 _GL_NODES = np.polynomial.legendre.leggauss(8)[0]
 
@@ -55,6 +62,10 @@ class Grid:
     sigma2s: tuple = (0.5, 2.0)
     times: tuple = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
     panels: int = 4
+    size_laws: tuple = ("deterministic", "uniform", "exponential")
+    r_outs: tuple = (0.98, 1.0, 1.02, 50.0)
+    initial_queues: tuple = (0.0, 0.5, 1.0)
+    duration: float = 1000.0
 
 
 class _Digest:
@@ -72,6 +83,12 @@ class _Digest:
             value = type(exc).__name__
         self.h.update(f"{label} {args!r} {value}\n".encode())
         self.count += 1
+
+    def values(self, label: str, args: tuple, values) -> None:
+        """One record of many floats, as their hex forms."""
+        hexes = " ".join(float(v).hex() for v in values)
+        self.h.update(f"{label} {args!r} {hexes}\n".encode())
+        self.count += len(values)
 
 
 def discrete_part(grid: Grid) -> _Digest:
@@ -116,12 +133,38 @@ def continuum_part(grid: Grid) -> _Digest:
     return out
 
 
+def _size_law(kind: str) -> S.Distribution:
+    if kind == "uniform":
+        return S.Distribution(kind="uniform", low=0.005, high=0.015)
+    return S.Distribution(kind=kind, mean=0.01)
+
+
+def packet_part(grid: Grid) -> _Digest:
+    out = _Digest()
+    gaps = S.Distribution(kind="exponential", mean=0.01)
+    for kind in grid.size_laws:
+        for r_out in grid.r_outs:
+            traffic = S.TrafficModel(interarrival=gaps, packet_size=_size_law(kind), r_out=r_out)
+            for q0 in grid.initial_queues:
+                log = S.run(traffic, duration=grid.duration, seed=1, initial_queue=q0)
+                args = (kind, r_out, q0)
+                for name in ("queue_samples", "cum_lost", "cum_idle"):
+                    out.values(name, args, getattr(log, name).tolist())
+                out.values("totals", args, [
+                    log.final_queue, log.arrived, log.serviced, log.dropped, log.idle_time,
+                    log.n_arrivals, log.n_drops])
+    return out
+
+
 def digests(grid: Grid) -> dict[str, tuple[int, str]]:
-    """``part -> (values, sha256)`` for both parts, and ``all`` over both."""
+    """``part -> (values, sha256)`` for every part, with ``all`` over the
+    exact evaluators' two parts."""
     parts = {"discrete": discrete_part(grid), "continuum": continuum_part(grid)}
     total = hashlib.sha256("".join(d.h.hexdigest() for d in parts.values()).encode())
+    packet = packet_part(grid)
     return {**{name: (d.count, d.h.hexdigest()) for name, d in parts.items()},
-            "all": (sum(d.count for d in parts.values()), total.hexdigest())}
+            "all": (sum(d.count for d in parts.values()), total.hexdigest()),
+            "packet": (packet.count, packet.h.hexdigest())}
 
 
 def main() -> int:
