@@ -118,18 +118,25 @@ def pdf_nodes(params: F.FpParams, t: float, panels: int) -> list[float]:
     return (half * (_GL_NODES + 1.0) + edges[:-1, None]).ravel().tolist()
 
 
+def _default_ctrl(fn):
+    """``fn`` called with ``SeriesControl()`` as its second argument, so that
+    a hashed call label holds only the arguments that select a value."""
+    ctrl = F.SeriesControl()
+    return lambda params, *rest: fn(params, ctrl, *rest)
+
+
 def continuum_part(grid: Grid) -> _Digest:
     out = _Digest()
-    ctrl = F.SeriesControl()
+    moment, p_loss, pdf = map(_default_ctrl, (F.loss_moment, F.loss_probability, F.loss_pdf))
     for a in grid.drifts:
         for s2 in grid.sigma2s:
             params = F.FpParams(a=a, sigma2=s2)
             for t in grid.times:
                 for k in (2, 3, 4):
-                    out.call("moment", F.loss_moment, params, ctrl, k, t)
-                out.call("p_loss", F.loss_probability, params, ctrl, t)
+                    out.call("moment", moment, params, k, t)
+                out.call("p_loss", p_loss, params, t)
                 for x in pdf_nodes(params, t, grid.panels):
-                    out.call("pdf", F.loss_pdf, params, ctrl, x, t)
+                    out.call("pdf", pdf, params, x, t)
     return out
 
 
