@@ -173,16 +173,17 @@ _SEG_ROWS = 32
 _SUB = 1 << 13
 
 
-def _compensated(total, comp, values, totals):
+def _compensated(total, comp, values, totals=None):
     """Add ``values`` to ``total`` one at a time with Kahan compensation
-    ``comp``, appending each running total to ``totals``; returns the new
-    ``(total, comp)``."""
+    ``comp``, appending each running total to ``totals`` if given; returns
+    the new ``(total, comp)``."""
     for y in values:
         yk = y - comp
         tk = total + yk
         comp = (tk - total) - yk
         total = tk
-        totals.append(total)
+        if totals is not None:
+            totals.append(total)
     return total, comp
 
 
@@ -462,10 +463,7 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
                     scalar = True
                     quiet = 0
                     block = _BLOCK_MIN
-            yk = float(np.add.reduce(drain)) - c_serv
-            tk = serviced + yk
-            c_serv = (tk - serviced) - yk
-            serviced = tk
+            serviced, c_serv = _compensated(serviced, c_serv, (float(np.add.reduce(drain)),))
             t = float(clock[m])
             g_next = int(grid_times.searchsorted(t, side="right"))
             if g_next > grid_idx:
@@ -485,10 +483,7 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
             if t >= duration:
                 break
         consumed = s0 + m
-        yk = float(sizes[:consumed].sum()) - c_arr
-        tk = arrived + yk
-        c_arr = (tk - arrived) - yk
-        arrived = tk
+        arrived, c_arr = _compensated(arrived, c_arr, (float(sizes[:consumed].sum()),))
         n_arrivals += consumed
     return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_scalar
 
