@@ -22,15 +22,25 @@ in :func:`laplace_propagator`, which the test suite checks against it to
 
 Loss moments and the lost-volume PDF are given in the Laplace domain
 conjugate to tau and are inverted numerically; short- and long-time closed
-forms are exposed as separate asymptotic evaluators. Every inversion reads
-one bounded cache entry per (params, tau), the wall record: p(1), the
-read-only W = W(1, eps; 1) and eps^2 W^2 on the nodes of both inversion
-contours, the contour data, the deep-tail cutoff of the lost-volume PDF
-and a bound on x below which none of its terms can overflow. Moments and
-the loss probability invert through ``numerics.laplace_invert``; a
-``loss_pdf`` point forms its terms in one buffer from the record and
-sums them with the same contour sum, entering ``np.errstate`` only past
-that x, so a warm point costs one cache lookup and its own arithmetic.
+forms are exposed as separate asymptotic evaluators.
+
+The public evaluators take an :class:`FpParams` and a time t, convert them
+once to v and tau, and call private cores that take those two floats, so
+every cache is keyed on floats and parameters with equal v share entries.
+The series take the fixed mode count ceil(6/sqrt(tau)) + 8, at most
+100 000. Every inversion reads one bounded cache entry per (v, tau), the
+wall record: p(1), the read-only W = W(1, eps; 1) and eps^2 W^2 on the
+nodes of both inversion contours, the contour data, the deep-tail cutoff
+of the lost-volume PDF and a bound on x below which none of its terms can
+overflow. Where eps^2 W^2 overflows on the contour the record raises
+:class:`InversionError`: below tau of about 6.7e-152, as the contour's
+nodes grow as 1/tau, and above v of about 6.7e153, where eps^2 W^2 is
+about 4 v^2.
+Moments and the loss probability invert through
+``numerics.laplace_invert``; a ``loss_pdf`` point forms its terms in one
+buffer from the record and sums them with the same contour sum, entering
+``np.errstate`` only past that x, so a warm point costs one cache lookup
+and its own arithmetic.
 """
 
 from __future__ import annotations
@@ -80,7 +90,9 @@ class SeriesTruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FpParams:
-    """Drift and diffusion of the buffer occupancy per unit time."""
+    """Drift and diffusion of the buffer occupancy per unit time; ValueError
+    unless sigma2 is positive and finite and v = a/sigma2 has a finite
+    square (|v| below about 1.34e154)."""
 
     a: float
     sigma2: float
@@ -90,8 +102,9 @@ class FpParams:
             raise ValueError(f"diffusion must be positive, got {self.sigma2}")
         if not math.isfinite(self.sigma2):
             raise ValueError(f"diffusion must be finite, got {self.sigma2}")
-        if not math.isfinite(self.v):
-            raise ValueError(f"drift must be finite, got a={self.a} (v = a/sigma2 = {self.v})")
+        if not math.isfinite(self.v * self.v):
+            raise ValueError(f"drift must be finite with a finite square of v = a/sigma2, "
+                             f"got a={self.a} (v = {self.v})")
 
     @property
     def v(self) -> float:
@@ -112,33 +125,31 @@ class FpParams:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Mode-truncation knobs shared by the series evaluators."""
+    """Accepted by the continuum evaluators and read by none of them: the
+    series take the fixed mode count of :func:`_modes_for`, and the
+    inversions a fixed contour."""
 
-    k_max: int | None = None
-    mode_cap: int = 100_000
 
-    def __post_init__(self) -> None:
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+#: The most modes a series may take; below tau of about 3.6e-9 it needs more.
+_MODE_CAP = 100_000
 
-    def modes_for(self, tau: float) -> int:
-        """Mode count ceil(6/sqrt(tau)) + 8, capped; raises below the floor."""
-        if self.k_max is not None:
-            return self.k_max
-        if tau <= 0.0:
-            raise ValueError("reduced time must be positive")
-        need = math.ceil(6.0 / math.sqrt(tau)) + 8
-        if need > self.mode_cap:
-            raise SeriesTruncationError(
-                f"tau={tau:.3g} needs {need} modes, above the cap {self.mode_cap}"
-            )
-        return need
+
+def _modes_for(tau: float) -> int:
+    """Mode count ceil(6/sqrt(tau)) + 8 at reduced time tau > 0;
+    SeriesTruncationError above :data:`_MODE_CAP`."""
+    need = math.ceil(6.0 / math.sqrt(tau)) + 8
+    if need > _MODE_CAP:
+        raise SeriesTruncationError(f"tau={tau:.3g} needs {need} modes, above the cap {_MODE_CAP}")
+    return need
 
 
 def stationary_density(params: FpParams, ell) -> np.ndarray | float:
     """Stationary occupancy density 2v e^{2vl} / (e^{2v} - 1); 1 when v = 0."""
+    return _stationary_density(params.v, ell)
+
+
+def _stationary_density(v: float, ell) -> np.ndarray | float:
     x = np.asarray(ell, dtype=float)
-    v = params.v
     u = 2.0 * v
     if abs(u) < 1e-4:
         out = 1.0 + u * (x - 0.5) + u * u * (x * x / 2.0 - x / 2.0 + 1.0 / 12.0)
@@ -149,16 +160,16 @@ def stationary_density(params: FpParams, ell) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _wall_modes(params: FpParams, ctrl: SeriesControl, tau: float):
-    """Wall-mode table at reduced time tau: n = 1..modes_for(tau) and the
-    decay rates lam_n = pi^2 n^2 + v^2."""
-    n = np.arange(1, ctrl.modes_for(tau) + 1, dtype=float)
-    return n, np.pi**2 * n * n + params.v * params.v
+def _wall_modes(v: float, tau: float):
+    """Wall-mode table at reduced drift v and time tau: n = 1.._modes_for(tau)
+    and the decay rates lam_n = pi^2 n^2 + v^2."""
+    n = np.arange(1, _modes_for(tau) + 1, dtype=float)
+    return n, np.pi**2 * n * n + v * v
 
 
-def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: float,
-            deriv: bool = False):
-    """The eigenseries from ``ell_from`` to the targets ``ell_to`` after time t.
+def _series(v: float, tau: float, ell_to, ell_from: float, deriv: bool = False):
+    """The eigenseries from ``ell_from`` to the targets ``ell_to`` at reduced
+    drift v after reduced time tau.
 
     Returns (w(x), tail bound, p(x), s(x), e^{v(x-y)}) with the mode sum
     s = sum_n c_n psi_n(x), c_n = 2 e^{-lam_n tau} psi_n(y) / lam_n, and
@@ -177,9 +188,7 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
     y = float(ell_from)
     if not (np.all((0.0 <= x) & (x <= 1.0)) and 0.0 <= y <= 1.0):
         raise ValueError("positions must lie in [0, 1]")
-    tau = _reduced_time(params, t)
-    n, lam = _wall_modes(params, ctrl, tau)
-    v = params.v
+    n, lam = _wall_modes(v, tau)
     # psi_n(u) = pi n cos(pi n u) + v sin(pi n u); column 0 is the start y.
     arg = np.pi * np.outer(n, np.append(y, x))
     pin = (np.pi * n)[:, None]
@@ -188,7 +197,7 @@ def _series(params: FpParams, ctrl: SeriesControl, ell_to, t: float, ell_from: f
     psi_x = np.ascontiguousarray(psi[:, 1:])
     log_env = v * (x - y)
     shift = max(log_env.max() - 700.0, 0.0)  # nonzero only past |v| = 700
-    p = stationary_density(params, x)
+    p = _stationary_density(v, x)
     with np.errstate(over="ignore", invalid="ignore"):
         c = 2.0 / lam * np.exp(shift - lam * tau) * psi[:, 0]
         envelope = np.exp(log_env - shift)
@@ -235,7 +244,7 @@ def transition_density(
     the eigenseries is bounded geometrically; pass ``return_tail_bound`` to
     receive it alongside the value.
     """
-    out, tail = _series(params, ctrl, ell_to, t, ell_from)[:2]
+    out, tail = _series(params.v, _reduced_time(params, t), ell_to, ell_from)[:2]
     value = out if np.ndim(ell_to) else float(out[0])
     if return_tail_bound:
         return value, tail
@@ -254,8 +263,9 @@ def probability_current(
     Vanishes identically at both walls; the zero there is an exact
     mode-by-mode cancellation, so the numerical residual is at round-off.
     """
-    w, _, w_stat, w_series, envelope, dseries = _series(params, ctrl, ell_to, t, ell_from, True)
     v = params.v
+    w, _, w_stat, w_series, envelope, dseries = _series(v, _reduced_time(params, t), ell_to,
+                                                        ell_from, True)
     dw_series = envelope * (dseries + v * w_series)
     dw_stat = 2.0 * v * w_stat
     j = params.a * w - 0.5 * params.sigma2 * (dw_stat + dw_series)
@@ -353,17 +363,19 @@ def loss_rate_coefficient(params: FpParams) -> float:
 
 
 def _reduced_time(params: FpParams, t: float) -> float:
-    """tau of a window of length t; ValueError unless t > 0 and tau is finite."""
+    """tau of a window of length t; ValueError unless t > 0 and tau is
+    finite and positive (not underflowed to 0)."""
     tau = float(params.tau(t))
-    if not (t > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"t must be positive and finite, got t={t} (tau={tau})")
+    if not (t > 0.0 and 0.0 < tau < math.inf):
+        raise ValueError(f"t must be positive and finite, with a reduced time sigma2 t / 2 "
+                         f"that does not underflow; got t={t} (tau={tau})")
     return tau
 
 
 @functools.lru_cache(maxsize=128)
-def _wall_density(params: FpParams) -> float:
+def _wall_density(v: float) -> float:
     """p(1), the stationary density at the full wall."""
-    return float(stationary_density(params, 1.0))
+    return _stationary_density(v, 1.0)
 
 
 #: The largest magnitude any step of a loss_pdf point's arithmetic may
@@ -373,7 +385,7 @@ _STEP_MAX = 2.0**1000
 
 
 class _WallRecord(NamedTuple):
-    """Everything a loss_pdf point at one (params, tau) reads but x."""
+    """Everything a loss_pdf point at one (v, tau) reads but x."""
 
     p1: float
     #: W(1, eps; 1) and the density's denominator eps^2 W^2 on every node
@@ -404,10 +416,7 @@ def _overflow_free_x(p1: float, w, d, factor, one_i_sigma) -> float:
     units, so Re(-x/W_k) is x Re(-1/W_k) within a relative 1e-15. Below the
     returned x no operation can raise NumPy's overflow or invalid flag.
     """
-    w_abs, d_abs = np.abs(w), np.abs(d)
-    if not (math.isfinite(w_abs.max()) and math.isfinite(d_abs.max())):
-        return -math.inf
-    w_min, d_min = float(w_abs.min()), float(d_abs.min())
+    w_min, d_min = float(np.abs(w).min()), float(np.abs(d).min())
     if min(w_min, d_min) <= 2.0 / _STEP_MAX:
         return -math.inf
     # The largest step after e^{-x/W}, over e^{x Re(-1/W)}: at most
@@ -425,19 +434,27 @@ def _overflow_free_x(p1: float, w, d, factor, one_i_sigma) -> float:
 
 
 @functools.lru_cache(maxsize=128)
-def _wall_record(params: FpParams, tau: float) -> _WallRecord:
-    """The :class:`_WallRecord` at (params, tau): W = W(1, eps; 1) and
-    eps^2 W^2 on the nodes of both inversion contours, read-only and in
+def _wall_record(v: float, tau: float) -> _WallRecord:
+    """The :class:`_WallRecord` at reduced drift v and time tau: W = W(1, eps; 1)
+    and eps^2 W^2 on the nodes of both inversion contours, read-only and in
     the order of :func:`numerics._talbot_contours`, next to p(1), the
     contour data, the deep-tail cutoff and :func:`_overflow_free_x`.
 
     One bounded cache entry serves every moment, the loss probability and
-    every loss_pdf point at one (params, t), so a point costs one lookup.
+    every loss_pdf point at one (v, tau), whichever (a, sigma2, t) they
+    came from, so a point costs one lookup. W is evaluated through
+    :func:`boundary_return_transform` on ``FpParams(a=v, sigma2=1.0)``,
+    whose v is v to the bit. InversionError where eps^2 W^2 is not finite
+    on every node: there is no inversion to read from the record.
     """
-    p1 = _wall_density(params)
-    eps, factor, one_i_sigma, contours = numerics._talbot_contours(tau)
-    w = boundary_return_transform(params, eps)
-    d = eps * eps * w * w
+    p1 = _wall_density(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps, factor, one_i_sigma, contours = numerics._talbot_contours(tau)
+        w = boundary_return_transform(FpParams(a=v, sigma2=1.0), eps)
+        d = eps * eps * w * w
+    if not np.isfinite(d).all():
+        raise InversionError(f"eps^2 W^2 overflows on the inversion contour at v={v:.3g}, "
+                             f"tau={tau:.3g}")
     return _WallRecord(p1, numerics._read_only(w), numerics._read_only(d), factor,
                        one_i_sigma, contours, p1 * (tau + 12.0 * math.sqrt(tau) + 1.0),
                        _overflow_free_x(p1, w, d, factor, one_i_sigma))
@@ -459,10 +476,10 @@ def _settled(value: float, err: float, tau: float, what: str) -> float:
     return value
 
 
-def _invert_wall(params: FpParams, tau: float, what: str, g) -> float:
-    """Invert g(eps, W, eps^2 W^2) at reduced time tau, W = W(1, eps; 1),
-    with W and eps^2 W^2 from :func:`_wall_record`."""
-    record = _wall_record(params, tau)
+def _invert_wall(v: float, tau: float, what: str, g) -> float:
+    """Invert g(eps, W, eps^2 W^2) at reduced drift v and time tau,
+    W = W(1, eps; 1), with W and eps^2 W^2 from :func:`_wall_record`."""
+    record = _wall_record(v, tau)
     w, d = record.w, record.d
     # laplace_invert calls the transform once, on exactly the nodes w and d
     # were evaluated on.
@@ -478,11 +495,11 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
     if k < 1:
         raise ValueError("moment order must be >= 1")
     tau = _reduced_time(params, t)
-    p1 = _wall_density(params)
+    p1 = _wall_density(params.v)
     if k == 1:
         return p1 * tau
     kfac = math.factorial(k)
-    return _invert_wall(params, tau, f"loss moment k={k}",
+    return _invert_wall(params.v, tau, f"loss moment k={k}",
                         lambda eps, w, _: kfac * p1 * w ** (k - 1) / eps**2)
 
 
@@ -495,7 +512,7 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     if k < 1:
         raise ValueError("moment order must be >= 1")
     tau = _reduced_time(params, t)
-    p1 = _wall_density(params)
+    p1 = _wall_density(params.v)
     if regime not in ("short", "long"):
         raise ValueError(f"unknown regime {regime!r}")
     try:
@@ -510,15 +527,15 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     return value
 
 
-def _loss_probability(params: FpParams, tau: float) -> float:
-    """The loss probability at reduced time tau."""
-    p1 = _wall_density(params)
-    value = _invert_wall(params, tau, "loss probability", lambda eps, w, _: p1 / (eps * eps * w))
+def _loss_probability(v: float, tau: float) -> float:
+    """The loss probability at reduced drift v and time tau."""
+    p1 = _wall_density(v)
+    value = _invert_wall(v, tau, "loss probability", lambda eps, w, _: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
 
 
 #: The conditioning probability of :func:`loss_pdf_conditional`, kept per
-#: (params, tau) next to W so that a conditional density curve inverts it
+#: (v, tau) next to W so that a conditional density curve inverts it
 #: once. :func:`loss_probability` calls the uncached function: its callers
 #: ask once per (params, t), and cached entries only hold on to memory.
 _conditioning_probability = functools.lru_cache(maxsize=128)(_loss_probability)
@@ -527,14 +544,14 @@ _conditioning_probability = functools.lru_cache(maxsize=128)(_loss_probability)
 def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
     """Probability that any traffic is lost during [0, t], inverted from
     p(1) / (eps^2 W(1, eps; 1)); clipped to [0, 1] at round-off level."""
-    return _loss_probability(params, _reduced_time(params, t))
+    return _loss_probability(params.v, _reduced_time(params, t))
 
 
 def loss_probability_asymptotic(params: FpParams, t: float, regime: str) -> float:
     """Short-time branch p(1) sqrt(4 tau / pi); long-time branch 1."""
     tau = _reduced_time(params, t)
     if regime == "short":
-        return _wall_density(params) * math.sqrt(4.0 * tau / math.pi)
+        return _wall_density(params.v) * math.sqrt(4.0 * tau / math.pi)
     if regime == "long":
         return 1.0
     raise ValueError(f"unknown regime {regime!r}")
@@ -571,7 +588,7 @@ def loss_pdf(
     if tau > PDF_INVERSION_TAU_MAX:
         value = float(loss_pdf_asymptotic(params, x, t, "long"))
         return (value, "surrogate") if return_regime else value
-    p1, w, d, factor, one_i_sigma, contours, x_cut, x_safe = _wall_record(params, tau)
+    p1, w, d, factor, one_i_sigma, contours, x_cut, x_safe = _wall_record(params.v, tau)
     # Deep-tail cutoff: losses beyond tau p(1) by many diffusive spreads have
     # density below double-precision inversion resolution, and the shifted
     # effective time there turns negative, which no contour can represent.
@@ -580,7 +597,7 @@ def loss_pdf(
     if x <= x_safe:
         terms = _pdf_terms(x, p1, w, d, factor, one_i_sigma)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms = _pdf_terms(x, p1, w, d, factor, one_i_sigma)
     value, err = numerics._contour_sums(terms, contours, tau)
     value = _settled(value, err, tau, "loss pdf")
@@ -605,7 +622,7 @@ def loss_pdf_conditional(params: FpParams, ctrl: SeriesControl, x: float, t: flo
     ValueError where the loss probability is 0 (p(1) underflows at large
     negative drift) and the condition is empty."""
     density = loss_pdf(params, ctrl, x, t)
-    prob = _conditioning_probability(params, _reduced_time(params, t))
+    prob = _conditioning_probability(params.v, _reduced_time(params, t))
     if prob == 0.0:
         raise ValueError(
             f"conditional loss density undefined at a={params.a}, sigma2={params.sigma2}, "
@@ -622,7 +639,7 @@ def loss_pdf_longtime_summary(params: FpParams, t: float) -> tuple[float, float]
     because a literal point mass is not a computable density.
     """
     tau = _reduced_time(params, t)
-    return tau * _wall_density(params), _longtime_variance(params, tau)
+    return tau * _wall_density(params.v), _longtime_variance(params.v, tau)
 
 
 def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
@@ -635,7 +652,7 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
     tau = _reduced_time(params, t)
     xs = np.asarray(x, dtype=float)
     if regime == "short":
-        p1 = _wall_density(params)
+        p1 = _wall_density(params.v)
         out = p1 * numerics.erfc(xs / math.sqrt(4.0 * tau))
     elif regime == "long":
         mean, var = loss_pdf_longtime_summary(params, t)
@@ -649,11 +666,11 @@ def loss_pdf_asymptotic(params: FpParams, x, t: float, regime: str):
     return out if np.ndim(x) else float(out)
 
 
-def _longtime_variance(params: FpParams, tau: float) -> float:
-    """m1 * [coth|v|/|v| - 1/sinh^2|v|] at reduced time ``tau``, m1 = p(1) tau,
-    with the drift-free limit (2/3) m1."""
-    m1 = _wall_density(params) * tau
-    av = abs(params.v)
+def _longtime_variance(v: float, tau: float) -> float:
+    """m1 * [coth|v|/|v| - 1/sinh^2|v|] at reduced drift v and time tau,
+    m1 = p(1) tau, with the drift-free limit (2/3) m1."""
+    m1 = _wall_density(v) * tau
+    av = abs(v)
     if av < 1e-4:
         # coth(u)/u - 1/sinh^2(u) = 2/3 - 4 u^2 / 45 + O(u^4)
         factor = 2.0 / 3.0 - 4.0 * av * av / 45.0
@@ -675,7 +692,7 @@ def loss_variance_longtime(params: FpParams, t: float) -> float:
             "the closed form assumes tau >> 1",
             stacklevel=2,
         )
-    return _longtime_variance(params, tau)
+    return _longtime_variance(params.v, tau)
 
 
 def loss_correlator(
@@ -700,15 +717,22 @@ def loss_correlator(
         A_n = 2 pi^2 n^2 / (pi^2 n^2 + v^2),  k_n = (pi^2 n^2 + v^2) sigma^2 / 2,
 
     truncated at the mode count of the series density at separation T.
-    ValueError unless t1, t2 and T are positive and finite.
+    ValueError unless t1, t2 and T are positive and finite, and where
+    r^2 overflows a double.
     """
     *_, tau_T = (_reduced_time(params, t) for t in (t1, t2, T))
-    n, lam = _wall_modes(params, ctrl, tau_T)
+    n, lam = _wall_modes(params.v, tau_T)
     r = loss_rate_coefficient(params)
     k = r * lam
     amp = 2.0 * (np.pi * n) ** 2 / lam
-    terms = amp * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
-    return r * r * _wall_density(params) * float(np.sum(terms))
+    # From |v| of about 1e77 on, k * k overflows on modes whose e^{-k T}
+    # is already 0; their terms are 0.
+    with np.errstate(over="ignore"):
+        terms = amp * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
+    value = r * r * _wall_density(params.v) * float(np.sum(terms))
+    if not math.isfinite(value):  # r * r overflows past sigma2 of about 2.7e154
+        raise ValueError(f"loss correlator overflows a double at sigma2={params.sigma2}")
+    return value
 
 
 def loss_correlator_asymptotic(
@@ -730,7 +754,7 @@ def loss_correlator_asymptotic(
         return 0.0
     if regime != "window":
         raise ValueError(f"unknown regime {regime!r}")
-    p1 = _wall_density(params)
+    p1 = _wall_density(params.v)
     if p1 == 0.0:
         return 0.0
     return p1 * tau1 * (p1 * tau2) * math.sqrt(2.0 / (math.pi * params.sigma2 * T)) / p1

@@ -15,7 +15,7 @@ ends every inversion in the package: each contour's value is its head term
 plus one ``math.fsum`` over its off-axis terms, and a non-finite value
 raises :class:`InversionError`. The continuum layer's ``loss_pdf`` forms its
 terms itself and ends in the same sum: it reads one cached record per
-(parameters, tau) holding everything a point needs but x, and enters
+(reduced drift, tau) holding everything a point needs but x, and enters
 ``np.errstate`` only past the record's overflow-free x, below which no step
 can overflow. The discrete layer caches its mode table per (p, L). The
 cached arrays are read-only, so every caller shares them without copying
@@ -95,15 +95,16 @@ def laplace_invert(F: Callable, tau: float) -> tuple[float, float]:
     ``fokker_planck.laplace_propagator`` at v = -67.74, tau = 0.2211, x = 0,
     y = 0.5167 misses the 40-digit value by 2.2e-7 with an estimate of
     1.0e-8. Raises ``ValueError`` unless ``tau`` is finite and positive, and
-    :class:`InversionError` on non-finite node values; overflow in ``F``,
-    in the terms or in their sums raises that error, never a NumPy warning.
+    :class:`InversionError` on non-finite node values; overflow or a
+    division by zero in ``F``, in the terms or in their sums raises that
+    error, never a NumPy warning.
     """
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     nodes, factor, one_i_sigma, contours = _talbot_contours(float(tau))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         terms = ((factor * F(nodes)) * one_i_sigma).real.tolist()
     return _contour_sums(terms, contours, tau)
 

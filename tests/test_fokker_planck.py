@@ -123,31 +123,30 @@ class TestTransitionDensity:
             direct = float(F.transition_density(params, CTRL, x, t1 + t2, y))
             assert val == pytest.approx(direct, abs=1e-5)
 
-    def test_tail_bound_reported_and_conservative(self):
+    def test_tail_bound_reported_and_conservative(self, monkeypatch):
         params = F.FpParams(a=0.0, sigma2=2.0)
-        coarse = F.SeriesControl(k_max=12)
         t = 0.08
-        val, bound = F.transition_density(params, coarse, 0.5, t, 0.5, return_tail_bound=True)
         exact = float(F.transition_density(params, CTRL, 0.5, t, 0.5))
+        monkeypatch.setattr(F, "_modes_for", lambda tau: 12)
+        val, bound = F.transition_density(params, CTRL, 0.5, t, 0.5, return_tail_bound=True)
         assert abs(val - exact) <= bound
         assert bound > 0
 
-    def test_more_modes_never_raise_bound(self):
+    def test_more_modes_never_raise_bound(self, monkeypatch):
         params = F.FpParams(a=0.0, sigma2=2.0)
         t = 0.02
         bounds = []
         for k in (20, 40, 80):
-            _, bound = F.transition_density(
-                params, F.SeriesControl(k_max=k), 0.4, t, 0.6, return_tail_bound=True
-            )
+            monkeypatch.setattr(F, "_modes_for", lambda tau, k=k: k)
+            _, bound = F.transition_density(params, CTRL, 0.4, t, 0.6, return_tail_bound=True)
             bounds.append(bound)
         assert bounds[0] >= bounds[1] >= bounds[2]
 
     def test_mode_budget_floor(self):
+        # tau = 1e-10 needs 600008 modes, above the fixed cap of 100000.
         params = F.FpParams(a=0.0, sigma2=2.0)
-        tiny = F.SeriesControl(mode_cap=100)
-        with pytest.raises(F.SeriesTruncationError):
-            F.transition_density(params, tiny, 0.5, params.time_from_tau(1e-6), 0.5)
+        with pytest.raises(F.SeriesTruncationError, match="600008 modes"):
+            F.transition_density(params, CTRL, 0.5, params.time_from_tau(1e-10), 0.5)
 
     def test_rejects_zero_time(self):
         with pytest.raises(ValueError):
@@ -590,6 +589,64 @@ class TestMomentOverflow:
             F.loss_moment_asymptotic(F.FpParams(0.0, 1.0), 400, 1.0, "short")
 
 
+def _wall_evaluators():
+    """The evaluators that read the wall record, as f(params, t)."""
+    return (lambda p, t: F.loss_moment(p, CTRL, 2, t),
+            lambda p, t: F.loss_probability(p, CTRL, t),
+            lambda p, t: F.loss_pdf(p, CTRL, 0.0, t))
+
+
+class TestEdgeGuards:
+    """At edge inputs an evaluator returns a value or raises a named error,
+    never a NumPy warning (RuntimeWarning is an error in this suite)."""
+
+    def test_underflowing_reduced_time_is_rejected(self):
+        # sigma2 t / 2 underflows to 0
+        with pytest.raises(ValueError, match="underflow"):
+            F.loss_moment(F.FpParams(0.0, 1e-300), CTRL, 2, 1e-300)
+
+    def test_inversions_below_the_contour_floor(self):
+        # The contour's nodes grow as 1/tau; eps^2 overflows below tau of
+        # about 6.7e-152.
+        params = F.FpParams(1.0, 1.0)
+        for evaluate in _wall_evaluators():
+            assert math.isfinite(evaluate(params, 1e-150))
+            with pytest.raises(F.InversionError, match="overflows"):
+                evaluate(params, 1e-155)
+
+    def test_first_moment_at_any_positive_tau(self):
+        params = F.FpParams(1.0, 1.0)
+        p1 = F.stationary_density(params, 1.0)
+        for t in (1e-155, 1e-300, 1e-320):
+            assert F.loss_moment(params, CTRL, 1, t) == p1 * params.tau(t)
+
+    @pytest.mark.parametrize("a", [1e155, -1e155])
+    def test_drift_whose_square_overflows_is_rejected(self, a):
+        with pytest.raises(ValueError, match="finite square"):
+            F.FpParams(a=a, sigma2=1.0)
+
+    def test_wall_record_overflow_is_named(self):
+        # v^2 is finite, but eps^2 W^2, about 4 v^2, is not.
+        params = F.FpParams(a=1.3e154, sigma2=1.0)
+        for evaluate in _wall_evaluators():
+            with pytest.raises(F.InversionError, match="overflows"):
+                evaluate(params, 1.0)
+
+    @pytest.mark.parametrize("a", [1e80, -1e80])
+    def test_correlator_at_huge_drift_underflows_to_zero(self, a):
+        # k * k overflows on every mode; e^{-k T} is 0 on all of them.
+        assert F.loss_correlator(F.FpParams(a=a, sigma2=1.0), CTRL, 1.0, 1.0, 1.0) == 0.0
+
+    def test_correlator_overflow_is_named(self):
+        with pytest.raises(ValueError, match="overflows"):
+            F.loss_correlator(F.FpParams(0.0, 1e300), CTRL, 1e-300, 1e-300, 1e-300)
+
+    def test_division_by_zero_on_the_contour_is_named(self):
+        # v = -100, tau = 5e14: eps^2 W is 0 on a node.
+        with pytest.raises(F.InversionError):
+            F.loss_probability(F.FpParams(a=-1e5, sigma2=1e3), CTRL, 1e12)
+
+
 def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
     F._wall_record.cache_clear()
@@ -664,7 +721,7 @@ class TestWallTransformCache:
         assert again == cold
 
     def test_cached_wall_values_read_only(self):
-        cached = F._wall_record(self.PARAMS, 0.45)
+        cached = F._wall_record(self.PARAMS.v, 0.45)
         arrays = [a for a in cached if isinstance(a, np.ndarray)]
         # W(1, eps; 1), the density's denominator eps^2 W^2, and the contour
         # factors e^{s tau} and 1 + i sigma
@@ -673,6 +730,15 @@ class TestWallTransformCache:
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_equal_drift_shares_one_record(self):
+        # v = 0.5 and tau = 0.5 for both parameter sets.
+        clear_inversion_caches()
+        first = F.loss_probability(F.FpParams(1.0, 2.0), CTRL, 0.5)
+        second = F.loss_probability(F.FpParams(0.5, 1.0), CTRL, 1.0)
+        info = F._wall_record.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first == second
 
     def test_wall_cache_is_bounded(self):
         clear_inversion_caches()
@@ -760,7 +826,7 @@ class TestWallRecordParity:
         tau = params.tau(t)
         x = u
         if tau <= F.PDF_INVERSION_TAU_MAX and log10_t != 1.0:
-            record = F._wall_record(params, tau)
+            record = F._wall_record(params.v, tau)
             x = u * record.x_cut
             if near_bound and 0.0 < record.x_safe < record.x_cut:
                 x = record.x_safe * (1.0 + rel)
@@ -773,7 +839,7 @@ class TestWallRecordParity:
     @example(a=2.0, sigma2=1.0, log10_t=1.0)
     def test_no_step_overflows_up_to_the_bound(self, a, sigma2, log10_t):
         params = F.FpParams(a=a, sigma2=sigma2)
-        record = F._wall_record(params, params.tau(10.0**log10_t))
+        record = F._wall_record(params.v, params.tau(10.0**log10_t))
         assert record.x_safe > 0.0
         p1, w, d, factor, one_i_sigma, *_ = record
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -782,7 +848,7 @@ class TestWallRecordParity:
 
     def test_errstate_only_past_the_bound(self, monkeypatch):
         params, t = F.FpParams(a=5.0, sigma2=0.5), 10.0
-        record = F._wall_record(params, params.tau(t))
+        record = F._wall_record(params.v, params.tau(t))
         entered = []
         errstate = np.errstate
 
@@ -798,7 +864,7 @@ class TestWallRecordParity:
         assert F.InversionError in outcomes and str in map(type, outcomes)
         with pytest.raises(F.InversionError, match="non-finite"):
             F.loss_pdf(params, CTRL, 87.6, t)
-        assert entered == [{"over": "ignore", "invalid": "ignore"}]
+        assert entered == [{"over": "ignore", "invalid": "ignore", "divide": "ignore"}]
 
 
 class TestLossVarianceLongtime:
@@ -996,15 +1062,9 @@ class TestIdlenessSymmetry:
 
 class TestSeriesControl:
     def test_mode_heuristic(self):
-        ctrl = F.SeriesControl()
-        assert ctrl.modes_for(1.0) == 14
-        assert ctrl.modes_for(1e-4) == 608
-
-    def test_explicit_override(self):
-        assert F.SeriesControl(k_max=5).modes_for(1e-9) == 5
+        assert F._modes_for(1.0) == 14
+        assert F._modes_for(1e-4) == 608
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            F.SeriesControl(k_max=0)
         with pytest.raises(ValueError):
             F.FpParams(a=0.0, sigma2=0.0)
