@@ -35,8 +35,7 @@ of the lost-volume PDF and a bound on x below which none of its terms can
 overflow. Where eps^2 W^2 overflows on the contour the record raises
 :class:`InversionError`: below tau of about 6.7e-152, as the contour's
 nodes grow as 1/tau, and above v of about 6.7e153, where eps^2 W^2 is
-about 4 v^2.
-Moments and the loss probability invert through
+about 4 v^2. Moments and the loss probability invert through
 ``numerics.laplace_invert``; a ``loss_pdf`` point forms its terms in one
 buffer from the record and sums them with the same contour sum, entering
 ``np.errstate`` only past that x, so a warm point costs one cache lookup

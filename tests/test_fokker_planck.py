@@ -589,11 +589,10 @@ class TestMomentOverflow:
             F.loss_moment_asymptotic(F.FpParams(0.0, 1.0), 400, 1.0, "short")
 
 
-def _wall_evaluators():
-    """The evaluators that read the wall record, as f(params, t)."""
-    return (lambda p, t: F.loss_moment(p, CTRL, 2, t),
-            lambda p, t: F.loss_probability(p, CTRL, t),
-            lambda p, t: F.loss_pdf(p, CTRL, 0.0, t))
+#: The evaluators that read the wall record, as f(params, t).
+WALL_EVALUATORS = (lambda p, t: F.loss_moment(p, CTRL, 2, t),
+                   lambda p, t: F.loss_probability(p, CTRL, t),
+                   lambda p, t: F.loss_pdf(p, CTRL, 0.0, t))
 
 
 class TestEdgeGuards:
@@ -609,7 +608,7 @@ class TestEdgeGuards:
         # The contour's nodes grow as 1/tau; eps^2 overflows below tau of
         # about 6.7e-152.
         params = F.FpParams(1.0, 1.0)
-        for evaluate in _wall_evaluators():
+        for evaluate in WALL_EVALUATORS:
             assert math.isfinite(evaluate(params, 1e-150))
             with pytest.raises(F.InversionError, match="overflows"):
                 evaluate(params, 1e-155)
@@ -628,7 +627,7 @@ class TestEdgeGuards:
     def test_wall_record_overflow_is_named(self):
         # v^2 is finite, but eps^2 W^2, about 4 v^2, is not.
         params = F.FpParams(a=1.3e154, sigma2=1.0)
-        for evaluate in _wall_evaluators():
+        for evaluate in WALL_EVALUATORS:
             with pytest.raises(F.InversionError, match="overflows"):
                 evaluate(params, 1.0)
 
