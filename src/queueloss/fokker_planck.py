@@ -326,9 +326,14 @@ def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):
            = N(x; y + at, sigma^2 t) + mirror Gaussian
              + v e^{-2v(1-x)} erfc[(2 - x - y - at)/sqrt(2 sigma^2 t)]
 
-    written with the exponent-shifted erfcx where the prefactor could
-    overflow. Mass on (-inf, 1] is exactly conserved (the wall at 1 is
-    zero-flux; lost volume is accounted by local time, not leakage).
+    Each Gaussian is one exponential, its drift factor e^{v(x - y) - a^2 t
+    / (2 sigma^2)} inside the exponent: the direct one is e^{-(x - y -
+    at)^2 / (2 sigma^2 t)}, the mirror one e^{expo - arg^2} with expo = -2v
+    (1 - x) and arg = (2 - x - y - at) / sqrt(2 sigma^2 t), which also
+    scales the drift correction written with the exponent-shifted erfcx
+    where its prefactor could overflow. Mass on (-inf, 1] is exactly
+    conserved (the wall at 1 is zero-flux; lost volume is accounted by
+    local time, not leakage).
     """
     _reduced_time(params, t)  # checks t; the image solution works in t itself
     x = np.atleast_1d(np.asarray(ell_to, dtype=float))
@@ -339,11 +344,10 @@ def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):
     v = params.v
     var = s2 * t
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-    drift_gauss = np.exp(a * (x - y) / s2 - a * a * t / (2.0 * s2))
-    direct = np.exp(-((x - y) ** 2) / (2.0 * var))
-    mirror = np.exp(-((2.0 - x - y) ** 2) / (2.0 * var))
+    direct = np.exp(-((x - y - a * t) ** 2) / (2.0 * var))
     arg = (2.0 - x - y - a * t) / math.sqrt(2.0 * var)
     expo = -2.0 * v * (1.0 - x)
+    mirror = np.exp(expo - arg * arg)
     # v * e^{expo} * erfc(arg), via erfcx when the plain product would
     # overflow or lose all precision.
     small = arg < 25.0
@@ -351,8 +355,8 @@ def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):
     corr[small] = v * np.exp(expo[small]) * numerics.erfc(arg[small])
     big = ~small
     if np.any(big):
-        corr[big] = v * numerics.erfcx(arg[big]) * np.exp(expo[big] - arg[big] ** 2)
-    out = norm * drift_gauss * (direct + mirror) + corr
+        corr[big] = v * numerics.erfcx(arg[big]) * mirror[big]
+    out = norm * (direct + mirror) + corr
     return out if np.ndim(ell_to) else float(out[0])
 
 
@@ -377,6 +381,9 @@ def _wall_density(v: float) -> float:
     return _stationary_density(v, 1.0)
 
 
+#: The smallest normal double, the floor of a wall transform's head-node
+#: value (:func:`_invert_wall`).
+_NORMAL_MIN = float(np.finfo(float).tiny)
 #: The largest magnitude any step of a loss_pdf point's arithmetic may
 #: reach outside ``np.errstate``: 2^24 below the overflow threshold, far
 #: above the rounding of the bound itself.
@@ -477,19 +484,35 @@ def _settled(value: float, err: float, tau: float, what: str) -> float:
 
 def _invert_wall(v: float, tau: float, what: str, g) -> float:
     """Invert g(eps, W, eps^2 W^2) at reduced drift v and time tau,
-    W = W(1, eps; 1), with W and eps^2 W^2 from :func:`_wall_record`."""
-    record = _wall_record(v, tau)
-    w, d = record.w, record.d
-    # laplace_invert calls the transform once, on exactly the nodes w and d
-    # were evaluated on.
-    return _settled(*numerics.laplace_invert(lambda eps: g(eps, w, d), tau), tau, what)
+    W = W(1, eps; 1), with W and eps^2 W^2 from :func:`_wall_record`.
+
+    InversionError where p(1) > 0 but the transform at either contour's
+    head node s = r is below the smallest normal double: the transform has
+    underflowed on the contour, and the inversion would return 0 or lose
+    digits (k >= 2 moments at small tau, the loss probability at strongly
+    negative v and small tau).
+    """
+    p1, w, d, _, _, contours, _, _ = _wall_record(v, tau)
+
+    def transform(eps):
+        # laplace_invert calls it once, on exactly the nodes w and d were
+        # evaluated on.
+        values = g(eps, w, d)
+        if p1 > 0.0 and min(abs(values[head]) for head, _, _ in contours) < _NORMAL_MIN:
+            raise InversionError(f"{what} transform underflows on the inversion contour at "
+                                 f"v={v:.3g}, tau={tau:.3g}")
+        return values
+
+    return _settled(*numerics.laplace_invert(transform, tau), tau, what)
 
 
 def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> float:
     """k-th moment of lost volume in [0, t], stationary start.
 
     The first moment is exact at all times: p(1) tau. Higher moments invert
-    M^{(k)}(eps) = k! p(1) W(1, eps; 1)^{k-1} / eps^2 numerically over tau.
+    M^{(k)}(eps) = k! p(1) W(1, eps; 1)^{k-1} / eps^2 numerically over tau,
+    and raise InversionError where it underflows on the contour (k = 2
+    below tau of about 1e-120).
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
@@ -526,18 +549,14 @@ def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> f
     return value
 
 
+@functools.lru_cache(maxsize=128)
 def _loss_probability(v: float, tau: float) -> float:
-    """The loss probability at reduced drift v and time tau."""
+    """The loss probability at reduced drift v and time tau, kept per
+    (v, tau) next to W so that a conditional density curve
+    (:func:`loss_pdf_conditional`) inverts it once."""
     p1 = _wall_density(v)
     value = _invert_wall(v, tau, "loss probability", lambda eps, w, _: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
-
-
-#: The conditioning probability of :func:`loss_pdf_conditional`, kept per
-#: (v, tau) next to W so that a conditional density curve inverts it
-#: once. :func:`loss_probability` calls the uncached function: its callers
-#: ask once per (params, t), and cached entries only hold on to memory.
-_conditioning_probability = functools.lru_cache(maxsize=128)(_loss_probability)
 
 
 def loss_probability(params: FpParams, ctrl: SeriesControl, t: float) -> float:
@@ -621,7 +640,7 @@ def loss_pdf_conditional(params: FpParams, ctrl: SeriesControl, x: float, t: flo
     ValueError where the loss probability is 0 (p(1) underflows at large
     negative drift) and the condition is empty."""
     density = loss_pdf(params, ctrl, x, t)
-    prob = _conditioning_probability(params.v, _reduced_time(params, t))
+    prob = _loss_probability(params.v, _reduced_time(params, t))
     if prob == 0.0:
         raise ValueError(
             f"conditional loss density undefined at a={params.a}, sigma2={params.sigma2}, "

@@ -13,8 +13,9 @@ drift/diffusion estimator and the window extractor consume; no per-arrival
 record is kept. The module is pure computation: it writes no files (the CSV
 export lives in :mod:`queueloss.cli`).
 
-One kernel call runs the whole simulation, drawing arrivals in fixed-size
-chunks and working through each chunk in sub-chunks. Per sub-chunk one
+One kernel call runs the whole simulation, one sub-chunk of arrivals at a
+time: it draws the sub-chunk's interarrival times and packet sizes, each
+from its own random stream, and works through them. Per sub-chunk one
 vectorised pass forms the arrival clock (a running sum of interarrival
 times, which never resets), the drained volumes and the level increments.
 The arrivals then run in order as free-path blocks: between wall contacts
@@ -56,7 +57,6 @@ __all__ = [
     "window_losses",
 ]
 
-_CHUNK = 1 << 20
 #: The coarse-graining scale, in mean interarrival times: the default
 #: sampling step of :func:`run` and the shortest increment that
 #: :func:`estimate_drift_diffusion` accepts.
@@ -162,14 +162,15 @@ _BLOCK_MIN = 256
 #: each longer one takes an accumulate call of its own. 64 to 512 rows ran
 #: slower at r_out = 1.02, where the padded area grows with the columns.
 _SEG_ROWS = 32
-#: Arrivals whose clock, drains, level increments and grid samples are
-#: formed in one vectorised pass each, so that a block only accumulates
-#: levels; blocks do not cross a sub-chunk's end. At 2^13 the level and
-#: increment buffers hold as many doubles as the largest block path,
-#: 2^14 + 1. 2^14 ran the kernel about 3% faster, but its larger
-#: buffers raised the ``monte-carlo`` benchmark's peak RSS to 72.6-74.0 MB
-#: in 8 of 10 runs; at this size it stays within the 69.6-73.9 MB that the
-#: per-block buffers gave.
+#: Arrivals drawn at a time, whose clock, drains, level increments and grid
+#: samples are formed in one vectorised pass each, so that a block only
+#: accumulates levels; blocks do not cross a sub-chunk's end. The size sets
+#: the speed and how far a run draws past its last arrival, never which
+#: values it draws. At 2^13 the level and increment buffers hold as many
+#: doubles as the largest block path, 2^14 + 1. 2^14 ran the kernel about 3%
+#: faster, but its larger buffers raised the ``monte-carlo`` benchmark's peak
+#: RSS to 72.6-74.0 MB in 8 of 10 runs; at this size it stays within the
+#: 69.6-73.9 MB that the per-block buffers gave.
 _SUB = 1 << 13
 
 
@@ -275,18 +276,21 @@ def _drop_levels(step_buf, level_buf, e, end, size, one_bits):
     return f, drops[: int(drops.searchsorted(e + f))]
 
 
-def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle):
+def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples, cum_lost,
+            cum_idle):
     """Run the whole simulation from level ``ell`` at t = 0; returns
     ``(final_queue, arrived, serviced, dropped, idle_time, n_arrivals,
     n_drops, scalar_arrivals)`` and fills the grid arrays in place.
 
-    Arrivals are drawn ``_CHUNK`` at a time, interarrival times first, and
-    worked through ``_SUB`` at a time. Per sub-chunk one vectorised pass
-    forms the arrival clock, the cumsum of [t, eta0, eta1, ...] (time never
-    resets, so these are the loop's times to the bit, and the arrival whose
-    interval reaches ``duration`` ends the run), the drains eta r_out and
-    the level increments [., p0, -d0, p1, -d1, ...] (x - y == x + (-y)
-    exactly).
+    One loop draws and works through ``_SUB`` arrivals at a time,
+    interarrival times from ``gap_rng`` and packet sizes from ``size_rng``.
+    A generator gives the same values however its draws are split, so no
+    constant of the kernel decides which values a run gets. Per sub-chunk
+    one vectorised pass forms the arrival clock, the cumsum of [t, eta0,
+    eta1, ...] (time never resets, so these are the loop's times to the
+    bit, and the arrival whose interval reaches ``duration`` ends the run),
+    the drains eta r_out and the level increments [., p0, -d0, p1, -d1,
+    ...] (x - y == x + (-y) exactly).
 
     The level pass then runs the sub-chunk's arrivals in order, storing
     each arrival's level after its packet, ell_plus. Between wall contacts
@@ -326,9 +330,9 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
 
     Levels, times, grid samples, drops and idle time, with their
     compensation terms, are thus the per-arrival loop's to the bit. The
-    offered volume enters its compensated sum once per chunk and the
-    serviced volume once per sub-chunk, so those two totals may differ from
-    a per-arrival sum in the last bits.
+    offered and serviced volumes enter their compensated sums once per
+    sub-chunk, so those two totals may differ from a per-arrival sum in the
+    last bits.
     """
     r_out = traffic.r_out
     t = serviced = dropped = arrived = idle = 0.0
@@ -351,11 +355,8 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
         need = _QUIET
         moves = traffic.packet_size.mean_value + r_out * traffic.interarrival.mean_value
         top = max(1.0 - _WALL_MOVES * moves, 0.0)
-    sub = min(_SUB, _CHUNK)
-    clock_buf = np.empty(sub + 1)
-    drain_buf = np.empty(sub)
     # One slot past the longest path: 0.0 in step_buf, the clip pass's pad.
-    pad = 2 * sub + 1
+    pad = 2 * _SUB + 1
     step_buf = np.zeros(pad + 1)
     level_buf = np.empty(pad + 1)
     # Non-negative doubles order like their bits read as unsigned integers,
@@ -364,127 +365,116 @@ def _kernel(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum
     # -0.0, which no level reached from [0, 1] is.
     level_bits = level_buf.view(np.uint64)
     one_bits = np.float64(1.0).view(np.uint64)
-    hit_buf = np.empty(2 * sub, dtype=np.bool_)
+    hit_buf = np.empty(2 * _SUB, dtype=np.bool_)
     scalar = False
     quiet = 0
     block = _BLOCK_MIN
     while t < duration:
-        etas = traffic.interarrival.sample(rng, _CHUNK)
-        sizes = traffic.packet_size.sample(rng, _CHUNK)
-        for s0 in range(0, _CHUNK, sub):
-            m = min(sub, _CHUNK - s0)
-            clock = clock_buf[: m + 1]
-            clock[0] = t
-            clock[1:] = etas[s0 : s0 + m]
-            np.add.accumulate(clock, out=clock)
-            if clock[m] >= duration:
-                # The first arrival whose interval reaches the end is the last.
-                m = int(clock[1:].searchsorted(duration)) + 1
-                clock = clock[: m + 1]
-            eta_s = etas[s0 : s0 + m]
-            p_s = sizes[s0 : s0 + m]
-            drain = np.multiply(eta_s, r_out, out=drain_buf[:m])
-            # steps[2i] takes the level before a block that starts at i.
-            steps = step_buf[: 2 * m + 1]
-            steps[1::2] = p_s
-            np.negative(drain, out=steps[2::2])
-            level = level_buf[: 2 * m + 1]
-            ell_plus = level[1::2]
-            lost = [dropped]
-            drop_at = []
-            idled = [idle]
-            clip_at = []
-            i = 0
-            while i < m:
-                if scalar:
-                    stop = min(i + _SCALAR_RUN, m)
-                    ups = []
-                    arrivals = zip(range(i, stop), p_s[i:stop].tolist(), drain[i:stop].tolist())
-                    for a, p, d in arrivals:
-                        quiet += 1
-                        up = ell + p
-                        if up > 1.0:
-                            up = ell
-                            dropped, c_drop = _compensated(dropped, c_drop, (p,), lost)
-                            n_drops += 1
-                            drop_at.append(a)
-                            quiet = 0
-                        ups.append(up)
-                        if d > up:
-                            gap = float(eta_s[a]) - up / r_out
-                            idle, c_idle = _compensated(idle, c_idle, (gap,), idled)
-                            clip_at.append(a)
-                            # What the arrival serviced, for the sub-chunk's
-                            # serviced total; a block never reads it again.
-                            drain[a] = d = up
-                        ell = up - d
-                        if quiet >= need and ell <= top:
-                            scalar = False
-                            break
-                    ell_plus[i : a + 1] = ups
-                    n_scalar += a + 1 - i
-                    i = a + 1
-                    continue
-                k = min(block, m - i)
-                lo = 2 * i
-                hi = lo + 2 * k + 1
-                steps[lo] = ell
-                np.add.accumulate(steps[lo:hi], out=level[lo:hi])
-                # From ell in [0, 1], the first level outside [0, 1] is the
-                # first drop (ell + p > 1) or idle clip (ell + p - d < 0).
-                hit = np.greater(level_bits[lo + 1 : hi], one_bits, out=hit_buf[: 2 * k])
-                j = int(hit.argmax())
-                if not hit[j]:
-                    ell = float(level[hi - 1])
-                    i += k
-                    block = min(2 * block, sub)
-                    continue
-                block = sub
-                e = i + j // 2
-                if j % 2:
-                    clips = _clip_levels(step_buf, level_buf, e, i + k, pad, one_bits)
-                    ups = level[2 * clips + 1]
-                    excess = (eta_s[clips] - ups / r_out).tolist()
-                    idle, c_idle = _compensated(idle, c_idle, excess, idled)
-                    clip_at.extend(clips.tolist())
-                    drain[clips] = ups
-                    ell = 0.0
-                    i = int(clips[-1]) + 1
-                elif size is not None and drain[e] <= level[2 * e]:
-                    f, drops = _drop_levels(step_buf, level_buf, e, i + k, size, one_bits)
-                    dropped, c_drop = _compensated(dropped, c_drop, [size] * drops.size, lost)
-                    drop_at.extend(drops.tolist())
-                    n_drops += drops.size
-                    i = e + f
-                    ell = float(level[2 * i])
-                else:
-                    i = e
-                    ell = float(level[2 * e])
-                    scalar = True
-                    quiet = 0
-                    block = _BLOCK_MIN
-            serviced, c_serv = _compensated(serviced, c_serv, (float(np.add.reduce(drain)),))
-            t = float(clock[m])
-            g_next = int(grid_times.searchsorted(t, side="right"))
-            if g_next > grid_idx:
-                tg = grid_times[grid_idx:g_next]
-                seg = clock[1:].searchsorted(tg)
-                dtg = tg - clock[seg]
-                lp = ell_plus[seg]
-                q = lp - dtg * r_out
-                queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-                after_drop = np.searchsorted(drop_at, seg, side="right")
-                cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
-                part_idle = dtg - lp / r_out
-                np.copyto(part_idle, 0.0, where=part_idle < 0.0)
-                part_idle += np.take(idled, np.searchsorted(clip_at, seg))
-                cum_idle[grid_idx:g_next] = part_idle
-                grid_idx = g_next
-            if t >= duration:
-                break
-        consumed = s0 + m
-        arrived, c_arr = _compensated(arrived, c_arr, (float(sizes[:consumed].sum()),))
-        n_arrivals += consumed
+        eta_s = traffic.interarrival.sample(gap_rng, _SUB)
+        p_s = traffic.packet_size.sample(size_rng, _SUB)
+        clock = np.add.accumulate(np.concatenate(([t], eta_s)))
+        # The first arrival whose interval reaches the end is the last.
+        m = min(int(clock[1:].searchsorted(duration)) + 1, _SUB)
+        clock, eta_s, p_s = clock[: m + 1], eta_s[:m], p_s[:m]
+        drain = eta_s * r_out
+        # steps[2i] takes the level before a block that starts at i.
+        steps = step_buf[: 2 * m + 1]
+        steps[1::2] = p_s
+        np.negative(drain, out=steps[2::2])
+        level = level_buf[: 2 * m + 1]
+        ell_plus = level[1::2]
+        lost = [dropped]
+        drop_at = []
+        idled = [idle]
+        clip_at = []
+        i = 0
+        while i < m:
+            if scalar:
+                stop = min(i + _SCALAR_RUN, m)
+                ups = []
+                arrivals = zip(range(i, stop), p_s[i:stop].tolist(), drain[i:stop].tolist())
+                for a, p, d in arrivals:
+                    quiet += 1
+                    up = ell + p
+                    if up > 1.0:
+                        up = ell
+                        dropped, c_drop = _compensated(dropped, c_drop, (p,), lost)
+                        n_drops += 1
+                        drop_at.append(a)
+                        quiet = 0
+                    ups.append(up)
+                    if d > up:
+                        gap = float(eta_s[a]) - up / r_out
+                        idle, c_idle = _compensated(idle, c_idle, (gap,), idled)
+                        clip_at.append(a)
+                        # What the arrival serviced, for the sub-chunk's
+                        # serviced total; a block never reads it again.
+                        drain[a] = d = up
+                    ell = up - d
+                    if quiet >= need and ell <= top:
+                        scalar = False
+                        break
+                ell_plus[i : a + 1] = ups
+                n_scalar += a + 1 - i
+                i = a + 1
+                continue
+            k = min(block, m - i)
+            lo = 2 * i
+            hi = lo + 2 * k + 1
+            steps[lo] = ell
+            np.add.accumulate(steps[lo:hi], out=level[lo:hi])
+            # From ell in [0, 1], the first level outside [0, 1] is the
+            # first drop (ell + p > 1) or idle clip (ell + p - d < 0).
+            hit = np.greater(level_bits[lo + 1 : hi], one_bits, out=hit_buf[: 2 * k])
+            j = int(hit.argmax())
+            if not hit[j]:
+                ell = float(level[hi - 1])
+                i += k
+                block = min(2 * block, _SUB)
+                continue
+            block = _SUB
+            e = i + j // 2
+            if j % 2:
+                clips = _clip_levels(step_buf, level_buf, e, i + k, pad, one_bits)
+                ups = level[2 * clips + 1]
+                excess = (eta_s[clips] - ups / r_out).tolist()
+                idle, c_idle = _compensated(idle, c_idle, excess, idled)
+                clip_at.extend(clips.tolist())
+                drain[clips] = ups
+                ell = 0.0
+                i = int(clips[-1]) + 1
+            elif size is not None and drain[e] <= level[2 * e]:
+                f, drops = _drop_levels(step_buf, level_buf, e, i + k, size, one_bits)
+                dropped, c_drop = _compensated(dropped, c_drop, [size] * drops.size, lost)
+                drop_at.extend(drops.tolist())
+                n_drops += drops.size
+                i = e + f
+                ell = float(level[2 * i])
+            else:
+                i = e
+                ell = float(level[2 * e])
+                scalar = True
+                quiet = 0
+                block = _BLOCK_MIN
+        serviced, c_serv = _compensated(serviced, c_serv, (float(np.add.reduce(drain)),))
+        t = float(clock[m])
+        g_next = int(grid_times.searchsorted(t, side="right"))
+        if g_next > grid_idx:
+            tg = grid_times[grid_idx:g_next]
+            seg = clock[1:].searchsorted(tg)
+            dtg = tg - clock[seg]
+            lp = ell_plus[seg]
+            q = lp - dtg * r_out
+            queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
+            after_drop = np.searchsorted(drop_at, seg, side="right")
+            cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
+            part_idle = dtg - lp / r_out
+            np.copyto(part_idle, 0.0, where=part_idle < 0.0)
+            part_idle += np.take(idled, np.searchsorted(clip_at, seg))
+            cum_idle[grid_idx:g_next] = part_idle
+            grid_idx = g_next
+        arrived, c_arr = _compensated(arrived, c_arr, (float(p_s.sum()),))
+        n_arrivals += m
     return ell, arrived, serviced, dropped, idle, n_arrivals, n_drops, n_scalar
 
 
@@ -546,7 +536,10 @@ def run(
     """Execute the event-driven simulation for ``duration`` time units.
 
     The first packet arrives at t = 0. Identical arguments give bit-identical
-    logs (PCG64 behind a 64-bit seed, chunked draws in fixed order). One call
+    logs: interarrival times come from PCG64 on ``SeedSequence(seed)``, and
+    packet sizes from PCG64 on that sequence's first spawned child, so each
+    law has a stream of its own and a run draws about as many values as it
+    has arrivals. One call
     of the block-and-wall-pass kernel described in the module docstring runs
     every arrival. ``sample_dt`` defaults to the coarse-graining scale of
     20 mean interarrival times, the shortest increment the drift estimator
@@ -568,10 +561,11 @@ def run(
     queue_samples = np.zeros(n_grid)
     cum_lost = np.zeros(n_grid)
     cum_idle = np.zeros(n_grid)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    seeds = np.random.SeedSequence(seed)
+    gap_rng, size_rng = map(np.random.default_rng, (seeds, *seeds.spawn(1)))
     final, arrived, serviced, dropped, idle, n_arrivals, n_drops, scalar = _kernel(
-        traffic, rng, duration, sample_dt, float(initial_queue), queue_samples, cum_lost,
-        cum_idle)
+        traffic, gap_rng, size_rng, duration, sample_dt, float(initial_queue), queue_samples,
+        cum_lost, cum_idle)
     return EventLog(
         traffic=traffic,
         duration=duration,

@@ -266,14 +266,18 @@ def simulate_path_py(params, n_steps: int, burn_in: int = 0, seed: int = 0):
     return lengths, losses
 
 
-def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, cum_idle, *,
-              events: list | None = None):
+#: Values the per-arrival loop draws from each stream at a time: a size no
+#: kernel constant matches, so agreement also shows that the split of the
+#: draws decides none of the values.
+_LOOP_DRAWS = 1000
+
+
+def kernel_py(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples, cum_lost,
+              cum_idle, *, events: list | None = None):
     """The per-arrival loop ``simulate._kernel`` replaced, with its signature:
-    the same chunked draws, one arrival at a time. Given a list ``events``,
+    the same two streams, one arrival at a time. Given a list ``events``,
     it appends one ``(time, size, accepted, queue_before, queue_after)``
     row per arrival, for tests that check the queue rules by hand."""
-    from queueloss import simulate as S
-
     r_out = traffic.r_out
     t = serviced = dropped = arrived = idle = 0.0
     # Kahan compensation terms: the volume totals grow to ~duration while the
@@ -284,8 +288,8 @@ def kernel_py(traffic, rng, duration, sample_dt, ell, queue_samples, cum_lost, c
     n_grid = queue_samples.size
     grid_idx = 0
     while t < duration:
-        etas = traffic.interarrival.sample(rng, S._CHUNK)
-        sizes = traffic.packet_size.sample(rng, S._CHUNK)
+        etas = traffic.interarrival.sample(gap_rng, _LOOP_DRAWS)
+        sizes = traffic.packet_size.sample(size_rng, _LOOP_DRAWS)
         consumed = 0
         for i in range(etas.size):
             p = sizes[i]

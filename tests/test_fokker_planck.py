@@ -609,9 +609,37 @@ class TestEdgeGuards:
         # about 6.7e-152.
         params = F.FpParams(1.0, 1.0)
         for evaluate in WALL_EVALUATORS:
-            assert math.isfinite(evaluate(params, 1e-150))
             with pytest.raises(F.InversionError, match="overflows"):
                 evaluate(params, 1e-155)
+        # Just above the floor the probability and the density return values;
+        # the k = 2 moment's transform has underflowed there (next test).
+        for evaluate in WALL_EVALUATORS[1:]:
+            assert math.isfinite(evaluate(params, 1e-150))
+
+    @pytest.mark.parametrize("k, t", [(2, 1e-150), (2, 1e-130), (2, 1e-125), (3, 1e-110),
+                                      (4, 1e-100)])
+    def test_moment_whose_transform_underflows_is_named(self, k, t):
+        # The moment is a normal double (1.23e-195 at k = 2, t = 1e-130, by
+        # the short-time branch), but k! p(1) W^{k-1} / eps^2 is subnormal or
+        # 0 at both contours' head node s = r. The inversion returned 0.0,
+        # and at k = 2, t = 1e-125 a value 1.2e-3 off.
+        params = F.FpParams(1.0, 1.0)
+        assert F.loss_moment_asymptotic(params, k, t, "short") > 2.2250738585072014e-308
+        with pytest.raises(F.InversionError, match="underflows"):
+            F.loss_moment(params, CTRL, k, t)
+
+    def test_moment_with_a_normal_head_node_is_inverted(self):
+        # At t = 1e-120 the head-node value is 5.1e-304: inverted, and within
+        # 1e-9 of the short-time branch, which is exact to far more there.
+        params = F.FpParams(1.0, 1.0)
+        assert F.loss_moment(params, CTRL, 2, 1e-120) == pytest.approx(
+            F.loss_moment_asymptotic(params, 2, 1e-120, "short"), rel=1e-9)
+
+    def test_halfline_density_at_large_drift_and_small_time(self):
+        # e^{a (x - y) / sigma2} = e^{1e4} overflowed apart from the Gaussian
+        # e^{-(x - y)^2 / (2 sigma2 t)} = e^{-2e4} that cancels it. The
+        # density is 6.1e-4884 by 50-digit mpmath: 0.0 in doubles.
+        assert F.halfline_density(F.FpParams(a=50.0, sigma2=1e-3), 0.5, 1e-3, 0.3) == 0.0
 
     def test_first_moment_at_any_positive_tau(self):
         params = F.FpParams(1.0, 1.0)
@@ -650,7 +678,7 @@ def clear_inversion_caches():
     F.numerics._talbot_contours.cache_clear()
     F._wall_record.cache_clear()
     F._wall_density.cache_clear()
-    F._conditioning_probability.cache_clear()
+    F._loss_probability.cache_clear()
 
 
 class TestWallTransformCache:
@@ -735,9 +763,13 @@ class TestWallTransformCache:
         clear_inversion_caches()
         first = F.loss_probability(F.FpParams(1.0, 2.0), CTRL, 0.5)
         second = F.loss_probability(F.FpParams(0.5, 1.0), CTRL, 1.0)
-        info = F._wall_record.cache_info()
+        info = F._loss_probability.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert first == second
+        # A moment at the second parameter set reads the first's record.
+        F.loss_moment(F.FpParams(0.5, 1.0), CTRL, 2, 1.0)
+        info = F._wall_record.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_wall_cache_is_bounded(self):
         clear_inversion_caches()

@@ -259,8 +259,8 @@ class TestKernelMatchesLoop:
     @pytest.mark.parametrize("law", ["exponential", "uniform", "deterministic"])
     @pytest.mark.parametrize("r_out", [0.98, 1.0, 1.02, 50.0])
     def test_bit_identical_across_chunks(self, monkeypatch, law, r_out):
-        # 3001-arrival chunks: a 300-unit run crosses about ten of them.
-        monkeypatch.setattr(S, "_CHUNK", 3001)
+        # 3001-arrival sub-chunks: a 300-unit run crosses about ten of them.
+        monkeypatch.setattr(S, "_SUB", 3001)
         traffic = S.TrafficModel(
             interarrival=_law(law, 0.01), packet_size=_law(law, 0.01), r_out=r_out
         )
@@ -271,7 +271,7 @@ class TestKernelMatchesLoop:
         # Deterministic traffic in balance keeps the queue at 0.5, far from
         # both walls; the kernel must take blocks, and the loop's every
         # arrival is a scalar step.
-        monkeypatch.setattr(S, "_CHUNK", 20_000)
+        monkeypatch.setattr(S, "_SUB", 20_000)
         gap = S.Distribution(kind="deterministic", mean=0.01)
         traffic = S.TrafficModel(interarrival=gap, packet_size=gap, r_out=1.0)
         new, ref = _run_both(monkeypatch, traffic, 200.0, 0, sample_dt=0.2, initial_queue=0.5)
@@ -358,7 +358,7 @@ class TestWallPasses:
     def test_cluster_reaching_a_sub_chunk_end(self, monkeypatch, r_out):
         # Constant gaps and sizes: at r_out = 1.5 every arrival clips, at
         # 0.5 every other one drops once the buffer is full, so each
-        # cluster runs through sub-chunks of 257 arrivals and chunks of 3001.
+        # cluster runs through many sub-chunks of 257 arrivals.
         TestSubChunkSeams._seams(monkeypatch)
         gap = _law("deterministic", 0.01)
         traffic = S.TrafficModel(interarrival=gap, packet_size=gap, r_out=r_out)
@@ -369,30 +369,27 @@ class TestWallPasses:
 
 
 def _poisson_clock(seed, n):
-    """The first n + 1 arrival times of ``run(poisson_traffic(), seed=seed)``
-    with 3001-arrival chunks: sequential sums of the chunks' interarrival
-    draws (deterministic sizes draw nothing)."""
+    """The first n + 1 arrival times of ``run(poisson_traffic(), seed=seed)``:
+    sequential sums of the gap stream's first n draws."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    etas = np.concatenate([rng.exponential(0.01, 3001) for _ in range(n // 3001 + 1)])
-    return np.add.accumulate(np.concatenate([[0.0], etas[:n]]))
+    return np.add.accumulate(np.concatenate([[0.0], rng.exponential(0.01, n)]))
 
 
 class TestSubChunkSeams:
-    """Sub-chunks of 257 arrivals, which straddle chunks of 3001, against
-    the per-arrival loop: sub-chunk ends inside and at a chunk's end, runs
-    that end there, grid steps from a fraction of one interarrival time to
-    more than a sub-chunk's span, and every start level."""
+    """Sub-chunks of 257 arrivals, against the per-arrival loop, which
+    draws 1000 at a time: runs that end on a sub-chunk's last arrival, grid
+    steps from a fraction of one interarrival time to more than a
+    sub-chunk's span, and every start level."""
 
     @staticmethod
     def _seams(mp):
-        mp.setattr(S, "_CHUNK", 3001)
         mp.setattr(S, "_SUB", 257)
 
-    @pytest.mark.parametrize("last", [257, 514, 3001, 3258])
+    @pytest.mark.parametrize("last", [257, 514, 2827, 3084])
     def test_run_ending_on_a_sub_chunk_end(self, monkeypatch, last):
         # The run ends with the first arrival whose interval reaches the
-        # duration: here the last arrival of a sub-chunk (3001 ends the first
-        # chunk, 3258 = 3001 + 257 the second chunk's first sub-chunk).
+        # duration: here the last arrival of a sub-chunk (the first, second,
+        # 11th and 12th), after which the next sub-chunk is never drawn.
         self._seams(monkeypatch)
         duration = float(_poisson_clock(11, last)[last])
         new, ref = _run_both(monkeypatch, poisson_traffic(r_out=1.0), duration, 11,
@@ -439,6 +436,61 @@ class TestSubChunkSeams:
             new, ref = _run_both(mp, traffic, 40.0, seed, sample_dt=sample_dt,
                                  initial_queue=initial_queue)
         _assert_same_log(new, ref)
+
+
+class TestDrawStreams:
+    """Gaps and sizes come from two streams of their own, drawn one
+    sub-chunk at a time, so a run draws about what it uses and the
+    sub-chunk size decides none of the values."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Every ``Distribution.sample`` draw, listed per generator in the
+        order made."""
+        draws = {}
+        sample = S.Distribution.sample
+
+        def spy(self, rng, n):
+            out = sample(self, rng, n)
+            draws.setdefault(rng, []).append(out)
+            return out
+
+        monkeypatch.setattr(S.Distribution, "sample", spy)
+        return draws
+
+    def test_short_run_draws_what_it_uses(self, monkeypatch):
+        draws = self._spy(monkeypatch)
+        law = _law("exponential", 0.01)
+        traffic = S.TrafficModel(interarrival=law, packet_size=law, r_out=1.0)
+        log = S.run(traffic, duration=30.0, seed=5)
+        assert len(draws) == 2
+        for stream in draws.values():
+            assert log.n_arrivals <= sum(x.size for x in stream) <= log.n_arrivals + S._SUB
+
+    @pytest.mark.parametrize("law", ["exponential", "uniform", "deterministic"])
+    @pytest.mark.parametrize("r_out", [0.98, 1.02, 50.0])
+    def test_sub_chunk_size_decides_no_draw(self, monkeypatch, law, r_out):
+        traffic = S.TrafficModel(
+            interarrival=_law(law, 0.01), packet_size=_law(law, 0.01), r_out=r_out
+        )
+        draws = self._spy(monkeypatch)
+        runs = []
+        for sub in (S._SUB, 257):
+            monkeypatch.setattr(S, "_SUB", sub)
+            draws.clear()
+            log = S.run(traffic, duration=300.0, seed=9, initial_queue=0.5)
+            runs.append((log, [np.concatenate(stream) for stream in draws.values()]))
+        (new, new_draws), (ref, ref_draws) = runs
+        for name in ("queue_samples", "cum_lost", "cum_idle"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+        for name in ("final_queue", "dropped", "idle_time", "n_arrivals", "n_drops"):
+            assert getattr(new, name) == getattr(ref, name), name
+        # Split in 257s, each stream gives the same values, and at most one
+        # sub-chunk past the run's last arrival.
+        for whole, split in zip(new_draws, ref_draws):
+            assert new.n_arrivals <= split.size <= new.n_arrivals + 257
+            n = min(whole.size, split.size)
+            assert np.array_equal(whole[:n], split[:n])
 
 
 class TestDriftDiffusionEstimate:
@@ -627,8 +679,9 @@ class TestCsvExport:
 
     def test_export_bytes_pinned(self, tmp_path):
         # The exact bytes of the run's grid arrays and of its window file for
-        # 300 time units of overloaded uniform-size traffic; the parent
-        # directory is created.
+        # 300 time units of overloaded uniform-size traffic, whose sizes come
+        # from the seed's spawned child stream; the parent directory is
+        # created.
         traffic = S.TrafficModel(
             interarrival=S.Distribution(kind="exponential", mean=0.01),
             packet_size=S.Distribution(kind="uniform", low=0.008, high=0.014),
@@ -636,9 +689,9 @@ class TestCsvExport:
         )
         log = S.run(traffic, duration=300.0, seed=3)
         grid = {  # name: SHA-256 of the float64 array's bytes
-            "queue_samples": "8b1381466dab89fb584055e85c660d9a688b84a4cf304f341ff66fa535817011",
-            "cum_lost": "d5092ce9d152f7d812b79d5b0a995d122fa69eaad495eda080160ecd5d5b3a29",
-            "cum_idle": "633490cd7198e762379989e6a843249d10849f5eebbf1806b60ef013d489d5ec",
+            "queue_samples": "7ade4a9c06776311d2dc1453364a8eaeb46e1a5cd7e48577f5f5cbb76ff49f16",
+            "cum_lost": "5b49f6dcda56266e9423ba464fe21a63c98847a6fd73a7cf10251f73a09608bc",
+            "cum_idle": "fc4434a4d6672d0989a67c111c7cc3da53d8f8a08b81578c6562399eb273d118",
         }
         for name, digest in grid.items():
             column = getattr(log, name)
@@ -649,4 +702,4 @@ class TestCsvExport:
         cli.export_windows_csv(sample, path, metadata={"seed": 3, "t_window": 5.0})
         data = path.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
-            1375, "a6704b6625214480493a3464ffa83145c6a082f7449e62280b2153d78242fcaf")
+            1390, "8f0a8d7db3dec5b68ce74d50fdf136413382a376864c7c5e240657fedffebb5e")
