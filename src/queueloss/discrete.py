@@ -12,7 +12,8 @@ and the eigenvectors are sinusoids. All exact evaluators below run off that
 spectrum in O(L) work, which turns the time sums appearing in window
 variances and correlators into closed geometric sums. The mode table is
 built once per (p, L) and kept in a small bounded cache, and the mode
-powers lam^n that underflow to zero are written as zeros, not computed.
+powers lam^n that underflow to zero are written as zeros, not computed;
+nor is lam^n where the sums need only 1 - lam^n and it rounds to 1.0.
 """
 
 from __future__ import annotations
@@ -164,18 +165,33 @@ def _modes(params: DiscreteQueueParams) -> tuple[float, np.ndarray, np.ndarray]:
 #: power is at least 2^25 below the smallest subnormal, 2^-1074, so ``pow``
 #: rounds it to a signed zero with room to spare for its own rounding.
 _POWER_LOG2_MIN = -1100.0
+#: log2 of the smallest |lam|^n that :func:`_one_minus_power` computes.
+#: Below 2^-54, 1 - lam^n and 1 + |lam|^n round to 1.0, ties included.
+_ONE_MINUS_LOG2_MIN = -60.0
 
 
-def _power(lam: np.ndarray, n: int) -> np.ndarray:
-    """np.power(lam, n), bit for bit, computing only the modes with
-    |lam|^n >= 2^-1100; the rest are the signed zeros ``pow`` returns there
-    (negative for lam < 0 and odd n). Deep windows and separations leave
-    most powers below that cut."""
-    if n == 0:
-        return np.power(lam, n)
+def _power(lam: np.ndarray, n: int, log2_min: float = _POWER_LOG2_MIN) -> np.ndarray:
+    """np.power(lam, n), computing only the modes with |lam|^n >= 2^log2_min;
+    the rest are signed zeros (negative for lam < 0 and odd n). With the
+    default floor 2^-1100 those are the zeros ``pow`` returns there, so the
+    result is np.power(lam, n) bit for bit. Deep windows and separations
+    leave most powers below the floor.
+
+    The cut on |lam| is the rounded 2^(log2_min/n) lowered by 2^-51 of
+    itself, at least two ulps, so that it cannot round up: near 1.0 one ulp
+    of lam moves lam^n by a factor e^{n 2^-53}, which at n past about 10^16
+    no margin in log2_min covers. The step covers ``pow``'s rounding (below
+    one ulp) and, from n of a few hundred on, the quotient's; below that n
+    those roundings move the cut's |lam|^n by a relative 1e-13 at most."""
     out = lam * 0.0 if n % 2 else np.zeros_like(lam)  # lam * 0.0 is -0.0 where lam < 0
-    cut = 2.0 ** (_POWER_LOG2_MIN / n)
+    cut = 2.0 ** (log2_min / n) * (1.0 - 2.0**-51) if n else 0.0
     return np.power(lam, n, out=out, where=np.abs(lam) >= cut)
+
+
+def _one_minus_power(lam: np.ndarray, n: int) -> np.ndarray:
+    """1.0 - np.power(lam, n), bit for bit, computing ``pow`` only on the
+    modes with |lam|^n >= 2^-60; on the rest it is 1.0."""
+    return 1.0 - _power(lam, n, _ONE_MINUS_LOG2_MIN)
 
 
 def _eigvec_row(params: DiscreteQueueParams, theta: np.ndarray, ell: int) -> np.ndarray:
@@ -233,7 +249,8 @@ def _spectral_scale_log10(params: DiscreteQueueParams, n: int, frm: int, to: int
 def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
     """n-step transition probability as the spectral sum over closed-form
     eigenvector rows; raises :class:`DegenerateParamsError` where the sum
-    would cancel terms too large for double precision."""
+    would cancel terms too large for double precision, or where the mode sum
+    is not 0 and its factor q^{(to-frm)/2} overflows."""
     L = params.L
     _, lam, w = _modes(params)
     scale = _spectral_scale_log10(params, n, frm, to)
@@ -248,8 +265,15 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
     norm2 = _eigvec_row(params, theta, L) ** 2 / w
     rows = _eigvec_row(params, theta, frm) * _eigvec_row(params, theta, to) / norm2
     amp = float(np.dot(rows, _power(lam, n)))
-    ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
-    return float(stationary_distribution(params)[to]) + ratio * amp
+    pi_to = float(stationary_distribution(params)[to])
+    if amp == 0.0:  # every transient power underflowed; the ratio may overflow
+        return pi_to
+    try:
+        ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
+    except OverflowError:
+        raise DegenerateParamsError(f"q^((to-frm)/2) overflows for {frm} -> {to} at "
+                                    f"p={params.p}, L={L}") from None
+    return pi_to + ratio * amp
 
 
 def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
@@ -300,7 +324,7 @@ def _window_weight_sum(lam: np.ndarray, N: int) -> np.ndarray:
     small = nm1 * np.abs(x) < 1e-3
     corner = small.any()
     lb, xb = (lam[~small], x[~small]) if corner else (lam, x)
-    direct = (nm1 * xb - lb * (1.0 - _power(lb, N - 1))) / (xb * xb)
+    direct = (nm1 * xb - lb * _one_minus_power(lb, N - 1)) / (xb * xb)
     if not corner:
         return direct
     out = np.empty_like(lam)
@@ -376,7 +400,7 @@ def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:
     small = N * np.abs(x) < 1e-6
     corner = small.any()
     lb, xb = (lam[~small], x[~small]) if corner else (lam, x)
-    direct = (1.0 - _power(lb, N)) / xb
+    direct = _one_minus_power(lb, N) / xb
     if not corner:
         return direct
     out = np.empty_like(lam)

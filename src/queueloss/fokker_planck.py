@@ -31,15 +31,17 @@ The series take the fixed mode count ceil(6/sqrt(tau)) + 8, at most
 100 000. Every inversion reads one bounded cache entry per (v, tau), the
 wall record: p(1), the read-only W = W(1, eps; 1) and eps^2 W^2 on the
 nodes of both inversion contours, the contour data, the deep-tail cutoff
-of the lost-volume PDF and a bound on x below which none of its terms can
+of the lost-volume PDF, and two node vectors that hold everything a PDF
+point needs but x, C = p(1) factor (1 + i sigma) / (eps^2 W^2) and
+B = -1/W, with a bound on x below which no step of C e^{x B} can
 overflow. Where eps^2 W^2 overflows on the contour the record raises
 :class:`InversionError`: below tau of about 6.7e-152, as the contour's
 nodes grow as 1/tau, and above v of about 6.7e153, where eps^2 W^2 is
 about 4 v^2. Moments and the loss probability invert through
-``numerics.laplace_invert``; a ``loss_pdf`` point forms its terms in one
-buffer from the record and sums them with the same contour sum, entering
-``np.errstate`` only past that x, so a warm point costs one cache lookup
-and its own arithmetic.
+``numerics.laplace_invert``; a ``loss_pdf`` point forms its terms
+Re(C e^{x B}) in three array operations in one buffer and sums them with
+the same contour sum, entering ``np.errstate`` only past that x, so a warm
+point costs one cache lookup and its own arithmetic.
 """
 
 from __future__ import annotations
@@ -384,10 +386,6 @@ def _wall_density(v: float) -> float:
 #: The smallest normal double, the floor of a wall transform's head-node
 #: value (:func:`_invert_wall`).
 _NORMAL_MIN = float(np.finfo(float).tiny)
-#: The largest magnitude any step of a loss_pdf point's arithmetic may
-#: reach outside ``np.errstate``: 2^24 below the overflow threshold, far
-#: above the rounding of the bound itself.
-_STEP_MAX = 2.0**1000
 
 
 class _WallRecord(NamedTuple):
@@ -397,54 +395,24 @@ class _WallRecord(NamedTuple):
     #: W(1, eps; 1) and the density's denominator eps^2 W^2 on every node
     w: np.ndarray
     d: np.ndarray
-    #: the contour data of numerics._talbot_contours(tau)
-    factor: np.ndarray
-    one_i_sigma: np.ndarray
+    #: a point's terms are Re(c e^{x b}): c = p(1) factor (1 + i sigma) / (eps^2 W^2)
+    #: with the contour factors of numerics._talbot_contours(tau), and b = -1/W
+    c: np.ndarray
+    b: np.ndarray
     contours: tuple
     #: the deep-tail cutoff p(1) (tau + 12 sqrt(tau) + 1)
     x_cut: float
-    #: up to here no step of a point's arithmetic can overflow
+    #: up to here no step of a point's terms can overflow
     x_safe: float
-
-
-def _overflow_free_x(p1: float, w, d, factor, one_i_sigma) -> float:
-    """A lost volume x up to which no step of a loss_pdf point's terms can
-    overflow on any node; -inf where even x = 0 is not shown safe.
-
-    The steps are -x/W, e^{-x/W}, its product with p(1), the quotient by
-    eps^2 W^2 and the products with the contour factor and with 1 + i sigma.
-    On node k, |e^{-x/W_k}| = e^{x Re(-1/W_k)}, and each later step's
-    magnitude is at most that times the product of the operands' largest
-    magnitudes over the nodes, doubled for each complex product or quotient
-    to cover its partial products. With the largest Re(-1/W_k), every step,
-    |-x/W_k| and the quotients' reciprocals 1/|W_k| and 1/|eps^2 W_k^2| are
-    held below 2^1000. NumPy forms both parts of -x/W to a few rounding
-    units, so Re(-x/W_k) is x Re(-1/W_k) within a relative 1e-15. Below the
-    returned x no operation can raise NumPy's overflow or invalid flag.
-    """
-    w_min, d_min = float(np.abs(w).min()), float(np.abs(d).min())
-    if min(w_min, d_min) <= 2.0 / _STEP_MAX:
-        return -math.inf
-    # The largest step after e^{-x/W}, over e^{x Re(-1/W)}: at most
-    # max(1, p1, 2 p1/|d|, 4 p1 |factor|/|d|, 8 p1 |factor| |1 + i sigma|/|d|).
-    scale = max(1.0, 2.0 * float(np.abs(one_i_sigma).max()))
-    scale = max(1.0, 2.0 * float(np.abs(factor).max()) * scale)
-    scale = max(1.0, p1 * max(1.0, 2.0 / d_min * scale))
-    if not scale < _STEP_MAX:  # also NaN, where p(1) = 0 meets an overflowed quotient
-        return -math.inf
-    x = 0.5 * _STEP_MAX * w_min  # |-x/W| <= 2 x/|W|
-    rate = float((-1.0 / w).real.max())
-    if rate > 0.0:
-        x = min(x, (math.log(_STEP_MAX) - math.log(scale)) / rate)
-    return x
 
 
 @functools.lru_cache(maxsize=128)
 def _wall_record(v: float, tau: float) -> _WallRecord:
-    """The :class:`_WallRecord` at reduced drift v and time tau: W = W(1, eps; 1)
-    and eps^2 W^2 on the nodes of both inversion contours, read-only and in
-    the order of :func:`numerics._talbot_contours`, next to p(1), the
-    contour data, the deep-tail cutoff and :func:`_overflow_free_x`.
+    """The :class:`_WallRecord` at reduced drift v and time tau: W = W(1, eps; 1),
+    eps^2 W^2 and a loss_pdf point's node vectors c and b on the nodes of
+    both inversion contours, read-only and in the order of
+    :func:`numerics._talbot_contours`, next to p(1), the contour data, the
+    deep-tail cutoff and the overflow-free x.
 
     One bounded cache entry serves every moment, the loss probability and
     every loss_pdf point at one (v, tau), whichever (a, sigma2, t) they
@@ -452,18 +420,32 @@ def _wall_record(v: float, tau: float) -> _WallRecord:
     :func:`boundary_return_transform` on ``FpParams(a=v, sigma2=1.0)``,
     whose v is v to the bit. InversionError where eps^2 W^2 is not finite
     on every node: there is no inversion to read from the record.
+
+    Up to x_safe no step of Re(c e^{x b}) can overflow: with
+    room = 693 - log max(1, max|c|), so that e^693 < 2^1000, and
+    rate = max(max Re b, room 2^-1000 max|b|), x_safe = room / rate keeps
+    |x b| below 2^1000, e^{x Re b} and |c| e^{x Re b} below e^693, and
+    so the complex product's partial sums finite. x_safe is -inf where c or
+    b is not finite or the rate is not positive.
     """
     p1 = _wall_density(v)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eps, factor, one_i_sigma, contours = numerics._talbot_contours(tau)
         w = boundary_return_transform(FpParams(a=v, sigma2=1.0), eps)
         d = eps * eps * w * w
+        c = p1 * factor * one_i_sigma / d
+        b = -1.0 / w
     if not np.isfinite(d).all():
         raise InversionError(f"eps^2 W^2 overflows on the inversion contour at v={v:.3g}, "
                              f"tau={tau:.3g}")
-    return _WallRecord(p1, numerics._read_only(w), numerics._read_only(d), factor,
-                       one_i_sigma, contours, p1 * (tau + 12.0 * math.sqrt(tau) + 1.0),
-                       _overflow_free_x(p1, w, d, factor, one_i_sigma))
+    x_safe = -math.inf
+    if np.isfinite(c).all() and np.isfinite(b).all():
+        room = 693.0 - math.log(max(1.0, float(np.abs(c).max())))
+        rate = max(float(b.real.max()), room * 2.0**-1000 * float(np.abs(b).max()))
+        if rate > 0.0:
+            x_safe = room / rate
+    return _WallRecord(p1, *map(numerics._read_only, (w, d, c, b)), contours,
+                       p1 * (tau + 12.0 * math.sqrt(tau) + 1.0), x_safe)
 
 
 def _settled(value: float, err: float, tau: float, what: str) -> float:
@@ -593,7 +575,9 @@ def loss_pdf(
     total mass is the loss probability; the remaining mass is the atom at 0).
 
     Inverts P(x; eps) = p(1) exp(-x / W) / (eps^2 W^2), W = W(1, eps; 1),
-    for reduced times up to :data:`PDF_INVERSION_TAU_MAX`. Beyond that the
+    for reduced times up to :data:`PDF_INVERSION_TAU_MAX`: each contour
+    term is Re(C e^{x B}), from the node vectors C = p(1) factor
+    (1 + i sigma) / (eps^2 W^2) and B = -1/W of the wall record. Beyond that the
     density is a near-delta concentration at tau p(1) and the returned value
     is the narrow-Gaussian surrogate with the long-time variance; pass
     ``return_regime`` to receive the ``"inverted"`` / ``"surrogate"`` flag.
@@ -606,32 +590,28 @@ def loss_pdf(
     if tau > PDF_INVERSION_TAU_MAX:
         value = float(loss_pdf_asymptotic(params, x, t, "long"))
         return (value, "surrogate") if return_regime else value
-    p1, w, d, factor, one_i_sigma, contours, x_cut, x_safe = _wall_record(params.v, tau)
+    _, _, _, c, b, contours, x_cut, x_safe = _wall_record(params.v, tau)
     # Deep-tail cutoff: losses beyond tau p(1) by many diffusive spreads have
     # density below double-precision inversion resolution, and the shifted
     # effective time there turns negative, which no contour can represent.
     if x > x_cut:
         return (0.0, "tail-cutoff") if return_regime else 0.0
     if x <= x_safe:
-        terms = _pdf_terms(x, p1, w, d, factor, one_i_sigma)
+        terms = _pdf_terms(x, c, b)
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            terms = _pdf_terms(x, p1, w, d, factor, one_i_sigma)
+            terms = _pdf_terms(x, c, b)
     value, err = numerics._contour_sums(terms, contours, tau)
     value = _settled(value, err, tau, "loss pdf")
     return (value, "inverted") if return_regime else value
 
 
-def _pdf_terms(x: float, p1: float, w, d, factor, one_i_sigma) -> list:
-    """Real parts of the loss_pdf terms on every contour node: the transform
-    p1 exp(-x / W) / d, in that order of operations, times the contour
-    factor and then 1 + i sigma, all in one buffer."""
-    out = np.divide(-x, w)
+def _pdf_terms(x: float, c, b) -> list:
+    """Real parts of the loss_pdf terms c e^{x b} on every contour node (see
+    :class:`_WallRecord`), formed in one buffer."""
+    out = np.multiply(x, b)
     np.exp(out, out=out)
-    np.multiply(p1, out, out=out)
-    np.divide(out, d, out=out)
-    np.multiply(factor, out, out=out)
-    np.multiply(out, one_i_sigma, out=out)
+    np.multiply(c, out, out=out)
     return out.real.tolist()
 
 

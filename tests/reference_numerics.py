@@ -222,6 +222,38 @@ def loss_pdf_via_laplace_invert(params, x: float, t: float) -> float:
     return value
 
 
+def loss_pdf_via_fresh_terms(params, x: float, t: float) -> float:
+    """The lost-volume density as :func:`F.loss_pdf` forms it, with no wall
+    record: the same validation, surrogate and tail cutoff, and below them
+    the terms Re(C e^{x B}) on the contour nodes, with C = p(1) factor
+    (1 + i sigma) / (eps^2 W^2) and B = -1/W formed afresh from
+    :func:`F.boundary_return_transform` and ``numerics._talbot_contours``,
+    every step inside ``np.errstate``, summed by ``numerics._contour_sums``
+    under the error budget 1e-3 |value| + 1e-4."""
+    if not math.isfinite(x):
+        raise ValueError(f"lost volume must be finite, got {x}")
+    if x < 0.0:
+        raise ValueError("lost volume must be >= 0")
+    tau = F._reduced_time(params, t)
+    p1 = float(F.stationary_density(params, 1.0))
+    if tau > F.PDF_INVERSION_TAU_MAX:
+        return float(F.loss_pdf_asymptotic(params, x, t, "long")) if p1 > 0.0 else 0.0
+    eps, factor, one_i_sigma, contours = numerics._talbot_contours(tau)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = F.boundary_return_transform(params, eps)
+        d = eps * eps * w * w
+        if not np.isfinite(d).all():
+            raise numerics.InversionError("eps^2 W^2 overflows on the inversion contour")
+        if x > p1 * (tau + 12.0 * math.sqrt(tau) + 1.0):
+            return 0.0
+        c = p1 * factor * one_i_sigma / d
+        terms = (c * np.exp(x * (-1.0 / w))).real.tolist()
+    value, err = numerics._contour_sums(terms, contours, tau)
+    if err > 1e-3 * abs(value) + 1e-4:
+        raise numerics.InversionError(f"loss pdf inversion at tau={tau:.3g} did not settle")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Per-step Monte Carlo loops
 # ---------------------------------------------------------------------------

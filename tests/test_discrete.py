@@ -163,6 +163,28 @@ class TestClosedFormSpectrum:
         for n in (0, 1, 2, near_cut, 10**6):
             assert D._power(lam, n).tobytes() == np.power(lam, n).tobytes()
 
+    @given(lam=st.lists(st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                                  st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+                                  st.floats(-1.0, -1.0 + 1e-12, exclude_min=True)),
+                        min_size=1, max_size=40),
+           n=st.one_of(st.integers(0, 10**15), st.integers(2**60, 2**62)),
+           k=st.integers(0, 39), log2_at=st.sampled_from([-60.0, -54.0]),
+           offset=st.integers(-2, 2))
+    @settings(max_examples=300, deadline=None)
+    @example(lam=[1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.5, -0.0], n=2**62, k=0, log2_at=-60.0,
+             offset=0)
+    def test_one_minus_power_is_bit_for_bit(self, lam, n, k, log2_at, offset):
+        # 1 - lam^n is 1.0 below |lam|^n = 2^-54, and pow is skipped below
+        # 2^-60. Besides the drawn n, which reaches past 7.5e17, where
+        # 2^(-60/n) rounds to 1.0, n near |lam_k|^n = 2^-60 or 2^-54 puts
+        # modes on both sides of the cut and of the rounding edge.
+        lam = np.array(lam)
+        mode = abs(lam[k % lam.size])
+        near = [max(0, round(log2_at / math.log2(mode)) + offset)] if 0.0 < mode < 1.0 else []
+        for m in [n, *near]:
+            want = [v.hex() for v in (1.0 - np.power(lam, m)).tolist()]
+            assert [v.hex() for v in D._one_minus_power(lam, m).tolist()] == want
+
 
 class TestGreenFunction:
     def test_zero_steps_is_identity(self):
@@ -262,6 +284,20 @@ class TestGreenFunction:
         params = D.DiscreteQueueParams(p=0.0, L=5)
         assert D.green_function(params, 10**9, 3, 0) == 1.0
         assert D.green_function(params, 10**9, 3, 1) == 0.0
+
+    def test_underflowed_mode_sum_skips_an_overflowing_ratio(self):
+        # q^50 = 1e450 overflows, but every transient power underflows
+        # (|lam| <= 2 sqrt(p(1-p)), about 6.3e-5), so the value is pi(100).
+        params = D.DiscreteQueueParams(p=1 - 1e-9, L=100)
+        pi = D.stationary_distribution(params)
+        assert D.green_function(params, 1000, 0, 100) == pi[100]
+
+    def test_overflowing_ratio_on_a_nonzero_sum_is_named(self):
+        # q^78 at p = 0.9999 overflows, and 182 steps leave powers near
+        # 1e-309 that do not underflow to 0.
+        params = D.DiscreteQueueParams(p=1 - 1e-4, L=156)
+        with pytest.raises(D.DegenerateParamsError, match="overflows"):
+            D.green_function(params, 182, 0, 156)
 
     def test_spectral_refuses_cancelling_sum(self):
         params = D.DiscreteQueueParams(p=0.1, L=1000)

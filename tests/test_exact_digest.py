@@ -1,5 +1,6 @@
 """The output digest ``tools/exact_digest.py`` on a reduced grid."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -16,9 +17,14 @@ SMALL = exact_digest.Grid(ps=(0.3, 0.5), Ls=(2, 100), Ns=(1, 1000),
                           size_laws=("deterministic", "exponential"), r_outs=(0.98, 1.02, 50.0),
                           initial_queues=(0.0, 1.0), duration=200.0)
 #: The ``all`` digest of SMALL, with call labels that leave out the
-#: ``SeriesControl`` argument. Taken before the continuum layer moved onto
-#: floats (v, tau); the label change itself moved no value.
-PINNED = "56b1ef9d30fc52049e6582282a0b5d7439294768825cc9a5b711fce7c9f69947"
+#: ``SeriesControl`` argument. Taken when a loss_pdf point's terms became
+#: c e^{x b} from two node vectors of the wall record: only loss_pdf values
+#: moved (from 56b1ef9d...f69947; 573 of the full grid's 1920 stayed
+#: bit-equal, and the largest move was 3.2e-9 of its curve's peak).
+PINNED = "456c6f55b6524722e0e3eb646e5dd55b5309f02126c0f27b7616c4dcf16ef300"
+#: The ``discrete`` digest of SMALL, unchanged since the continuum layer
+#: moved onto floats (v, tau).
+PINNED_DISCRETE = "8c9ee76cc4e2abfe7af172d22d3bdbb8052869ace60b946facdaf92e8a8ba778"
 #: The ``packet`` digest of SMALL, taken when the packet kernel began to draw
 #: one sub-chunk at a time, packet sizes on a stream of their own: on the
 #: full grid the deterministic-size runs moved only in the last bit of the
@@ -44,7 +50,9 @@ def test_cold_and_warm_runs_agree():
 
 
 def test_reduced_grid_digest_is_pinned():
-    assert exact_digest.digests(SMALL)["all"][1] == PINNED
+    rows = exact_digest.digests(SMALL)
+    assert rows["all"][1] == PINNED
+    assert rows["discrete"][1] == PINNED_DISCRETE
 
 
 def test_packet_digest_is_pinned():
@@ -58,3 +66,22 @@ def test_main_prints_one_row_per_part(capsys, monkeypatch):
     assert rows == [[name, str(count), sha]
                     for name, (count, sha) in exact_digest.digests(SMALL).items()]
 
+
+
+def test_records_file_rehashes_to_each_part(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(exact_digest, "Grid", lambda: SMALL)
+    path = tmp_path / "records.txt"
+    assert exact_digest.main(["--records", str(path)]) == 0
+    rows = {row.split()[0]: row.split()[1:] for row in capsys.readouterr().out.splitlines()}
+    parts = {}
+    for line in path.read_text().splitlines(keepends=True):
+        part, text = line.split(" ", 1)
+        parts.setdefault(part, []).append(text)
+    assert list(parts) == ["discrete", "continuum", "packet"]
+    for part, texts in parts.items():
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == rows[part][1]
+    # Each record is a label, the call's arguments and one hex value per output.
+    F = exact_digest.F
+    moment = F.loss_moment(F.FpParams(a=0.0, sigma2=2.0), F.SeriesControl(), 2, 0.01)
+    assert parts["continuum"][0].startswith("moment (")
+    assert parts["continuum"][0].endswith(f" {moment.hex()}\n")

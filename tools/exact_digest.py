@@ -25,15 +25,21 @@ The grid:
 
 Usage::
 
-    python tools/exact_digest.py
+    python tools/exact_digest.py [--records PATH]
 
 Imports ``queueloss`` from ``src/`` next to this directory and prints one
 ``part values sha256`` row per part: ``discrete``, ``continuum``, the
 ``all`` row over those two, then ``packet``, which ``all`` leaves out.
+``--records PATH`` also writes every hashed record to PATH, one line each,
+as its part's name followed by the hashed text: the call's label and
+arguments, then the hex form of each value or the exception's type name.
+Two checkouts' record files compare record by record (``diff``, or a
+script that reads the hex values back with ``float.fromhex``).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
 import sys
@@ -70,29 +76,36 @@ class Grid:
 
 class _Digest:
     """SHA-256 over ``(label, value)`` records; a value is a float's hex
-    form or, for a call that raised, the exception's type name."""
+    form or, for a call that raised, the exception's type name. Each
+    record's text also goes to ``sink(text)`` when one is given."""
 
-    def __init__(self) -> None:
+    def __init__(self, sink=None) -> None:
         self.h = hashlib.sha256()
         self.count = 0
+        self.sink = sink
+
+    def _record(self, text: str) -> None:
+        self.h.update(text.encode())
+        if self.sink is not None:
+            self.sink(text)
 
     def call(self, label: str, fn, *args) -> None:
         try:
             value = float(fn(*args)).hex()
         except Exception as exc:  # noqa: BLE001 - the error's type is the output
             value = type(exc).__name__
-        self.h.update(f"{label} {args!r} {value}\n".encode())
+        self._record(f"{label} {args!r} {value}\n")
         self.count += 1
 
     def values(self, label: str, args: tuple, values) -> None:
         """One record of many floats, as their hex forms."""
         hexes = " ".join(float(v).hex() for v in values)
-        self.h.update(f"{label} {args!r} {hexes}\n".encode())
+        self._record(f"{label} {args!r} {hexes}\n")
         self.count += len(values)
 
 
-def discrete_part(grid: Grid) -> _Digest:
-    out = _Digest()
+def discrete_part(grid: Grid, sink=None) -> _Digest:
+    out = _Digest(sink)
     for p in grid.ps:
         for L in grid.Ls:
             params = D.DiscreteQueueParams(p=p, L=L)
@@ -125,8 +138,8 @@ def _default_ctrl(fn):
     return lambda params, *rest: fn(params, ctrl, *rest)
 
 
-def continuum_part(grid: Grid) -> _Digest:
-    out = _Digest()
+def continuum_part(grid: Grid, sink=None) -> _Digest:
+    out = _Digest(sink)
     moment, p_loss, pdf = map(_default_ctrl, (F.loss_moment, F.loss_probability, F.loss_pdf))
     for a in grid.drifts:
         for s2 in grid.sigma2s:
@@ -146,8 +159,8 @@ def _size_law(kind: str) -> S.Distribution:
     return S.Distribution(kind=kind, mean=0.01)
 
 
-def packet_part(grid: Grid) -> _Digest:
-    out = _Digest()
+def packet_part(grid: Grid, sink=None) -> _Digest:
+    out = _Digest(sink)
     gaps = S.Distribution(kind="exponential", mean=0.01)
     for kind in grid.size_laws:
         for r_out in grid.r_outs:
@@ -163,22 +176,36 @@ def packet_part(grid: Grid) -> _Digest:
     return out
 
 
-def digests(grid: Grid) -> dict[str, tuple[int, str]]:
+def digests(grid: Grid, records=None) -> dict[str, tuple[int, str]]:
     """``part -> (values, sha256)`` for every part, with ``all`` over the
-    exact evaluators' two parts."""
-    parts = {"discrete": discrete_part(grid), "continuum": continuum_part(grid)}
+    exact evaluators' two parts. Given a text file ``records``, every
+    record is also written there, prefixed with its part's name."""
+
+    def sink(name):
+        return None if records is None else (lambda text: records.write(f"{name} {text}"))
+
+    parts = {name: fn(grid, sink(name))
+             for name, fn in (("discrete", discrete_part), ("continuum", continuum_part))}
     total = hashlib.sha256("".join(d.h.hexdigest() for d in parts.values()).encode())
-    packet = packet_part(grid)
+    packet = packet_part(grid, sink("packet"))
     return {**{name: (d.count, d.h.hexdigest()) for name, d in parts.items()},
             "all": (sum(d.count for d in parts.values()), total.hexdigest()),
             "packet": (packet.count, packet.h.hexdigest())}
 
 
-def main() -> int:
-    for name, (count, sha) in digests(Grid()).items():
+def main(argv: list[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--records", type=Path, help="write every hashed record to this file")
+    args = parser.parse_args(list(argv))
+    if args.records is None:
+        rows = digests(Grid())
+    else:
+        with args.records.open("w") as records:
+            rows = digests(Grid(), records)
+    for name, (count, sha) in rows.items():
         print(name, count, sha)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
