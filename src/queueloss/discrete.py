@@ -249,8 +249,9 @@ def _spectral_scale_log10(params: DiscreteQueueParams, n: int, frm: int, to: int
 def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
     """n-step transition probability as the spectral sum over closed-form
     eigenvector rows; raises :class:`DegenerateParamsError` where the sum
-    would cancel terms too large for double precision, or where the mode sum
-    is not 0 and its factor q^{(to-frm)/2} overflows."""
+    would cancel terms too large for double precision. Where the mode sum is
+    not 0 but its factor q^{(to-frm)/2} overflows, the row of ``frm`` is
+    propagated instead, as in :func:`green_function`."""
     L = params.L
     _, lam, w = _modes(params)
     scale = _spectral_scale_log10(params, n, frm, to)
@@ -271,8 +272,7 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
     try:
         ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
     except OverflowError:
-        raise DegenerateParamsError(f"q^((to-frm)/2) overflows for {frm} -> {to} at "
-                                    f"p={params.p}, L={L}") from None
+        return float(_propagate_row(params, n, frm)[to])
     return pi_to + ratio * amp
 
 
@@ -280,12 +280,14 @@ def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> fl
     """n-step transition probability from state ``frm`` to state ``to``.
 
     It is exactly 0 where n steps cannot cover the distance. Otherwise, up
-    to 64 steps, for a degenerate walk, and wherever the spectral sum would
+    to 64 steps, for a degenerate walk, wherever the spectral sum would
     have to cancel terms too large for double precision (q^{(to-frm)/2}
-    huge and n too short for the modes to decay), the row of ``frm`` is
-    propagated through n steps of the walk (O(nL), the row of the matrix
-    power). Otherwise the spectral sum over closed-form eigenvector rows is
-    taken. The two agree to 1e-9 where they overlap.
+    huge and n too short for the modes to decay), and where its factor
+    q^{(to-frm)/2} overflows a double on modes that have not decayed to 0,
+    the row of ``frm`` is propagated through n steps of the walk (O(nL),
+    the row of the matrix power). Otherwise the spectral sum over
+    closed-form eigenvector rows is taken. The two agree to 1e-9 where they
+    overlap.
     """
     n = _integer("step count n", n, 0)
     frm, to = _integer("state frm", frm, 0), _integer("state to", to, 0)
@@ -312,30 +314,40 @@ def mean_loss_rate_exact(params: DiscreteQueueParams) -> float:
     return params.p * float(stationary_distribution(params)[-1])
 
 
+def _near_one(lam: np.ndarray, span: float, cut: float, direct, series) -> np.ndarray:
+    """direct(lam, x) on the modes with span |x| >= cut and series(x) on the
+    near-1 corner span |x| < cut, x = 1 - lam; only a non-empty corner
+    splits the modes. The callers' direct forms divide by powers of x and
+    cancel where span x is small, and their series are Taylor expansions in x.
+    """
+    x = 1.0 - lam
+    small = span * np.abs(x) < cut
+    if not small.any():
+        return direct(lam, x)
+    out = np.empty_like(lam)
+    out[~small] = direct(lam[~small], x[~small])
+    out[small] = series(x[small])
+    return out
+
+
 def _window_weight_sum(lam: np.ndarray, N: int) -> np.ndarray:
     """sum_{k=0}^{N-2} (N-1-k) lam^k, stable through lam -> 1.
 
     Direct form [(N-1)(1-lam) - lam(1 - lam^{N-1})] / (1-lam)^2 cancels badly
     when (N-1)(1-lam) is small; a 4-term Taylor expansion in (1-lam) covers
-    that corner, and only a non-empty corner splits the modes.
+    that corner (see :func:`_near_one`).
     """
-    x = 1.0 - lam
     nm1 = float(N - 1)
-    small = nm1 * np.abs(x) < 1e-3
-    corner = small.any()
-    lb, xb = (lam[~small], x[~small]) if corner else (lam, x)
-    direct = (nm1 * xb - lb * _one_minus_power(lb, N - 1)) / (xb * xb)
-    if not corner:
-        return direct
-    out = np.empty_like(lam)
-    out[~small] = direct
-    xs = x[small]
-    c2 = nm1 * (N - 2.0) / 2.0
-    c3 = c2 * (N - 3.0) / 3.0
-    c4 = c3 * (N - 4.0) / 4.0
-    c5 = c4 * (N - 5.0) / 5.0
-    out[small] = (c2 + nm1) - (c3 + c2) * xs + (c4 + c3) * xs**2 - (c5 + c4) * xs**3
-    return out
+
+    def series(x):
+        c2 = nm1 * (N - 2.0) / 2.0
+        c3 = c2 * (N - 3.0) / 3.0
+        c4 = c3 * (N - 4.0) / 4.0
+        c5 = c4 * (N - 5.0) / 5.0
+        return (c2 + nm1) - (c3 + c2) * x + (c4 + c3) * x**2 - (c5 + c4) * x**3
+
+    return _near_one(lam, nm1, 1e-3,
+                     lambda lb, x: (nm1 * x - lb * _one_minus_power(lb, N - 1)) / (x * x), series)
 
 
 def loss_variance_exact(params: DiscreteQueueParams, N: int) -> float:
@@ -394,19 +406,10 @@ def critical_coefficient() -> float:
 
 
 def _geometric_window_factor(lam: np.ndarray, N: int) -> np.ndarray:
-    """(1 - lam^N) / (1 - lam), stable at lam -> 1; as in
-    :func:`_window_weight_sum`, only a non-empty corner splits the modes."""
-    x = 1.0 - lam
-    small = N * np.abs(x) < 1e-6
-    corner = small.any()
-    lb, xb = (lam[~small], x[~small]) if corner else (lam, x)
-    direct = _one_minus_power(lb, N) / xb
-    if not corner:
-        return direct
-    out = np.empty_like(lam)
-    out[~small] = direct
-    out[small] = N * (1.0 - (N - 1.0) * x[small] / 2.0)
-    return out
+    """(1 - lam^N) / (1 - lam), stable at lam -> 1 through the series
+    N (1 - (N-1)(1-lam)/2) on the corner of :func:`_near_one`."""
+    return _near_one(lam, N, 1e-6, lambda lb, x: _one_minus_power(lb, N) / x,
+                     lambda x: N * (1.0 - (N - 1.0) * x / 2.0))
 
 
 def correlator_r2(

@@ -26,16 +26,17 @@ forms are exposed as separate asymptotic evaluators.
 
 The public evaluators take an :class:`FpParams` and a time t, convert them
 once to v and tau, and call private cores that take those two floats, so
-every cache is keyed on floats and parameters with equal v share entries.
-The series take the fixed mode count ceil(6/sqrt(tau)) + 8, at most
-100 000. Every inversion reads one bounded cache entry per (v, tau), the
-wall record: p(1), the read-only W = W(1, eps; 1) and eps^2 W^2 on the
-nodes of both inversion contours, the contour data, the deep-tail cutoff
-of the lost-volume PDF, and two node vectors that hold everything a PDF
-point needs but x, C = p(1) factor (1 + i sigma) / (eps^2 W^2) and
-B = -1/W, with a bound on x below which no step of C e^{x B} can
-overflow. Where eps^2 W^2 overflows on the contour the record raises
-:class:`InversionError`: below tau of about 6.7e-152, as the contour's
+every cache is keyed on floats and parameters with equal v share entries;
+the loss correlators, too, read only v and the windows' tau. The series
+take the fixed mode count ceil(6/sqrt(tau)) + 8, at most 100 000. Every
+inversion reads one bounded cache entry per (v, tau), the wall record:
+p(1), the read-only W = W(1, eps; 1) on the nodes of both inversion
+contours, the contour data, the deep-tail cutoff of the lost-volume PDF,
+and two node vectors that hold everything a PDF point needs but x,
+C = p(1) factor (1 + i sigma) / (eps^2 W^2) and B = -1/W, with a bound on
+x below which no step of C e^{x B} can overflow. The record forms
+eps^2 W^2 only to build C, and raises :class:`InversionError` where it
+overflows on the contour: below tau of about 6.7e-152, as the contour's
 nodes grow as 1/tau, and above v of about 6.7e153, where eps^2 W^2 is
 about 4 v^2. Moments and the loss probability invert through
 ``numerics.laplace_invert``; a ``loss_pdf`` point forms its terms
@@ -389,12 +390,12 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 class _WallRecord(NamedTuple):
-    """Everything a loss_pdf point at one (v, tau) reads but x."""
+    """Everything an inversion at one (v, tau) reads; a loss_pdf point reads
+    all of it but W."""
 
     p1: float
-    #: W(1, eps; 1) and the density's denominator eps^2 W^2 on every node
+    #: W(1, eps; 1) on every node
     w: np.ndarray
-    d: np.ndarray
     #: a point's terms are Re(c e^{x b}): c = p(1) factor (1 + i sigma) / (eps^2 W^2)
     #: with the contour factors of numerics._talbot_contours(tau), and b = -1/W
     c: np.ndarray
@@ -408,11 +409,12 @@ class _WallRecord(NamedTuple):
 
 @functools.lru_cache(maxsize=128)
 def _wall_record(v: float, tau: float) -> _WallRecord:
-    """The :class:`_WallRecord` at reduced drift v and time tau: W = W(1, eps; 1),
-    eps^2 W^2 and a loss_pdf point's node vectors c and b on the nodes of
-    both inversion contours, read-only and in the order of
+    """The :class:`_WallRecord` at reduced drift v and time tau: W = W(1, eps; 1)
+    and a loss_pdf point's node vectors c and b on the nodes of both
+    inversion contours, read-only and in the order of
     :func:`numerics._talbot_contours`, next to p(1), the contour data, the
-    deep-tail cutoff and the overflow-free x.
+    deep-tail cutoff and the overflow-free x. The density's denominator
+    eps^2 W^2 is formed here for c alone and not kept.
 
     One bounded cache entry serves every moment, the loss probability and
     every loss_pdf point at one (v, tau), whichever (a, sigma2, t) they
@@ -444,7 +446,7 @@ def _wall_record(v: float, tau: float) -> _WallRecord:
         rate = max(float(b.real.max()), room * 2.0**-1000 * float(np.abs(b).max()))
         if rate > 0.0:
             x_safe = room / rate
-    return _WallRecord(p1, *map(numerics._read_only, (w, d, c, b)), contours,
+    return _WallRecord(p1, *map(numerics._read_only, (w, c, b)), contours,
                        p1 * (tau + 12.0 * math.sqrt(tau) + 1.0), x_safe)
 
 
@@ -465,8 +467,8 @@ def _settled(value: float, err: float, tau: float, what: str) -> float:
 
 
 def _invert_wall(v: float, tau: float, what: str, g) -> float:
-    """Invert g(eps, W, eps^2 W^2) at reduced drift v and time tau,
-    W = W(1, eps; 1), with W and eps^2 W^2 from :func:`_wall_record`.
+    """Invert g(eps, W) at reduced drift v and time tau, W = W(1, eps; 1),
+    with W from :func:`_wall_record`.
 
     InversionError where p(1) > 0 but the transform at either contour's
     head node s = r is below the smallest normal double: the transform has
@@ -474,12 +476,11 @@ def _invert_wall(v: float, tau: float, what: str, g) -> float:
     digits (k >= 2 moments at small tau, the loss probability at strongly
     negative v and small tau).
     """
-    p1, w, d, _, _, contours, _, _ = _wall_record(v, tau)
+    p1, w, _, _, contours, _, _ = _wall_record(v, tau)
 
     def transform(eps):
-        # laplace_invert calls it once, on exactly the nodes w and d were
-        # evaluated on.
-        values = g(eps, w, d)
+        # laplace_invert calls it once, on exactly the nodes w was evaluated on.
+        values = g(eps, w)
         if p1 > 0.0 and min(abs(values[head]) for head, _, _ in contours) < _NORMAL_MIN:
             raise InversionError(f"{what} transform underflows on the inversion contour at "
                                  f"v={v:.3g}, tau={tau:.3g}")
@@ -504,7 +505,7 @@ def loss_moment(params: FpParams, ctrl: SeriesControl, k: int, t: float) -> floa
         return p1 * tau
     kfac = math.factorial(k)
     return _invert_wall(params.v, tau, f"loss moment k={k}",
-                        lambda eps, w, _: kfac * p1 * w ** (k - 1) / eps**2)
+                        lambda eps, w: kfac * p1 * w ** (k - 1) / eps**2)
 
 
 def loss_moment_asymptotic(params: FpParams, k: int, t: float, regime: str) -> float:
@@ -537,7 +538,7 @@ def _loss_probability(v: float, tau: float) -> float:
     (v, tau) next to W so that a conditional density curve
     (:func:`loss_pdf_conditional`) inverts it once."""
     p1 = _wall_density(v)
-    value = _invert_wall(v, tau, "loss probability", lambda eps, w, _: p1 / (eps * eps * w))
+    value = _invert_wall(v, tau, "loss probability", lambda eps, w: p1 / (eps * eps * w))
     return min(max(value, 0.0), 1.0)
 
 
@@ -590,7 +591,7 @@ def loss_pdf(
     if tau > PDF_INVERSION_TAU_MAX:
         value = float(loss_pdf_asymptotic(params, x, t, "long"))
         return (value, "surrogate") if return_regime else value
-    _, _, _, c, b, contours, x_cut, x_safe = _wall_record(params.v, tau)
+    _, _, c, b, contours, x_cut, x_safe = _wall_record(params.v, tau)
     # Deep-tail cutoff: losses beyond tau p(1) by many diffusive spreads have
     # density below double-precision inversion resolution, and the shifted
     # effective time there turns negative, which no contour can represent.
@@ -703,34 +704,33 @@ def loss_correlator(
     """Covariance of lost volumes in two windows of lengths t1 and t2 whose
     closest edges are T apart.
 
-    The window double integral of the wall density reduces to a convolution
-    against the overlap length ovl(s) = min(s, t1, t2, t1 + t2 - s),
+    With the loss rate sigma^2/2 times the wall density, the window double
+    integral of that density reduces to a convolution against the overlap
+    length ovl(s) = min(s, tau1, tau2, tau1 + tau2 - s) in reduced time,
 
-        corr = r^2 p(1) * integral_0^{t1+t2} ovl(s) [w(1, T+s; 1) - p(1)] ds,
+        corr = p(1) * integral_0^{tau1+tau2} ovl(s) [w(1, tau_T+s; 1) - p(1)] ds,
 
-    with r = sigma^2 / 2. Integrated mode by mode against the eigenseries
-    w(1, s; 1) - p(1) = sum_n A_n e^{-k_n s} it is the closed form
+    where tau1, tau2 and tau_T are the reduced times of t1, t2 and T.
+    Integrated mode by mode against the eigenseries
+    w(1, s; 1) - p(1) = sum_n A_n e^{-lam_n s} it is the closed form
 
-        corr = r^2 p(1) sum_n A_n e^{-k_n T} (1 - e^{-k_n t1}) (1 - e^{-k_n t2}) / k_n^2,
-        A_n = 2 pi^2 n^2 / (pi^2 n^2 + v^2),  k_n = (pi^2 n^2 + v^2) sigma^2 / 2,
+        corr = p(1) sum_n A_n e^{-lam_n tau_T} (1 - e^{-lam_n tau1})
+                        (1 - e^{-lam_n tau2}) / lam_n^2,
+        A_n = 2 pi^2 n^2 / lam_n,  lam_n = pi^2 n^2 + v^2,
 
-    truncated at the mode count of the series density at separation T.
-    ValueError unless t1, t2 and T are positive and finite, and where
-    r^2 overflows a double.
+    truncated at the mode count of the series density at separation T. It
+    depends on v and the three tau alone, and is finite wherever they are.
+    ValueError unless t1, t2 and T are positive and finite.
     """
-    *_, tau_T = (_reduced_time(params, t) for t in (t1, t2, T))
+    tau1, tau2, tau_T = (_reduced_time(params, t) for t in (t1, t2, T))
     n, lam = _wall_modes(params.v, tau_T)
-    r = loss_rate_coefficient(params)
-    k = r * lam
     amp = 2.0 * (np.pi * n) ** 2 / lam
-    # From |v| of about 1e77 on, k * k overflows on modes whose e^{-k T}
-    # is already 0; their terms are 0.
+    # From |v| of about 1e77 on, lam * lam overflows on modes whose
+    # e^{-lam tau_T} is already 0; their terms are 0.
     with np.errstate(over="ignore"):
-        terms = amp * np.exp(-k * T) * np.expm1(-k * t1) * np.expm1(-k * t2) / (k * k)
-    value = r * r * _wall_density(params.v) * float(np.sum(terms))
-    if not math.isfinite(value):  # r * r overflows past sigma2 of about 2.7e154
-        raise ValueError(f"loss correlator overflows a double at sigma2={params.sigma2}")
-    return value
+        terms = (amp * np.exp(-lam * tau_T) * np.expm1(-lam * tau1) * np.expm1(-lam * tau2)
+                 / (lam * lam))
+    return _wall_density(params.v) * float(np.sum(terms))
 
 
 def loss_correlator_asymptotic(
@@ -740,19 +740,17 @@ def loss_correlator_asymptotic(
     T: float,
     regime: str,
 ) -> float:
-    """Closed-form branches of the window correlator.
+    """Closed-form branches of the window correlator, in the reduced times
+    tau1, tau2 and tau_T of t1, t2 and T.
 
-    window (2/sigma^2 >> T >> t1, t2):
-        m1(t1) m1(t2) sqrt(2/(pi sigma^2 T)) / p(1);
-    separated (T >> 2/sigma^2): 0 (the decay is exponential for v != 0).
-    Both are 0 where p(1) underflows to 0.
+    window (1 >> tau_T >> tau1, tau2): p(1) tau1 tau2 / sqrt(pi tau_T),
+    that is m1(t1) m1(t2) sqrt(2/(pi sigma^2 T)) / p(1), and 0 where p(1)
+    underflows to 0; separated (tau_T >> 1): 0 (the decay is exponential
+    for v != 0).
     """
-    tau1, tau2, _ = (_reduced_time(params, t) for t in (t1, t2, T))
+    tau1, tau2, tau_T = (_reduced_time(params, t) for t in (t1, t2, T))
     if regime == "separated":
         return 0.0
     if regime != "window":
         raise ValueError(f"unknown regime {regime!r}")
-    p1 = _wall_density(params.v)
-    if p1 == 0.0:
-        return 0.0
-    return p1 * tau1 * (p1 * tau2) * math.sqrt(2.0 / (math.pi * params.sigma2 * T)) / p1
+    return _wall_density(params.v) * tau1 * tau2 / math.sqrt(math.pi * tau_T)

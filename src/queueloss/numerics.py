@@ -13,16 +13,11 @@ pass with no gather, inside ``np.errstate`` so that overflow shows as a
 non-finite sum, not as a NumPy warning. One contour sum, ``_contour_sums``,
 ends every inversion in the package: each contour's value is its head term
 plus one ``math.fsum`` over its off-axis terms, and a non-finite value
-raises :class:`InversionError`. The continuum layer's ``loss_pdf`` forms its
-terms itself and ends in the same sum: it reads one cached record per
-(reduced drift, tau) holding everything a point needs but x, two node
-vectors C and B with the contour factors and 1 + i sigma folded into C, so
-that a point's terms are Re(C e^{x B}) in three array operations. It enters
-``np.errstate`` only past the record's overflow-free x, one bound on
-max Re B and max |C| below which neither e^{x B} nor its product with C
-can overflow. The discrete layer caches its mode table per (p, L). The
-cached arrays are read-only, so every caller shares them without copying
-and none can change what another reads.
+raises :class:`InversionError`; a caller that forms its own terms from the
+cached contour data (the continuum layer's ``loss_pdf``) ends in the same
+sum. The cached arrays are read-only, as is every array a caller caches
+through ``_read_only``, so every caller shares them without copying and
+none can change what another reads.
 """
 
 from __future__ import annotations

@@ -292,12 +292,14 @@ class TestGreenFunction:
         pi = D.stationary_distribution(params)
         assert D.green_function(params, 1000, 0, 100) == pi[100]
 
-    def test_overflowing_ratio_on_a_nonzero_sum_is_named(self):
-        # q^78 at p = 0.9999 overflows, and 182 steps leave powers near
-        # 1e-309 that do not underflow to 0.
+    def test_overflowing_ratio_on_a_nonzero_sum_propagates_the_row(self):
+        # q^78 at p = 0.9999 overflows, and 182..185 steps leave powers near
+        # 1e-309 that do not underflow to 0: the row of 0 is propagated.
         params = D.DiscreteQueueParams(p=1 - 1e-4, L=156)
-        with pytest.raises(D.DegenerateParamsError, match="overflows"):
-            D.green_function(params, 182, 0, 156)
+        for n in range(182, 186):
+            got = D.green_function(params, n, 0, 156)
+            assert got == float(D._propagate_row(params, n, 0)[156])
+            assert 0.0 <= got <= 1.0
 
     def test_spectral_refuses_cancelling_sum(self):
         params = D.DiscreteQueueParams(p=0.1, L=1000)
@@ -417,6 +419,20 @@ class TestLossVariance:
         exact = D.loss_variance_exact(params, N)
         assert abs(summary.variance - exact) <= 3.0 * summary.variance_se
 
+    def test_near_one_corner_matches_the_time_sum(self):
+        # At L = 3000 seven modes have 29 |1 - lam| < 1e-3 and take the
+        # weight sum's Taylor series. The oracle is the time sum
+        # N m (1 - m) + 2 sum_k (N - k) (p^2 pi_L K^{k-1}(L, L) - m^2).
+        params, N = D.DiscreteQueueParams(p=0.5, L=3000), 30
+        pi_L, lam, _ = D._modes(params)
+        assert np.count_nonzero((N - 1) * np.abs(1.0 - lam) < 1e-3) == 7
+        p, L = params.p, params.L
+        m = p * pi_L
+        pairs = sum((N - k) * (p * p * pi_L * D._propagate_row(params, k - 1, L)[L] - m * m)
+                    for k in range(1, N))
+        want = N * m * (1.0 - m) + 2.0 * pairs
+        assert D.loss_variance_exact(params, N) == pytest.approx(want, rel=1e-12)
+
     def test_degenerate_paths_have_no_variance(self):
         assert D.loss_variance_exact(D.DiscreteQueueParams(p=1.0, L=4), 100) == 0.0
         assert D.loss_variance_exact(D.DiscreteQueueParams(p=0.0, L=4), 100) == 0.0
@@ -535,6 +551,19 @@ class TestCorrelatorR2:
         want = brute_force_r2(params, N, M)
         got = D.correlator_r2(params, N, M, branch="exact")
         assert got == pytest.approx(want, abs=1e-10)
+
+    def test_near_one_corner_matches_the_two_step_closed_form(self):
+        # One mode at L = 3000 has |1 - lam| < 1e-6 and takes the geometric
+        # factor's series. One-step windows two steps apart have
+        # Cov = pi_L p^2 (K(L, L) - pi_L) = pi_L p^2 (p - pi_L), and
+        # Var = m (1 - m), m = p pi_L.
+        params = D.DiscreteQueueParams(p=0.5, L=3000)
+        pi_L, lam, _ = D._modes(params)
+        assert np.count_nonzero(np.abs(1.0 - lam) < 1e-6) == 1
+        p = params.p
+        want = p * (p - pi_L) / (1.0 - p * pi_L)
+        assert want == pytest.approx(0.24987502, abs=1e-8)
+        assert D.correlator_r2(params, 1, 2) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     @pytest.mark.parametrize("branch", ["exact", "analytic"])

@@ -30,6 +30,10 @@ PINNED_DISCRETE = "8c9ee76cc4e2abfe7af172d22d3bdbb8052869ace60b946facdaf92e8a8ba
 #: full grid the deterministic-size runs moved only in the last bit of the
 #: offered volume, and the exponential-size runs took new sizes.
 PINNED_PACKET = "f60ca24723cbde72b2e981a8ce0975248b72e91854860a35cd1336c96fe19767"
+#: The ``correlator`` digest of SMALL, taken when both correlators came to
+#: read only v and the reduced times: at sigma2 = 2 every loss_correlator
+#: value kept its bits, and two of the eight window asymptotes moved by one ulp.
+PINNED_CORRELATOR = "bf7db17d22fdd8c5a03da2182be6bc6380bed79de1cd948913cde853eada23f4"
 
 
 def _clear_package_caches():
@@ -46,7 +50,7 @@ def test_cold_and_warm_runs_agree():
     # A packet run feeds three grids of 1001 samples and seven totals.
     assert {name: count for name, (count, _) in cold.items()} == {
         "discrete": 2 * 2 * (1 + 2 * 6 + 2), "continuum": 2 * 2 * (4 + 8), "all": 108,
-        "packet": 2 * 3 * 2 * (3 * 1001 + 7)}
+        "packet": 2 * 3 * 2 * (3 * 1001 + 7), "correlator": 2 * 4 * 2}
 
 
 def test_reduced_grid_digest_is_pinned():
@@ -57,6 +61,10 @@ def test_reduced_grid_digest_is_pinned():
 
 def test_packet_digest_is_pinned():
     assert exact_digest.digests(SMALL)["packet"][1] == PINNED_PACKET
+
+
+def test_correlator_digest_is_pinned():
+    assert exact_digest.digests(SMALL)["correlator"][1] == PINNED_CORRELATOR
 
 
 def test_main_prints_one_row_per_part(capsys, monkeypatch):
@@ -77,7 +85,7 @@ def test_records_file_rehashes_to_each_part(tmp_path, monkeypatch, capsys):
     for line in path.read_text().splitlines(keepends=True):
         part, text = line.split(" ", 1)
         parts.setdefault(part, []).append(text)
-    assert list(parts) == ["discrete", "continuum", "packet"]
+    assert list(parts) == ["discrete", "continuum", "packet", "correlator"]
     for part, texts in parts.items():
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == rows[part][1]
     # Each record is a label, the call's arguments and one hex value per output.

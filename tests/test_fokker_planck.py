@@ -665,12 +665,15 @@ class TestEdgeGuards:
 
     @pytest.mark.parametrize("a", [1e80, -1e80])
     def test_correlator_at_huge_drift_underflows_to_zero(self, a):
-        # k * k overflows on every mode; e^{-k T} is 0 on all of them.
+        # lam * lam overflows on every mode; e^{-lam tau_T} is 0 on all of them.
         assert F.loss_correlator(F.FpParams(a=a, sigma2=1.0), CTRL, 1.0, 1.0, 1.0) == 0.0
 
-    def test_correlator_overflow_is_named(self):
-        with pytest.raises(ValueError, match="overflows"):
-            F.loss_correlator(F.FpParams(0.0, 1e300), CTRL, 1e-300, 1e-300, 1e-300)
+    def test_correlator_at_huge_diffusion_is_finite(self):
+        # v = 0 and every tau is 0.5, as at sigma2 = 2 and t = 0.5: the
+        # correlator reads only v and tau, so sigma2 = 1e300 is no overflow.
+        got = F.loss_correlator(F.FpParams(0.0, 1e300), CTRL, 1e-300, 1e-300, 1e-300)
+        assert got == F.loss_correlator(F.FpParams(0.0, 2.0), CTRL, 0.5, 0.5, 0.5)
+        assert got == 1.4554717762989356e-4
 
     def test_division_by_zero_on_the_contour_is_named(self):
         # v = -100, tau = 5e14: eps^2 W is 0 on a node.
@@ -754,10 +757,9 @@ class TestWallTransformCache:
     def test_cached_wall_values_read_only(self):
         cached = F._wall_record(self.PARAMS.v, 0.45)
         arrays = [a for a in cached if isinstance(a, np.ndarray)]
-        # W(1, eps; 1), the density's denominator eps^2 W^2, and a loss_pdf
-        # point's node vectors c and b
-        assert len(arrays) == 4
-        assert cached.w is arrays[0] and cached.d is arrays[1]
+        # W(1, eps; 1) and a loss_pdf point's node vectors c and b
+        assert len(arrays) == 3
+        assert arrays[0] is cached.w and arrays[1] is cached.c and arrays[2] is cached.b
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -794,7 +796,7 @@ class TestWallTransformCache:
         assert info.currsize <= maxsize
 
     # float.hex() of (loss_pdf(x), m2, m3, p_loss) at (a, sigma2, t, x): the
-    # caches of p(1), eps^2 W^2 and the contour factors must not move a bit.
+    # caches of p(1), W and the contour factors must not move a bit.
     # The loss_pdf values were taken when a point's terms became c e^{x b}
     # (seven of the twelve moved, by at most 2.9e-10 relative); m2, m3 and
     # p_loss are older.
@@ -1090,6 +1092,27 @@ class TestLossCorrelatorOracles:
         got = F.loss_correlator(params, CTRL, t1, t2, T)
         want = mode_sum_loss_correlator(a, sigma2, t1, t2, T)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+class TestCorrelatorsOnReducedVariables:
+    """Both correlators read only v and the three reduced times: scaling
+    a, sigma2 and 1/t by any s leaves them bit for bit where v and tau stay
+    put, even past sigma2 of 2.7e154, where (sigma2/2)^2 overflows."""
+
+    @given(a=st.floats(-4.0, 4.0), sigma2=_log_uniform(0.25, 4.0), t1=_log_uniform(0.01, 5.0),
+           t2=_log_uniform(0.01, 5.0), T=_log_uniform(0.01, 10.0), s=_log_uniform(1e-150, 1e150))
+    @settings(max_examples=60, deadline=None)
+    @example(a=0.0, sigma2=1.0, t1=1.0, t2=1.0, T=1.0, s=1e150)
+    @example(a=1.0, sigma2=2.0, t1=1.0, t2=0.5, T=2.0, s=1e300)
+    def test_scaled_problem_reads_its_own_v_and_tau(self, a, sigma2, t1, t2, T, s):
+        scaled = F.FpParams(a=a * s, sigma2=sigma2 * s)
+        times = (t1 / s, t2 / s, T / s)
+        # At sigma2 = 2, a = 2 v and t = tau pass v and tau through exactly.
+        reduced = F.FpParams(a=2.0 * scaled.v, sigma2=2.0)
+        taus = tuple(scaled.tau(t) for t in times)
+        assert F.loss_correlator(scaled, CTRL, *times) == F.loss_correlator(reduced, CTRL, *taus)
+        assert (F.loss_correlator_asymptotic(scaled, *times, "window")
+                == F.loss_correlator_asymptotic(reduced, *taus, "window"))
 
 
 class TestDiffusionLimitBridge:

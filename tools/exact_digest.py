@@ -17,6 +17,9 @@ The grid:
   {1e-3, 1e-2, 0.1, 1, 10, 100}: ``loss_moment`` k = 2..4,
   ``loss_probability`` and ``loss_pdf`` on 8-point Gauss-Legendre nodes of
   four panels of [0, p(1)(tau + 6 sqrt(tau) + 1)];
+- ``correlator``: the same a x sigma2 x (t1, t2, T) in {(1e-3, 1e-3, 1e-2),
+  (0.01, 0.05, 0.1), (0.5, 0.5, 1), (1, 2, 10)}: ``loss_correlator`` and
+  ``loss_correlator_asymptotic`` on its ``"window"`` branch;
 - ``packet``: seeded ``simulate.run`` logs with exponential gaps of mean
   0.01 and deterministic, uniform or exponential sizes of mean 0.01 x r_out
   in {0.98, 1, 1.02, 50} x initial_queue in {0, 0.5, 1}: every grid sample
@@ -29,7 +32,8 @@ Usage::
 
 Imports ``queueloss`` from ``src/`` next to this directory and prints one
 ``part values sha256`` row per part: ``discrete``, ``continuum``, the
-``all`` row over those two, then ``packet``, which ``all`` leaves out.
+``all`` row over those two, then ``packet`` and ``correlator``, which
+``all`` leaves out.
 ``--records PATH`` also writes every hashed record to PATH, one line each,
 as its part's name followed by the hashed text: the call's label and
 arguments, then the hex form of each value or the exception's type name.
@@ -68,6 +72,8 @@ class Grid:
     sigma2s: tuple = (0.5, 2.0)
     times: tuple = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
     panels: int = 4
+    #: (t1, t2, T) of the continuum correlators
+    windows: tuple = ((1e-3, 1e-3, 1e-2), (0.01, 0.05, 0.1), (0.5, 0.5, 1.0), (1.0, 2.0, 10.0))
     size_laws: tuple = ("deterministic", "uniform", "exponential")
     r_outs: tuple = (0.98, 1.0, 1.02, 50.0)
     initial_queues: tuple = (0.0, 0.5, 1.0)
@@ -153,6 +159,18 @@ def continuum_part(grid: Grid, sink=None) -> _Digest:
     return out
 
 
+def correlator_part(grid: Grid, sink=None) -> _Digest:
+    out = _Digest(sink)
+    corr = _default_ctrl(F.loss_correlator)
+    for a in grid.drifts:
+        for s2 in grid.sigma2s:
+            params = F.FpParams(a=a, sigma2=s2)
+            for t1, t2, T in grid.windows:
+                out.call("corr", corr, params, t1, t2, T)
+                out.call("corr_window", F.loss_correlator_asymptotic, params, t1, t2, T, "window")
+    return out
+
+
 def _size_law(kind: str) -> S.Distribution:
     if kind == "uniform":
         return S.Distribution(kind="uniform", low=0.005, high=0.015)
@@ -178,7 +196,7 @@ def packet_part(grid: Grid, sink=None) -> _Digest:
 
 def digests(grid: Grid, records=None) -> dict[str, tuple[int, str]]:
     """``part -> (values, sha256)`` for every part, with ``all`` over the
-    exact evaluators' two parts. Given a text file ``records``, every
+    ``discrete`` and ``continuum`` parts. Given a text file ``records``, every
     record is also written there, prefixed with its part's name."""
 
     def sink(name):
@@ -187,10 +205,11 @@ def digests(grid: Grid, records=None) -> dict[str, tuple[int, str]]:
     parts = {name: fn(grid, sink(name))
              for name, fn in (("discrete", discrete_part), ("continuum", continuum_part))}
     total = hashlib.sha256("".join(d.h.hexdigest() for d in parts.values()).encode())
-    packet = packet_part(grid, sink("packet"))
+    rest = {name: fn(grid, sink(name))
+            for name, fn in (("packet", packet_part), ("correlator", correlator_part))}
     return {**{name: (d.count, d.h.hexdigest()) for name, d in parts.items()},
             "all": (sum(d.count for d in parts.values()), total.hexdigest()),
-            "packet": (packet.count, packet.h.hexdigest())}
+            **{name: (d.count, d.h.hexdigest()) for name, d in rest.items()}}
 
 
 def main(argv: list[str] = ()) -> int:
