@@ -226,9 +226,9 @@ def _propagate_row(params: DiscreteQueueParams, n: int, frm: int) -> np.ndarray:
 
 
 #: log10 of the largest round-off scale (see :func:`_spectral_scale_log10`)
-#: that :func:`_spectral_green` accepts. Measured errors stay below 6.3e-16
-#: times the scale (L <= 400, p in 0.05..0.95, n in 65..1000), so below 1e-9
-#: here.
+#: at which :func:`green_function` takes the spectral sum. Measured errors
+#: stay below 6.3e-16 times the scale (L <= 400, p in 0.05..0.95, n in
+#: 65..1000), so below 1e-9 here.
 _SPECTRAL_SCALE_LOG10_MAX = 6.0
 
 
@@ -248,18 +248,12 @@ def _spectral_scale_log10(params: DiscreteQueueParams, n: int, frm: int, to: int
 
 def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:
     """n-step transition probability as the spectral sum over closed-form
-    eigenvector rows; raises :class:`DegenerateParamsError` where the sum
-    would cancel terms too large for double precision. Where the mode sum is
-    not 0 but its factor q^{(to-frm)/2} overflows, the row of ``frm`` is
-    propagated instead, as in :func:`green_function`."""
+    eigenvector rows, clipped to [0, 1] at round-off level. It is accurate
+    only where its round-off scale is small (:func:`green_function` routes
+    the rest to row propagation). Where the mode sum is not 0 but its factor
+    q^{(to-frm)/2} overflows, the row of ``frm`` is propagated instead."""
     L = params.L
     _, lam, w = _modes(params)
-    scale = _spectral_scale_log10(params, n, frm, to)
-    if scale > _SPECTRAL_SCALE_LOG10_MAX:
-        raise DegenerateParamsError(
-            f"spectral sum for {n} steps {frm} -> {to} at p={params.p}, L={L} would cancel "
-            f"below double precision (round-off scale 1e{scale:.0f})"
-        )
     # K^n = D^{-1/2} (V Lam^n V^T) D^{1/2} with D = diag(pi); the stationary
     # mode contributes pi(to) and each transient mode u_frm u_to lam^n / |u|^2.
     theta = _angles(L)
@@ -273,7 +267,7 @@ def _spectral_green(params: DiscreteQueueParams, n: int, frm: int, to: int) -> f
         ratio = math.exp(0.5 * (to - frm) * math.log(params.q))
     except OverflowError:
         return float(_propagate_row(params, n, frm)[to])
-    return pi_to + ratio * amp
+    return min(max(pi_to + ratio * amp, 0.0), 1.0)
 
 
 def green_function(params: DiscreteQueueParams, n: int, frm: int, to: int) -> float:

@@ -746,11 +746,17 @@ def loss_correlator_asymptotic(
     window (1 >> tau_T >> tau1, tau2): p(1) tau1 tau2 / sqrt(pi tau_T),
     that is m1(t1) m1(t2) sqrt(2/(pi sigma^2 T)) / p(1), and 0 where p(1)
     underflows to 0; separated (tau_T >> 1): 0 (the decay is exponential
-    for v != 0).
+    for v != 0). ValueError where the window branch overflows a double.
     """
     tau1, tau2, tau_T = (_reduced_time(params, t) for t in (t1, t2, T))
     if regime == "separated":
         return 0.0
     if regime != "window":
         raise ValueError(f"unknown regime {regime!r}")
-    return _wall_density(params.v) * tau1 * tau2 / math.sqrt(math.pi * tau_T)
+    p1, root = _wall_density(params.v), math.sqrt(math.pi * tau_T)
+    value = p1 * tau1 * tau2 / root
+    if not value < math.inf or root == math.inf:  # a product overflowed: divide first
+        value = p1 * tau1 * (tau2 / math.sqrt(math.pi) / math.sqrt(tau_T))
+    if value == math.inf:
+        raise ValueError(f"window loss correlator overflows a double at tau1={tau1:.3g}")
+    return value

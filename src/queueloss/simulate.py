@@ -29,9 +29,12 @@ the drops are where a running maximum steps up, and the levels are summed
 again with the dropped packets' increments set to 0.0. Both passes verify
 the levels they produce against the drop and clip rules and commit only
 what agrees. Only an arrival that both drops and clips, and drops under a
-random size law, run one at a time. A last vectorised pass per sub-chunk
-samples the grid from the clock, the levels and the arrivals where a drop
-or clip happened.
+random size law, run one at a time, the latter until the queue is a few
+moves below the top wall. All of these only note the arrivals that drop or
+clip. One block per sub-chunk then books those events in arrival order
+(the lost volume and idle time as running totals, and each clip's drain
+cut to the level it drained), and a last vectorised pass samples the grid
+from the clock, the levels and those running totals.
 The result is the per-arrival loop's to the bit, except that the offered
 and serviced volume totals are summed in larger steps: the serviced volume
 of a sub-chunk is one sum of its drains, each idle clip's cut to the level
@@ -144,11 +147,9 @@ class TrafficModel:
         return abs(self.input_rate * self.eta0 - 1.0)
 
 
-#: Arrivals without a drop that the scalar steps of a drop under a random
-#: size law wait for before handing back to blocks: drops cluster.
-_QUIET = 4
-#: Nor before the queue is this many mean arrival-plus-drain moves below the
-#: top wall: nearer, a block would most likely end within a few arrivals.
+#: The scalar steps of a drop under a random size law hand back to blocks
+#: once the queue is this many mean arrival-plus-drain moves below the top
+#: wall: nearer, a block would most likely end within a few arrivals.
 _WALL_MOVES = 2.0
 #: Arrivals converted to Python floats at a time for the scalar steps, whose
 #: arithmetic on NumPy scalars would cost several times as much.
@@ -308,25 +309,28 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
     - A drop under a constant packet size: :func:`_drop_levels`.
     - An arrival that both drops and clips, or a drop under a random size
       law, where a packet that fits may follow one that did not: scalar
-      steps on Python floats, until the constant-size arrival is done or,
-      under a random law, the queue is quiet below the top wall.
+      steps on Python floats, until the queue is at or below ``top``. That
+      is 1.0 for a constant size, so just the arrival runs, and
+      ``_WALL_MOVES`` mean moves below the wall under a random size law.
 
     Blocks double while they stay free, from ``_BLOCK_MIN`` after scalar
     steps; after a pass, the next block runs to the sub-chunk's end, so the
-    pass it ends in sees the rest of the path.
+    pass it ends in sees the rest of the path. ``scalar_arrivals`` counts
+    the arrivals that took scalar steps.
 
-    Every event notes its running total (lost volume, idle time) in arrival
-    order; ``scalar_arrivals`` counts the arrivals that took scalar steps.
-
-    A second vectorised pass samples the grid times that fell in the
-    sub-chunk: the arrival whose interval holds each one (``searchsorted``
-    on the clock), its ell_plus drained for the elapsed time and clipped at
-    0, the lost volume after the last drop at or before that arrival and
-    the idle time after the last clip before it, plus the clipped partial
-    idle. The sub-chunk's serviced volume is one sum of its drains, into
-    which each idle clip has written ell_plus, the volume it drained.
-    (Subtracting the clipped excess from the full drains instead cancels
-    where the queue is mostly idle: 1e-11 relative at r_out = 50.)
+    The level pass only notes the arrivals that drop or clip. After it, one
+    block books the sub-chunk's events in arrival order: the lost volume
+    takes each drop's packet, the idle time each clip's eta - ell_plus /
+    r_out, each with its running totals, and each clip's drain becomes
+    ell_plus, the volume it serviced. A second vectorised pass samples the
+    grid times that fell in the sub-chunk: the arrival whose interval holds
+    each one (``searchsorted`` on the clock), its ell_plus drained for the
+    elapsed time and clipped at 0, the lost volume after the last drop at
+    or before that arrival and the idle time after the last clip before
+    it, plus the clipped partial idle. The sub-chunk's serviced volume is
+    one sum of its drains. (Subtracting the clipped excess from the full
+    drains instead cancels where the queue is mostly idle: 1e-11 relative
+    at r_out = 50.)
 
     Levels, times, grid samples, drops and idle time, with their
     compensation terms, are thus the per-arrival loop's to the bit. The
@@ -345,14 +349,13 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
     grid_idx = 0
     # A constant size makes a drop cluster's drops a running maximum, and
     # the scalar steps then take just the arrival that both drops and clips.
-    # Under a random size law they wait until quiet below the top wall.
+    # Under a random size law they run until the queue is below the top wall.
     # Where the blocks start sets only the speed: no output depends on it.
     size = None
-    need, top = 0, 1.0
+    top = 1.0
     if traffic.packet_size.kind == "deterministic":
         size = float(traffic.packet_size.mean)
     else:
-        need = _QUIET
         moves = traffic.packet_size.mean_value + r_out * traffic.interarrival.mean_value
         top = max(1.0 - _WALL_MOVES * moves, 0.0)
     # One slot past the longest path: 0.0 in step_buf, the clip pass's pad.
@@ -367,7 +370,6 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
     one_bits = np.float64(1.0).view(np.uint64)
     hit_buf = np.empty(2 * _SUB, dtype=np.bool_)
     scalar = False
-    quiet = 0
     block = _BLOCK_MIN
     while t < duration:
         eta_s = traffic.interarrival.sample(gap_rng, _SUB)
@@ -383,9 +385,7 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
         np.negative(drain, out=steps[2::2])
         level = level_buf[: 2 * m + 1]
         ell_plus = level[1::2]
-        lost = [dropped]
         drop_at = []
-        idled = [idle]
         clip_at = []
         i = 0
         while i < m:
@@ -394,24 +394,16 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
                 ups = []
                 arrivals = zip(range(i, stop), p_s[i:stop].tolist(), drain[i:stop].tolist())
                 for a, p, d in arrivals:
-                    quiet += 1
                     up = ell + p
                     if up > 1.0:
                         up = ell
-                        dropped, c_drop = _compensated(dropped, c_drop, (p,), lost)
-                        n_drops += 1
                         drop_at.append(a)
-                        quiet = 0
                     ups.append(up)
                     if d > up:
-                        gap = float(eta_s[a]) - up / r_out
-                        idle, c_idle = _compensated(idle, c_idle, (gap,), idled)
                         clip_at.append(a)
-                        # What the arrival serviced, for the sub-chunk's
-                        # serviced total; a block never reads it again.
-                        drain[a] = d = up
+                        d = up
                     ell = up - d
-                    if quiet >= need and ell <= top:
+                    if ell <= top:
                         scalar = False
                         break
                 ell_plus[i : a + 1] = ups
@@ -436,26 +428,30 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
             e = i + j // 2
             if j % 2:
                 clips = _clip_levels(step_buf, level_buf, e, i + k, pad, one_bits)
-                ups = level[2 * clips + 1]
-                excess = (eta_s[clips] - ups / r_out).tolist()
-                idle, c_idle = _compensated(idle, c_idle, excess, idled)
                 clip_at.extend(clips.tolist())
-                drain[clips] = ups
                 ell = 0.0
                 i = int(clips[-1]) + 1
             elif size is not None and drain[e] <= level[2 * e]:
                 f, drops = _drop_levels(step_buf, level_buf, e, i + k, size, one_bits)
-                dropped, c_drop = _compensated(dropped, c_drop, [size] * drops.size, lost)
                 drop_at.extend(drops.tolist())
-                n_drops += drops.size
                 i = e + f
                 ell = float(level[2 * i])
             else:
                 i = e
                 ell = float(level[2 * e])
                 scalar = True
-                quiet = 0
                 block = _BLOCK_MIN
+        # Book the sub-chunk's events in arrival order, each running total
+        # after its event: a drop loses its packet, and an idle clip idles
+        # for the rest of its interval and services only its ell_plus.
+        drops = np.array(drop_at, dtype=np.intp)
+        clips = np.array(clip_at, dtype=np.intp)
+        lost, idled = [dropped], [idle]
+        dropped, c_drop = _compensated(dropped, c_drop, p_s[drops].tolist(), lost)
+        n_drops += drops.size
+        ups = ell_plus[clips]
+        idle, c_idle = _compensated(idle, c_idle, (eta_s[clips] - ups / r_out).tolist(), idled)
+        drain[clips] = ups
         serviced, c_serv = _compensated(serviced, c_serv, (float(np.add.reduce(drain)),))
         t = float(clock[m])
         g_next = int(grid_times.searchsorted(t, side="right"))
@@ -466,11 +462,10 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
             lp = ell_plus[seg]
             q = lp - dtg * r_out
             queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-            after_drop = np.searchsorted(drop_at, seg, side="right")
-            cum_lost[grid_idx:g_next] = np.take(lost, after_drop)
+            cum_lost[grid_idx:g_next] = np.take(lost, drops.searchsorted(seg, side="right"))
             part_idle = dtg - lp / r_out
             np.copyto(part_idle, 0.0, where=part_idle < 0.0)
-            part_idle += np.take(idled, np.searchsorted(clip_at, seg))
+            part_idle += np.take(idled, clips.searchsorted(seg))
             cum_idle[grid_idx:g_next] = part_idle
             grid_idx = g_next
         arrived, c_arr = _compensated(arrived, c_arr, (float(p_s.sum()),))

@@ -472,6 +472,15 @@ class TestCheck:
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
 
+    def test_broken_invariant_fails_the_suite(self, capsys, monkeypatch):
+        # Kernel rows that sum to 0.5 break the first invariant.
+        build = cli.discrete.build_kernel
+        monkeypatch.setattr(cli.discrete, "build_kernel", lambda params: 0.5 * build(params))
+        rc = cli.run_checks()
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL  kernel rows sum to 1" in out
+
 
 #: case id -> argv (without --out); the expected file is DATA/<case id>/<csv>.
 #: After a deliberate output change, rewrite a case's file with
@@ -548,6 +557,32 @@ class TestModuleBoundaries:
         # estimators import no other package module, the two exact models
         # only the shared numerics.
         assert self._package_imports(self.PACKAGE / f"{module}.py") <= allowed
+
+    def test_every_cache_is_bounded(self):
+        # Memory is bounded by design: every cache is an lru_cache with a
+        # literal maxsize of at most 128, never functools.cache or
+        # maxsize=None, which grow with every distinct argument.
+        def bounded(call):
+            size = next((k.value for k in call.keywords if k.arg == "maxsize"),
+                        call.args[0] if call.args else None)
+            return (isinstance(size, ast.Constant) and type(size.value) is int
+                    and size.value <= 128)
+
+        found, caches = [], 0
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                              if a.name in ("cache", "lru_cache")]
+                elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+                    call = calls.get(id(node))
+                    caches += 1
+                    if node.attr == "cache" or call is None or not bounded(call):
+                        found.append(f"{path.name}:{node.lineno} {node.attr}")
+        assert caches > 0
+        assert found == []
 
     def test_no_module_rewrites_warning_filters(self):
         # catch_warnings swaps the process-wide filter list; under threads it

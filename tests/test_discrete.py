@@ -301,11 +301,28 @@ class TestGreenFunction:
             assert got == float(D._propagate_row(params, n, 0)[156])
             assert 0.0 <= got <= 1.0
 
-    def test_spectral_refuses_cancelling_sum(self):
+    def test_spectral_refuses_cancelling_sum(self, monkeypatch):
+        # The spectral sums for 500 -> 0 and 1000 -> 0 at p = 0.1, L = 1000
+        # would cancel terms far above the round-off scale that the spectral
+        # route accepts; green_function propagates the row instead. At 1200
+        # steps 1000 -> 0 is reachable, so the routed value is not 0.
+        def fail(*args):
+            raise AssertionError("the spectral sum must not be taken")
+
         params = D.DiscreteQueueParams(p=0.1, L=1000)
-        for frm in (500, 1000):
-            with pytest.raises(D.DegenerateParamsError, match="cancel"):
-                D._spectral_green(params, 100, frm, 0)
+        monkeypatch.setattr(D, "_spectral_green", fail)
+        for n, frm in ((100, 500), (100, 1000), (1200, 1000)):
+            assert D._spectral_scale_log10(params, n, frm, 0) > D._SPECTRAL_SCALE_LOG10_MAX
+            assert D.green_function(params, n, frm, 0) == float(D._propagate_row(params, n, frm)[0])
+        assert D.green_function(params, 1200, 1000, 0) > 0.0
+
+    def test_spectral_route_stays_a_probability(self):
+        # Near p = 1/2 at L = 1e5 the spectral sum for 0 -> 50000 in 1e5
+        # steps cancels to -1.9e-14 at round-off level; the true value
+        # underflows.
+        params = D.DiscreteQueueParams(p=0.5 + 1e-5, L=10**5)
+        assert D._spectral_scale_log10(params, 10**5, 0, 50000) <= D._SPECTRAL_SCALE_LOG10_MAX
+        assert 0.0 <= D.green_function(params, 10**5, 0, 50000) <= 1.0
 
 
 class TestMeanLossRate:

@@ -424,6 +424,12 @@ class TestLossProbability:
         want = F.loss_probability_asymptotic(params, t, "short")
         assert got == pytest.approx(want, rel=0.05)
 
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_long_time_branch(self, a):
+        params = F.FpParams(a=a, sigma2=2.0)
+        assert F.loss_probability_asymptotic(params, 1000.0, "long") == 1.0
+        assert F.loss_probability(params, CTRL, 1000.0) == pytest.approx(1.0, abs=1e-6)
+
     def test_bounded_monotone_saturating(self):
         params = F.FpParams(a=0.5, sigma2=2.0)
         taus = np.logspace(-3, 2, 11)
@@ -434,6 +440,28 @@ class TestLossProbability:
 
 
 class TestLossPdf:
+    @staticmethod
+    def _short_branch_gap(params, t):
+        """Largest relative gap between the short-time branch and loss_pdf
+        at x = f sqrt(4 tau), f in {0, 0.5, 1, 2, 4}."""
+        scale = math.sqrt(4.0 * params.tau(t))
+        gaps = []
+        for f in (0.0, 0.5, 1.0, 2.0, 4.0):
+            want = F.loss_pdf(params, CTRL, f * scale, t)
+            gaps.append(abs(F.loss_pdf_asymptotic(params, f * scale, t, "short") - want) / want)
+        return max(gaps)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2])
+    def test_short_time_branch_at_zero_drift(self, t):
+        assert self._short_branch_gap(F.FpParams(a=0.0, sigma2=2.0), t) <= 1e-7
+
+    def test_short_time_branch_error_shrinks_as_root_t(self):
+        # With drift the branch is off by O(sqrt(tau)): 3.8e-2 at t = 1e-4.
+        params = F.FpParams(a=1.0, sigma2=2.0)
+        far, near = (self._short_branch_gap(params, t) for t in (1e-4, 1e-6))
+        assert near / far == pytest.approx(0.1, rel=0.25)
+        assert near < 1e-2
+
     def test_conditional_normalizes(self):
         params = F.FpParams(a=0.5, sigma2=2.0)
         t = params.time_from_tau(1e-3)
@@ -591,6 +619,23 @@ class TestMomentOverflow:
     def test_large_order_is_named(self):
         with pytest.raises(ValueError, match="overflows"):
             F.loss_moment_asymptotic(F.FpParams(0.0, 1.0), 400, 1.0, "short")
+
+
+class TestWindowCorrelatorOverflow:
+    def test_large_windows_stay_finite(self):
+        # p(1) tau1 tau2 = 2.5e399 overflows; the value, about 2e249, does not.
+        got = F.loss_correlator_asymptotic(F.FpParams(0.0, 1.0), 1e200, 1e200, 1e300, "window")
+        assert got == pytest.approx(2.5 / math.sqrt(50.0 * math.pi) * 1e250, rel=1e-14)
+
+    @pytest.mark.parametrize("tau", [1.0, 1e200])
+    def test_far_separation_stays_finite(self, tau):
+        # pi tau_T overflows at tau_T = 1e308, where the value is tau^2 / 1.77e154.
+        got = F.loss_correlator_asymptotic(F.FpParams(0.0, 2.0), tau, tau, 1e308, "window")
+        assert got == pytest.approx(tau / math.sqrt(math.pi) * (tau / 1e154), rel=1e-14)
+
+    def test_overflow_is_named(self):
+        with pytest.raises(ValueError, match="overflows"):
+            F.loss_correlator_asymptotic(F.FpParams(0.0, 1.0), 1e300, 1e300, 1.0, "window")
 
 
 #: The evaluators that read the wall record, as f(params, t).

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -330,7 +331,7 @@ class TestWallPasses:
         traffic = S.TrafficModel(interarrival=gap, packet_size=size, r_out=50.0)
         new, ref = _run_both(monkeypatch, traffic, 30.0, 0, initial_queue=1.0)
         _assert_same_log(new, ref)
-        assert new.n_drops == 1 and new.scalar_arrivals == 1 + S._QUIET
+        assert new.n_drops == 1 and new.scalar_arrivals == 1
 
     def test_clip_pass_commits_only_confirmed_clips(self):
         # A free path (level) whose drained levels set new minima at
@@ -547,6 +548,15 @@ class TestWindowLosses:
         sample = S.window_losses(log, t_window=20.0, warmup=100.0)
         assert sample.n_windows >= 90
         assert (sample.values == 0.0).all()
+
+    def test_still_queue_takes_no_warmup(self):
+        # A sampled queue that never moves has no variance, so its rough
+        # relaxation time, and with it the default warm-up, is 0.
+        log = S.run(poisson_traffic(r_out=10.0), duration=2000.0, seed=4)
+        still = dataclasses.replace(log, queue_samples=np.full_like(log.queue_samples, 0.25))
+        sample = S.window_losses(still, t_window=20.0)
+        assert sample.t_start == 0.0
+        assert sample.n_windows == S.window_losses(log, t_window=20.0, warmup=0.0).n_windows
 
     def test_window_sums_match_cumulative_totals(self):
         log = S.run(poisson_traffic(), duration=30_000.0, seed=8)
