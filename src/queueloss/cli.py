@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import math
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -408,12 +409,16 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
 
 
 def run_checks() -> int:
-    """Fast hard-invariant suite; prints one line per check."""
+    """Fast hard-invariant suite; prints one line per check, ending with
+    the wall time since the previous line (or since the start)."""
     failures = 0
+    last = time.perf_counter()
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
+    def report(name: str, ok: bool) -> None:
+        nonlocal failures, last
+        now = time.perf_counter()
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  {1e3 * (now - last):.1f} ms")
+        last = now
         if not ok:
             failures += 1
 

@@ -496,12 +496,7 @@ class DiscretePath:
 #: Steps drawn and walked per pass of :func:`simulate_path`: its uniforms
 #: exist one chunk at a time (PCG64 gives the same stream in any chunking).
 _CHUNK = 1 << 20
-#: Bytes (eight steps each) per block of the clip-map scan. Longer blocks
-#: shorten the scalar pass over the block maps but lengthen the row passes:
-#: on a 2-vCPU VM a chunk (2^17 bytes) took 6.5 ms at 64, 7.0 at 128 and
-#: 8.7 at 256.
-_BLOCK = 64
-#: The identity map's code, which pads the last block row.
+#: The identity map's code, which pads a chunk's bytes to a power of two.
 _PAD = 256
 
 
@@ -514,7 +509,9 @@ class _ByteMaps:
     with shift the net step, lo = f(0) and hi = f(L). Row x - o + 1 of
     ``hit`` (flattened, ``_PAD + 1`` codes a row) has bit i set when step i,
     started at x >= o = max(L - 8, 0), meets a full buffer; row 0 is zero,
-    for every start below o, which cannot reach L and step up again.
+    for every start below o, which cannot reach L and step up again. The
+    tables are int16 up to L = 16383, where a state plus a shift clipped to
+    L (see :func:`_walk_chunk`) still fits it, and int64 above.
     """
 
     L: int
@@ -528,8 +525,7 @@ class _ByteMaps:
 def _byte_maps(L: int) -> _ByteMaps:
     """Walk each byte's eight steps, with both walls, from 0, from L and
     from every state in o..L, so the tables are exact at any L >= 1."""
-    # int16 holds every state, block shift and state + shift up to L = 32759.
-    dtype = np.int16 if L + 8 <= np.iinfo(np.int16).max else np.int64
+    dtype = np.int16 if 2 * L <= np.iinfo(np.int16).max else np.int64
     o = max(L - 8, 0)
     up = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").reshape(256, 8).T == 1
     x = np.empty((L - o + 3, 256), dtype=np.int64)
@@ -543,6 +539,11 @@ def _byte_maps(L: int) -> _ByteMaps:
                      np.append(x[1], L).astype(dtype), hit.reshape(-1))
 
 
+def _clip(x, lo, hi):
+    """min(max(x, lo), hi), in place in the array ``x``."""
+    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+
+
 def _walk_chunk(l0, p, u, maps, replay=True):
     """Walk ``u.size`` steps from ``l0``, up where ``u < p`` and down
     otherwise; returns ``(end_state, loss_steps)``, the sorted int64
@@ -550,12 +551,18 @@ def _walk_chunk(l0, p, u, maps, replay=True):
     without the ``replay`` that finds them.
 
     The steps are packed eight to a byte, whose map is a clip map (see
-    :class:`_ByteMaps`), and clip maps compose to clip maps. The bytes are
-    laid out as ``b`` rows of one byte from each of ``nb`` contiguous
-    blocks: ``b`` whole-row passes compose each block's map, a scalar pass
-    over the block maps gives each block's start state, and ``b`` more row
-    passes replay each byte's start state, from which one table lookup per
-    byte gives its hit bits. The last ``u.size % 8`` steps run one at a time.
+    :class:`_ByteMaps`), padded with identities to a power of two, and
+    composed pairwise level by level (a log-depth prefix scan, Blelloch
+    1990): f then g is x -> min(max(x + s_f + s_g, lo), hi) with
+    lo = min(max(lo_f + s_g, lo_g), hi_g) and hi the same from hi_f. A shift
+    of L or more in size sends every state of 0..L to one wall, so clipping
+    it to [-L, L] keeps its map; the scan clips once the shifts could pass
+    half the tables' integer type, so that no sum overflows it. The root
+    maps the start state to the end state. The ``replay`` carries start
+    states back down: a left child starts where its parent does, a right
+    child where its left sibling's map sends that state. Each byte's start
+    state then gives its hit bits by one table lookup. The last
+    ``u.size % 8`` steps run one at a time.
     """
     L = maps.L
     n8 = u.size // 8
@@ -563,36 +570,32 @@ def _walk_chunk(l0, p, u, maps, replay=True):
     hits = []
     if n8:
         codes = np.packbits(u[: 8 * n8] < p, bitorder="little")
-        b = min(_BLOCK, math.isqrt(n8 - 1) + 1)
-        nb = -(-n8 // b)
-        padded = np.full(nb * b, _PAD, dtype=np.int16)
+        padded = np.full(1 << (n8 - 1).bit_length(), _PAD, dtype=np.intp)
         padded[:n8] = codes
-        rows = np.ascontiguousarray(padded.reshape(nb, b).T)
         # mode="clip" skips the bounds check; every code is in range.
-        shift, lo, hi = (t.take(rows, mode="clip") for t in (maps.shift, maps.lo, maps.hi))
-        bounds = np.zeros((2, nb), dtype=shift.dtype)
-        bounds[1] = L
-        for c, lo_r, hi_r in zip(shift, lo, hi):
-            bounds += c
-            np.maximum(bounds, lo_r, out=bounds)
-            np.minimum(bounds, hi_r, out=bounds)
-        starts = []
-        for s, lo_b, hi_b in zip(shift.sum(axis=0).tolist(), *bounds.tolist()):
-            starts.append(x)
-            x += s
-            if x < lo_b:
-                x = lo_b
-            elif x > hi_b:
-                x = hi_b
+        levels = [tuple(t.take(padded, mode="clip") for t in (maps.shift, maps.lo, maps.hi))]
+        # reach bounds the level's |shift|, 8 a byte until clipped to L.
+        dtype = maps.shift.dtype
+        reach, cap = 8, np.iinfo(dtype).max // 2
+        while levels[-1][0].size > 1:
+            s, lo, hi = levels[-1]
+            s_g, lo_g, hi_g = s[1::2], lo[1::2], hi[1::2]
+            shift = s[::2] + s_g
+            reach *= 2
+            if reach > cap:
+                reach = L
+                _clip(shift, -L, L)
+            levels.append((shift, _clip(lo[::2] + s_g, lo_g, hi_g), _clip(hi[::2] + s_g, lo_g, hi_g)))
+        (s,), (lo,), (hi,) = levels.pop()
+        x0, x = x, min(max(x + int(s), int(lo)), int(hi))
         if replay:
-            first = np.empty((b, nb), dtype=shift.dtype)
-            state = np.array(starts, dtype=shift.dtype)
-            for c, lo_r, hi_r, first_r in zip(shift, lo, hi, first):
-                first_r[:] = state
-                state += c
-                np.maximum(state, lo_r, out=state)
-                np.minimum(state, hi_r, out=state)
-            row = first.T.reshape(-1)[:n8] - (maps.o - 1)
+            state = np.array([x0], dtype=dtype)
+            for s, lo, hi in reversed(levels):
+                down = np.empty((state.size, 2), dtype=dtype)
+                down[:, 0] = state
+                _clip(np.add(state, s[::2], out=down[:, 1]), lo[::2], hi[::2])
+                state = down.reshape(-1)
+            row = state[:n8] - (maps.o - 1)
             np.maximum(row, 0, out=row)
             bits = maps.hit.take(row * (_PAD + 1) + codes, mode="clip")
             at = np.flatnonzero(bits != 0)
@@ -629,10 +632,9 @@ def simulate_path(
     is the counter-based PCG64 behind a 64-bit seed).
 
     The uniforms are drawn into one buffer and walked one chunk at a time,
-    eight steps to a byte map and each chunk as blocks of composed byte
-    maps (see :func:`_walk_chunk`), and the path
-    keeps only the end states and the loss steps: 8 bytes per loss, none
-    per step.
+    eight steps to a byte map and each chunk by a log-depth scan of the
+    byte maps (see :func:`_walk_chunk`), and the path keeps only the end
+    states and the loss steps: 8 bytes per loss, none per step.
     """
     n_steps = _integer("step count n_steps", n_steps, 1)
     burn_in = _integer("burn-in length burn_in", burn_in, 0)

@@ -630,13 +630,15 @@ def estimate_drift_diffusion(
             f"only {n} interior increments; need at least 50"
         )
     mean = float(dq.mean())
-    var = float(dq.var(ddof=1))
+    # The squared deviations give var = dq.var(ddof=1) and m2 bit for bit,
+    # and m4 as the mean of their squares.
+    squares = np.square(dq - mean)
+    var = float(squares.sum()) / (n - 1)
+    m2 = float(squares.mean())
+    m4 = float(np.square(squares).mean())
     a_hat = mean / dt_eff
     s2_hat = var / dt_eff
     a_se = math.sqrt(var / n) / dt_eff
-    centered = dq - mean
-    m2 = float((centered**2).mean())
-    m4 = float((centered**4).mean())
     s2_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n) / dt_eff
     return DriftDiffusionEstimate(
         a=a_hat, sigma2=s2_hat, a_se=a_se, sigma2_se=s2_se, dt=dt_eff, n_samples=n

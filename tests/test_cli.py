@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import re
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,8 @@ class TestCheck:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+        # Each line ends with the check's wall time.
+        assert all(re.fullmatch(r"PASS  \S.*\S  \d+\.\d ms", line) for line in out.splitlines())
 
     def test_broken_invariant_fails_the_suite(self, capsys, monkeypatch):
         # Kernel rows that sum to 0.5 break the first invariant.

@@ -674,14 +674,20 @@ class TestCorrelatorR2:
         assert calls == [params]
 
 
+def _assert_path_matches_record(path, n_steps, lengths, losses):
+    """``path`` against the first ``n_steps`` steps of the per-step loop's
+    dense record ``(lengths, losses)``."""
+    assert path.n_steps == n_steps
+    assert (path.start, path.end) == (lengths[0], lengths[n_steps])
+    assert path.loss_steps.dtype == np.int64
+    assert np.array_equal(path.loss_steps, np.flatnonzero(losses[:n_steps]))
+
+
 def _assert_path_matches_loop(path, params, n_steps, burn_in=0, seed=0):
     """``path`` against the per-step loop's dense record; returns that
     record ``(lengths, losses)``."""
     lengths, losses = simulate_path_py(params, n_steps, burn_in=burn_in, seed=seed)
-    assert path.n_steps == n_steps
-    assert (path.start, path.end) == (lengths[0], lengths[-1])
-    assert path.loss_steps.dtype == np.int64
-    assert np.array_equal(path.loss_steps, np.flatnonzero(losses))
+    _assert_path_matches_record(path, n_steps, lengths, losses)
     return lengths, losses
 
 
@@ -780,22 +786,37 @@ class TestWalkKernel:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.97, 1.0])
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 9, 15, 16, 17, 20, 300, 32759, 32766, 40000])
     def test_path_matches_loop(self, monkeypatch, p, L):
-        # 4096- and 4099-step chunks make the paths cross chunk boundaries,
-        # the second 3 steps into a byte; 10007 is prime, so neither the
-        # chunks, the bytes nor the blocks divide it. Up to L = 17 the hit
-        # tables' states o..L meet the bottom wall or lie just above it;
-        # L = 32759 is the last with int16 states (L + 8 = 32767), and
-        # L = 32766 and 40000 take the int64 states.
+        # 4096- and 4099-step chunks make the paths cross chunk boundaries:
+        # the first fill the scan's 2^9 bytes, the second end 3 steps into a
+        # byte; 10007 is prime, so neither the chunks nor the bytes divide
+        # it. Up to L = 17 the hit tables' states o..L meet the bottom wall
+        # or lie just above it; from L = 32759 on the tables are int64.
+        # The loop draws a path's uniforms after its burn-in's from one
+        # stream, so a shorter path is a prefix of the 10007-step record.
         params = D.DiscreteQueueParams(p=p, L=L)
-        for n_steps in (*range(1, 18), 10007):
-            for burn_in in (0, 5, 4099, 4099 + 4):
+        for burn_in in (0, 5, 4099, 4099 + 4):
+            lengths, losses = simulate_path_py(params, 10007, burn_in=burn_in, seed=17)
+            for n_steps in (*range(1, 18), 10007):
                 monkeypatch.setattr(D, "_CHUNK", 4096)
                 path = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
-                _assert_path_matches_loop(path, params, n_steps, burn_in=burn_in, seed=17)
+                _assert_path_matches_record(path, n_steps, lengths, losses)
                 monkeypatch.setattr(D, "_CHUNK", 4096 + 3)
                 again = D.simulate_path(params, n_steps, burn_in=burn_in, seed=17)
                 assert (again.start, again.end) == (path.start, path.end)
                 assert np.array_equal(again.loss_steps, path.loss_steps)
+
+    @pytest.mark.parametrize("p", [0.03, 0.97])
+    @pytest.mark.parametrize("L", [16383, 16384])
+    def test_saturating_drift_at_the_int16_boundary(self, p, L):
+        # L = 16383 is the largest capacity whose tables are int16. Over
+        # 2^17 + 3 steps the drift carries the shifts of 2^12 bytes and more
+        # past L, where the int16 scan clips them; from an empty start at
+        # p = 0.97 the walk first climbs to the full wall.
+        assert D._byte_maps(L).shift.dtype == (np.int16 if L == 16383 else np.int64)
+        params = D.DiscreteQueueParams(p=p, L=L)
+        for burn_in in (0, 4099):
+            path = D.simulate_path(params, (1 << 17) + 3, burn_in=burn_in, seed=23)
+            _assert_path_matches_loop(path, params, (1 << 17) + 3, burn_in=burn_in, seed=23)
 
     def test_default_chunk_matches_loop(self):
         params = D.DiscreteQueueParams(p=0.5, L=20)
@@ -805,15 +826,18 @@ class TestWalkKernel:
     @pytest.mark.parametrize("l0", [0, 3, 7])
     def test_chunk_kernel_matches_loop(self, l0):
         # Prefixes of every size class: fewer steps than a byte, whole and
-        # partial bytes, fewer bytes than a block row, a partial last block,
-        # and whole blocks.
-        u = np.random.default_rng(5).random(3001)
+        # partial bytes, and 2^k and 2^k + 1 bytes, with and without tail
+        # steps: a power of two fills the scan's levels, one byte more pads
+        # it to twice the size.
+        u = np.random.default_rng(5).random(8 * 1025 + 3)
         ref_len = np.zeros(u.size + 1, dtype=np.int64)
         ref_loss = np.zeros(u.size, dtype=np.bool_)
         ref_len[0] = l0
         walk_chunk_py(l0, 7, 0.55, u, ref_len, ref_loss)
         maps = D._byte_maps(7)
-        for m in (1, 2, 5, 7, 8, 9, 16, 17, 55, 56, 57, 1000, 2999, 3001):
+        powers = [8 * ((1 << k) + extra) + tail
+                  for k in range(11) for extra in (0, 1) for tail in (0, 3)]
+        for m in (1, 2, 5, 7, 8, 9, 16, 17, 55, 56, 57, 1000, 2999, 3001, *powers):
             end, hits = D._walk_chunk(l0, 0.55, u[:m], maps)
             assert end == ref_len[m], m
             assert hits.dtype == np.int64

@@ -34,6 +34,9 @@ PINNED_PACKET = "f60ca24723cbde72b2e981a8ce0975248b72e91854860a35cd1336c96fe1976
 #: read only v and the reduced times: at sigma2 = 2 every loss_correlator
 #: value kept its bits, and two of the eight window asymptotes moved by one ulp.
 PINNED_CORRELATOR = "bf7db17d22fdd8c5a03da2182be6bc6380bed79de1cd948913cde853eada23f4"
+#: The ``walk`` digest of SMALL, taken while each path chunk's byte maps were
+#: still composed by the blocked scan, and unchanged by the log-depth scan.
+PINNED_WALK = "9568970c693dc57cc87bc30834dc77b6014edbde50ae268aa9765caf8fe495a8"
 
 
 def _clear_package_caches():
@@ -47,10 +50,12 @@ def test_cold_and_warm_runs_agree():
     _clear_package_caches()
     cold = exact_digest.digests(SMALL)
     assert exact_digest.digests(SMALL) == cold
-    # A packet run feeds three grids of 1001 samples and seven totals.
+    # A packet run feeds three grids of 1001 samples and seven totals; the
+    # 2 x 8 x 2 + 1 paths feed their two end states and 37067 loss steps.
     assert {name: count for name, (count, _) in cold.items()} == {
         "discrete": 2 * 2 * (1 + 2 * 6 + 2), "continuum": 2 * 2 * (4 + 8), "all": 108,
-        "packet": 2 * 3 * 2 * (3 * 1001 + 7), "correlator": 2 * 4 * 2}
+        "packet": 2 * 3 * 2 * (3 * 1001 + 7), "correlator": 2 * 4 * 2,
+        "walk": 2 * 33 + 37067}
 
 
 def test_reduced_grid_digest_is_pinned():
@@ -65,6 +70,10 @@ def test_packet_digest_is_pinned():
 
 def test_correlator_digest_is_pinned():
     assert exact_digest.digests(SMALL)["correlator"][1] == PINNED_CORRELATOR
+
+
+def test_walk_digest_is_pinned():
+    assert exact_digest.digests(SMALL)["walk"][1] == PINNED_WALK
 
 
 def test_main_prints_one_row_per_part(capsys, monkeypatch):
@@ -85,7 +94,7 @@ def test_records_file_rehashes_to_each_part(tmp_path, monkeypatch, capsys):
     for line in path.read_text().splitlines(keepends=True):
         part, text = line.split(" ", 1)
         parts.setdefault(part, []).append(text)
-    assert list(parts) == ["discrete", "continuum", "packet", "correlator"]
+    assert list(parts) == ["discrete", "continuum", "packet", "correlator", "walk"]
     for part, texts in parts.items():
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == rows[part][1]
     # Each record is a label, the call's arguments and one hex value per output.

@@ -24,7 +24,13 @@ The grid:
   0.01 and deterministic, uniform or exponential sizes of mean 0.01 x r_out
   in {0.98, 1, 1.02, 50} x initial_queue in {0, 0.5, 1}: every grid sample
   of ``queue_samples``, ``cum_lost`` and ``cum_idle``, and every total and
-  count. The critical r_out keep the queue on both walls; at 50 it idles.
+  count. The critical r_out keep the queue on both walls; at 50 it idles;
+- ``walk``: seeded ``discrete.simulate_path`` runs of 10007 steps at the
+  same p x L in {1, 2, 20, 100, 3000, 16383, 16384, 40000} x burn_in in
+  {0, 4099}, and one run of 2^20 + 3 steps at p = 1/2, L = 20: each path's
+  start and end states and its loss steps. At p = 0.05 and 0.97 the drift
+  carries the net shift of long stretches past L, where their maps are
+  constant; L = 16383 is the largest capacity whose byte maps are int16.
 
 Usage::
 
@@ -32,8 +38,8 @@ Usage::
 
 Imports ``queueloss`` from ``src/`` next to this directory and prints one
 ``part values sha256`` row per part: ``discrete``, ``continuum``, the
-``all`` row over those two, then ``packet`` and ``correlator``, which
-``all`` leaves out.
+``all`` row over those two, then ``packet``, ``correlator`` and ``walk``,
+which ``all`` leaves out.
 ``--records PATH`` also writes every hashed record to PATH, one line each,
 as its part's name followed by the hashed text: the call's label and
 arguments, then the hex form of each value or the exception's type name.
@@ -78,6 +84,9 @@ class Grid:
     r_outs: tuple = (0.98, 1.0, 1.02, 50.0)
     initial_queues: tuple = (0.0, 0.5, 1.0)
     duration: float = 1000.0
+    walk_Ls: tuple = (1, 2, 20, 100, 3000, 16383, 16384, 40000)
+    burn_ins: tuple = (0, 4099)
+    walk_steps: int = 10007
 
 
 class _Digest:
@@ -194,6 +203,18 @@ def packet_part(grid: Grid, sink=None) -> _Digest:
     return out
 
 
+def walk_part(grid: Grid, sink=None) -> _Digest:
+    out = _Digest(sink)
+    runs = [(p, L, grid.walk_steps, burn_in)
+            for p in grid.ps for L in grid.walk_Ls for burn_in in grid.burn_ins]
+    # The one long run crosses a chunk boundary of simulate_path.
+    for args in runs + [(0.5, 20, (1 << 20) + 3, 0)]:
+        p, L, n_steps, burn_in = args
+        path = D.simulate_path(D.DiscreteQueueParams(p=p, L=L), n_steps, burn_in=burn_in, seed=1)
+        out.values("walk", args, [path.start, path.end, *path.loss_steps.tolist()])
+    return out
+
+
 def digests(grid: Grid, records=None) -> dict[str, tuple[int, str]]:
     """``part -> (values, sha256)`` for every part, with ``all`` over the
     ``discrete`` and ``continuum`` parts. Given a text file ``records``, every
@@ -206,7 +227,8 @@ def digests(grid: Grid, records=None) -> dict[str, tuple[int, str]]:
              for name, fn in (("discrete", discrete_part), ("continuum", continuum_part))}
     total = hashlib.sha256("".join(d.h.hexdigest() for d in parts.values()).encode())
     rest = {name: fn(grid, sink(name))
-            for name, fn in (("packet", packet_part), ("correlator", correlator_part))}
+            for name, fn in (("packet", packet_part), ("correlator", correlator_part),
+                             ("walk", walk_part))}
     return {**{name: (d.count, d.h.hexdigest()) for name, d in parts.items()},
             "all": (sum(d.count for d in parts.values()), total.hexdigest()),
             **{name: (d.count, d.h.hexdigest()) for name, d in rest.items()}}
