@@ -510,8 +510,9 @@ class _ByteMaps:
     ``hit`` (flattened, ``_PAD + 1`` codes a row) has bit i set when step i,
     started at x >= o = max(L - 8, 0), meets a full buffer; row 0 is zero,
     for every start below o, which cannot reach L and step up again. The
-    tables are int16 up to L = 16383, where a state plus a shift clipped to
-    L (see :func:`_walk_chunk`) still fits it, and int64 above.
+    tables take the narrowest of int16, int32 and int64 that holds 2L, so
+    that a state plus the shift of a non-constant map, below L in size (see
+    :func:`_walk_chunk`), fits them: int16 up to L = 16383.
     """
 
     L: int
@@ -525,7 +526,7 @@ class _ByteMaps:
 def _byte_maps(L: int) -> _ByteMaps:
     """Walk each byte's eight steps, with both walls, from 0, from L and
     from every state in o..L, so the tables are exact at any L >= 1."""
-    dtype = np.int16 if 2 * L <= np.iinfo(np.int16).max else np.int64
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if 2 * L <= np.iinfo(t).max)
     o = max(L - 8, 0)
     up = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").reshape(256, 8).T == 1
     x = np.empty((L - o + 3, 256), dtype=np.int64)
@@ -554,15 +555,15 @@ def _walk_chunk(l0, p, u, maps, replay=True):
     :class:`_ByteMaps`), padded with identities to a power of two, and
     composed pairwise level by level (a log-depth prefix scan, Blelloch
     1990): f then g is x -> min(max(x + s_f + s_g, lo), hi) with
-    lo = min(max(lo_f + s_g, lo_g), hi_g) and hi the same from hi_f. A shift
-    of L or more in size sends every state of 0..L to one wall, so clipping
-    it to [-L, L] keeps its map; the scan clips once the shifts could pass
-    half the tables' integer type, so that no sum overflows it. The root
-    maps the start state to the end state. The ``replay`` carries start
-    states back down: a left child starts where its parent does, a right
-    child where its left sibling's map sends that state. Each byte's start
-    state then gives its hit bits by one table lookup. The last
-    ``u.size % 8`` steps run one at a time.
+    lo = min(max(lo_f + s_g, lo_g), hi_g) and hi the same from hi_f. The
+    sums wrap in the tables' integer type only where a shift is L or more in
+    size, and such a shift sends every state of 0..L to one wall: its map is
+    constant (lo = hi) and every map built on it too, whatever the shift
+    reads. The root maps the start state to the end state. The
+    ``replay`` carries start states back down: a left child starts where its
+    parent does, a right child where its left sibling's map sends that
+    state. Each byte's start state then gives its hit bits by one table
+    lookup. The last ``u.size % 8`` steps run one at a time.
     """
     L = maps.L
     n8 = u.size // 8
@@ -574,24 +575,18 @@ def _walk_chunk(l0, p, u, maps, replay=True):
         padded[:n8] = codes
         # mode="clip" skips the bounds check; every code is in range.
         levels = [tuple(t.take(padded, mode="clip") for t in (maps.shift, maps.lo, maps.hi))]
-        # reach bounds the level's |shift|, 8 a byte until clipped to L.
-        dtype = maps.shift.dtype
-        reach, cap = 8, np.iinfo(dtype).max // 2
         while levels[-1][0].size > 1:
             s, lo, hi = levels[-1]
             s_g, lo_g, hi_g = s[1::2], lo[1::2], hi[1::2]
-            shift = s[::2] + s_g
-            reach *= 2
-            if reach > cap:
-                reach = L
-                _clip(shift, -L, L)
-            levels.append((shift, _clip(lo[::2] + s_g, lo_g, hi_g), _clip(hi[::2] + s_g, lo_g, hi_g)))
+            # NumPy's integer arrays wrap; a shift that wraps belongs to a constant map.
+            levels.append((s[::2] + s_g, _clip(lo[::2] + s_g, lo_g, hi_g),
+                           _clip(hi[::2] + s_g, lo_g, hi_g)))
         (s,), (lo,), (hi,) = levels.pop()
         x0, x = x, min(max(x + int(s), int(lo)), int(hi))
         if replay:
-            state = np.array([x0], dtype=dtype)
+            state = np.array([x0], dtype=maps.shift.dtype)
             for s, lo, hi in reversed(levels):
-                down = np.empty((state.size, 2), dtype=dtype)
+                down = np.empty((state.size, 2), dtype=state.dtype)
                 down[:, 0] = state
                 _clip(np.add(state, s[::2], out=down[:, 1]), lo[::2], hi[::2])
                 state = down.reshape(-1)

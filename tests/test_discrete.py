@@ -790,7 +790,9 @@ class TestWalkKernel:
         # the first fill the scan's 2^9 bytes, the second end 3 steps into a
         # byte; 10007 is prime, so neither the chunks nor the bytes divide
         # it. Up to L = 17 the hit tables' states o..L meet the bottom wall
-        # or lie just above it; from L = 32759 on the tables are int64.
+        # or lie just above it. The tables are int32 from L = 16384 on, so
+        # L = 32759, 32766 and 40000 are plain int32 cases; the int16
+        # boundary itself is tested below under saturating drift.
         # The loop draws a path's uniforms after its burn-in's from one
         # stream, so a shorter path is a prefix of the 10007-step record.
         params = D.DiscreteQueueParams(p=p, L=L)
@@ -810,13 +812,18 @@ class TestWalkKernel:
     def test_saturating_drift_at_the_int16_boundary(self, p, L):
         # L = 16383 is the largest capacity whose tables are int16. Over
         # 2^17 + 3 steps the drift carries the shifts of 2^12 bytes and more
-        # past L, where the int16 scan clips them; from an empty start at
-        # p = 0.97 the walk first climbs to the full wall.
-        assert D._byte_maps(L).shift.dtype == (np.int16 if L == 16383 else np.int64)
+        # past L, and the int16 shifts of 2^13 bytes and more wrap; from an
+        # empty start at p = 0.97 the walk first climbs to the full wall.
         params = D.DiscreteQueueParams(p=p, L=L)
         for burn_in in (0, 4099):
             path = D.simulate_path(params, (1 << 17) + 3, burn_in=burn_in, seed=23)
             _assert_path_matches_loop(path, params, (1 << 17) + 3, burn_in=burn_in, seed=23)
+
+    def test_table_type_holds_twice_the_capacity(self):
+        for L, dtype in ((16383, np.int16), (16384, np.int32), (2**30 - 1, np.int32),
+                         (2**30, np.int64)):
+            maps = D._byte_maps(L)
+            assert (maps.shift.dtype, maps.lo.dtype, maps.hi.dtype) == (dtype,) * 3, L
 
     def test_default_chunk_matches_loop(self):
         params = D.DiscreteQueueParams(p=0.5, L=20)

@@ -84,9 +84,6 @@ class Grid:
     r_outs: tuple = (0.98, 1.0, 1.02, 50.0)
     initial_queues: tuple = (0.0, 0.5, 1.0)
     duration: float = 1000.0
-    walk_Ls: tuple = (1, 2, 20, 100, 3000, 16383, 16384, 40000)
-    burn_ins: tuple = (0, 4099)
-    walk_steps: int = 10007
 
 
 class _Digest:
@@ -205,8 +202,9 @@ def packet_part(grid: Grid, sink=None) -> _Digest:
 
 def walk_part(grid: Grid, sink=None) -> _Digest:
     out = _Digest(sink)
-    runs = [(p, L, grid.walk_steps, burn_in)
-            for p in grid.ps for L in grid.walk_Ls for burn_in in grid.burn_ins]
+    runs = [(p, L, 10007, burn_in)
+            for p in grid.ps for L in (1, 2, 20, 100, 3000, 16383, 16384, 40000)
+            for burn_in in (0, 4099)]
     # The one long run crosses a chunk boundary of simulate_path.
     for args in runs + [(0.5, 20, (1 << 20) + 3, 0)]:
         p, L, n_steps, burn_in = args
