@@ -493,8 +493,9 @@ class DiscretePath:
         return np.bincount(kept // N, minlength=n_windows)
 
 
-#: Steps drawn and walked per pass of :func:`simulate_path`: its uniforms
-#: exist one chunk at a time (PCG64 gives the same stream in any chunking).
+#: Steps drawn and walked per pass of :func:`simulate_path`, burn-in and
+#: record alike: its uniforms exist one chunk at a time (PCG64 gives the
+#: same stream in any chunking).
 _CHUNK = 1 << 20
 #: The identity map's code, which pads a chunk's bytes to a power of two.
 _PAD = 256
@@ -523,9 +524,11 @@ class _ByteMaps:
     hit: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
 def _byte_maps(L: int) -> _ByteMaps:
     """Walk each byte's eight steps, with both walls, from 0, from L and
-    from every state in o..L, so the tables are exact at any L >= 1."""
+    from every state in o..L, so the tables are exact at any L >= 1; built
+    once per capacity and shared read-only."""
     dtype = next(t for t in (np.int16, np.int32, np.int64) if 2 * L <= np.iinfo(t).max)
     o = max(L - 8, 0)
     up = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").reshape(256, 8).T == 1
@@ -536,8 +539,9 @@ def _byte_maps(L: int) -> _ByteMaps:
         hit[1:, :256] |= ((x[2:] == L) & u).astype(np.uint8) << i
         x = np.where(u, np.minimum(x + 1, L), np.maximum(x - 1, 0))
     shift = np.append(2 * up.sum(axis=0) - 8, 0)
-    return _ByteMaps(L, o, shift.astype(dtype), np.append(x[0], 0).astype(dtype),
-                     np.append(x[1], L).astype(dtype), hit.reshape(-1))
+    tables = shift, np.append(x[0], 0), np.append(x[1], L)
+    return _ByteMaps(L, o, *(numerics._read_only(t.astype(dtype)) for t in tables),
+                     numerics._read_only(hit.reshape(-1)))
 
 
 def _clip(x, lo, hi):
@@ -545,11 +549,10 @@ def _clip(x, lo, hi):
     return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
-def _walk_chunk(l0, p, u, maps, replay=True):
+def _walk_chunk(l0, p, u, maps):
     """Walk ``u.size`` steps from ``l0``, up where ``u < p`` and down
     otherwise; returns ``(end_state, loss_steps)``, the sorted int64
-    indices of the steps that hit a full buffer, or ``(end_state, None)``
-    without the ``replay`` that finds them.
+    indices of the steps that hit a full buffer.
 
     The steps are packed eight to a byte, whose map is a clip map (see
     :class:`_ByteMaps`), padded with identities to a power of two, and
@@ -559,11 +562,11 @@ def _walk_chunk(l0, p, u, maps, replay=True):
     sums wrap in the tables' integer type only where a shift is L or more in
     size, and such a shift sends every state of 0..L to one wall: its map is
     constant (lo = hi) and every map built on it too, whatever the shift
-    reads. The root maps the start state to the end state. The
-    ``replay`` carries start states back down: a left child starts where its
-    parent does, a right child where its left sibling's map sends that
-    state. Each byte's start state then gives its hit bits by one table
-    lookup. The last ``u.size % 8`` steps run one at a time.
+    reads. The root maps the start state to the end state. Start states
+    then go back down: a left child starts where its parent does, a right
+    child where its left sibling's map sends that state. Each byte's start
+    state gives its hit bits by one table lookup. The last ``u.size % 8``
+    steps run one at a time.
     """
     L = maps.L
     n8 = u.size // 8
@@ -582,21 +585,20 @@ def _walk_chunk(l0, p, u, maps, replay=True):
             levels.append((s[::2] + s_g, _clip(lo[::2] + s_g, lo_g, hi_g),
                            _clip(hi[::2] + s_g, lo_g, hi_g)))
         (s,), (lo,), (hi,) = levels.pop()
-        x0, x = x, min(max(x + int(s), int(lo)), int(hi))
-        if replay:
-            state = np.array([x0], dtype=maps.shift.dtype)
-            for s, lo, hi in reversed(levels):
-                down = np.empty((state.size, 2), dtype=state.dtype)
-                down[:, 0] = state
-                _clip(np.add(state, s[::2], out=down[:, 1]), lo[::2], hi[::2])
-                state = down.reshape(-1)
-            row = state[:n8] - (maps.o - 1)
-            np.maximum(row, 0, out=row)
-            bits = maps.hit.take(row * (_PAD + 1) + codes, mode="clip")
-            at = np.flatnonzero(bits != 0)
-            # unpackbits gives 0 or 1, so its bytes are valid booleans.
-            k = np.flatnonzero(np.unpackbits(bits[at], bitorder="little").view(np.bool_))
-            hits.append(8 * at[k >> 3] + (k & 7))
+        state = np.array([x], dtype=maps.shift.dtype)
+        x = min(max(x + int(s), int(lo)), int(hi))
+        for s, lo, hi in reversed(levels):
+            down = np.empty((state.size, 2), dtype=state.dtype)
+            down[:, 0] = state
+            _clip(np.add(state, s[::2], out=down[:, 1]), lo[::2], hi[::2])
+            state = down.reshape(-1)
+        row = state[:n8] - (maps.o - 1)
+        np.maximum(row, 0, out=row)
+        bits = maps.hit.take(row * (_PAD + 1) + codes, mode="clip")
+        at = np.flatnonzero(bits != 0)
+        # unpackbits gives 0 or 1, so its bytes are valid booleans.
+        k = np.flatnonzero(np.unpackbits(bits[at], bitorder="little").view(np.bool_))
+        hits.append(8 * at[k >> 3] + (k & 7))
     tail = []
     for i, step_up in enumerate((u[8 * n8 :] < p).tolist(), 8 * n8):
         if step_up:
@@ -606,8 +608,6 @@ def _walk_chunk(l0, p, u, maps, replay=True):
                 x += 1
         elif x > 0:
             x -= 1
-    if not replay:
-        return x, None
     hits.append(np.array(tail, dtype=np.int64))
     return x, np.concatenate(hits)
 
@@ -626,32 +626,31 @@ def simulate_path(
     steps are discarded. Identical seeds give identical paths (the generator
     is the counter-based PCG64 behind a 64-bit seed).
 
-    The uniforms are drawn into one buffer and walked one chunk at a time,
-    eight steps to a byte map and each chunk by a log-depth scan of the
-    byte maps (see :func:`_walk_chunk`), and the path keeps only the end
-    states and the loss steps: 8 bytes per loss, none per step.
+    The burn-in and the record are walked in one loop over chunk spans, the
+    record's first span starting where the burn-in ends. Each chunk's
+    uniforms are drawn into one buffer and walked eight steps to a byte map
+    by a log-depth scan of the byte maps (see :func:`_walk_chunk`), and the
+    path keeps only the end states and the record's loss steps: 8 bytes per
+    loss, none per step.
     """
     n_steps = _integer("step count n_steps", n_steps, 1)
     burn_in = _integer("burn-in length burn_in", burn_in, 0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     L, p = params.L, params.p
     maps = _byte_maps(L)
+    ell = 0 if burn_in else int(rng.choice(L + 1, p=stationary_distribution(params)))
     # One buffer takes every chunk's uniforms: a fresh 8 MiB array per chunk
     # raised the monte-carlo benchmark's peak RSS from 70-76 MB to 79-82 MB.
     u = np.empty(min(_CHUNK, max(n_steps, burn_in)))
-    if burn_in > 0:
-        ell = 0
-        for s in range(0, burn_in, _CHUNK):
-            chunk = rng.random(out=u[: min(_CHUNK, burn_in - s)])
-            ell, _ = _walk_chunk(ell, p, chunk, maps, replay=False)
-    else:
-        pi = stationary_distribution(params)
-        ell = int(rng.choice(L + 1, p=pi))
-    start = ell
+    total = burn_in + n_steps
+    edges = [*range(0, burn_in, _CHUNK), *range(burn_in, total, _CHUNK), total]
     hits = []
-    for s in range(0, n_steps, _CHUNK):
-        ell, chunk_hits = _walk_chunk(ell, p, rng.random(out=u[: min(_CHUNK, n_steps - s)]), maps)
-        chunk_hits += s
-        hits.append(chunk_hits)
+    for a, b in zip(edges, edges[1:]):
+        if a == burn_in:
+            start = ell
+        ell, chunk_hits = _walk_chunk(ell, p, rng.random(out=u[: b - a]), maps)
+        if a >= burn_in:
+            chunk_hits += a - burn_in
+            hits.append(chunk_hits)
     return DiscretePath(params=params, seed=seed, n_steps=n_steps, start=start, end=ell,
                         loss_steps=np.concatenate(hits))

@@ -462,10 +462,10 @@ def _kernel(traffic, gap_rng, size_rng, duration, sample_dt, ell, queue_samples,
             lp = ell_plus[seg]
             q = lp - dtg * r_out
             queue_samples[grid_idx:g_next] = np.where(q < 0.0, 0.0, q)
-            cum_lost[grid_idx:g_next] = np.take(lost, drops.searchsorted(seg, side="right"))
+            cum_lost[grid_idx:g_next] = np.array(lost)[drops.searchsorted(seg, side="right")]
             part_idle = dtg - lp / r_out
             np.copyto(part_idle, 0.0, where=part_idle < 0.0)
-            part_idle += np.take(idled, clips.searchsorted(seg))
+            part_idle += np.array(idled)[clips.searchsorted(seg)]
             cum_idle[grid_idx:g_next] = part_idle
             grid_idx = g_next
         arrived, c_arr = _compensated(arrived, c_arr, (float(p_s.sum()),))

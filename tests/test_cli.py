@@ -571,12 +571,16 @@ class TestModuleBoundaries:
             return (isinstance(size, ast.Constant) and type(size.value) is int
                     and size.value <= 128)
 
-        found, caches = [], 0
+        found, caches, bounded_caches = [], 0, set()
         for path in sorted(self.PACKAGE.glob("*.py")):
             tree = ast.parse(path.read_text())
             calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
             for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if isinstance(node, ast.FunctionDef):
+                    bounded_caches |= {f"{path.stem}.{node.name}" for d in node.decorator_list
+                                       if isinstance(d, ast.Call) and bounded(d)
+                                       and getattr(d.func, "attr", None) == "lru_cache"}
+                elif isinstance(node, ast.ImportFrom) and node.module == "functools":
                     found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
                               if a.name in ("cache", "lru_cache")]
                 elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
@@ -586,6 +590,8 @@ class TestModuleBoundaries:
                         found.append(f"{path.name}:{node.lineno} {node.attr}")
         assert caches > 0
         assert found == []
+        # The mode table and the walk sampler's byte tables are among them.
+        assert {"discrete._modes", "discrete._byte_maps"} <= bounded_caches
 
     def test_no_module_rewrites_warning_filters(self):
         # catch_warnings swaps the process-wide filter list; under threads it

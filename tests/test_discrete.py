@@ -819,6 +819,29 @@ class TestWalkKernel:
             path = D.simulate_path(params, (1 << 17) + 3, burn_in=burn_in, seed=23)
             _assert_path_matches_loop(path, params, (1 << 17) + 3, burn_in=burn_in, seed=23)
 
+    @pytest.mark.parametrize("burn_in, n_steps", [
+        (100, 300),  # the burn-in ends inside a chunk
+        (128, 300),  # ... on a chunk boundary
+        (1000, 200),  # the burn-in is longer than the record
+        (70, 5),  # the record holds fewer steps than a byte
+    ])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.97])
+    def test_burn_in_and_record_seams(self, monkeypatch, p, burn_in, n_steps):
+        # Burn-in and record chunks share one loop over 64-step spans: the
+        # record starts where the burn-in ends and keeps only its own hits,
+        # numbered from its first step.
+        monkeypatch.setattr(D, "_CHUNK", 64)
+        params = D.DiscreteQueueParams(p=p, L=3)
+        path = D.simulate_path(params, n_steps, burn_in=burn_in, seed=29)
+        _assert_path_matches_loop(path, params, n_steps, burn_in=burn_in, seed=29)
+
+    def test_byte_maps_built_once_and_read_only(self):
+        maps = D._byte_maps(20)
+        assert D._byte_maps(20) is maps
+        for table in (maps.shift, maps.lo, maps.hi, maps.hit):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     def test_table_type_holds_twice_the_capacity(self):
         for L, dtype in ((16383, np.int16), (16384, np.int32), (2**30 - 1, np.int32),
                          (2**30, np.int64)):
@@ -849,7 +872,6 @@ class TestWalkKernel:
             assert end == ref_len[m], m
             assert hits.dtype == np.int64
             assert np.array_equal(hits, np.flatnonzero(ref_loss[:m])), m
-            assert D._walk_chunk(l0, 0.55, u[:m], maps, replay=False) == (end, None)
 
     @pytest.mark.parametrize("L", [1, 2, 8, 9, 20])
     def test_byte_tables_match_loop(self, L):
