@@ -9,12 +9,12 @@ sim-continuous   packet simulator runs bridged to the continuum predictions
 sweep            run any of the above from a config file across its grid
 check            fast invariant suite; nonzero exit on any failure
 
-Every experiment writes one of four CSV kinds, each one entry of
-:data:`KINDS` (its grid axes, worker, header and whether each grid point
-runs once per replica seed). A config picks its kind by ``model``, and a
-discrete config with ``steps`` is the Monte Carlo kind. Each subcommand
-other than ``sweep`` writes only its own kind and rejects a config of
-another kind; ``sweep`` runs any.
+Each of the first four subcommands is one entry of :data:`TABLES` (its
+config model, grid axes, worker, header, flags and run length) and writes
+its table to ``<subcommand>.csv`` with ``_`` for ``-``, e.g.
+``fp_eval.csv``. A config names its table by ``model``; a discrete config
+with ``steps`` is the ``sim-discrete`` table. A table subcommand rejects a
+config of another table; ``sweep`` runs any, to ``sweep_<model>.csv``.
 
 Configs are INI-style ``key = value`` files with sections (see README for
 the schema); every CSV starts with ``#``-prefixed metadata (config hash,
@@ -183,8 +183,8 @@ def _rate_asymptote(p: float, L: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Grid-point workers: worker(point, config, seed) -> rows. ``point`` holds
-# the kind's axis values; ``seed`` is a :class:`Seed` for seeded kinds and
-# None otherwise. Module-level so process pools can pickle them.
+# the table's axis values; ``seed`` is a :class:`Seed` for a table with a
+# run length and None otherwise. Module-level so process pools can pickle them.
 # ---------------------------------------------------------------------------
 
 
@@ -275,51 +275,83 @@ def _sim_continuous_point(point, config: ExperimentConfig, seed: Seed | None) ->
     return rows
 
 
-@dataclass(frozen=True)
-class TableKind:
-    """One CSV kind: the config model that writes it, the grid axes it ranges
-    over (in task order), its worker and header, and whether each point runs
-    once per replica seed. ``needs`` names the other config fields it
-    requires (of ``duration`` and ``steps``; the other one must be unset)."""
+class _Flag(NamedTuple):
+    """A grid flag of a subcommand. ``target`` is a grid axis, ``windows`` or
+    a run length (``steps``, ``duration``). A run-length flag applies on top
+    of --config/--preset when given; its ``default`` fills the field only
+    when neither sets it."""
 
+    name: str
+    target: str
+    default: object = None
+    type: Callable = str
+
+
+@dataclass(frozen=True)
+class Table:
+    """The CSV table a subcommand writes: its help line, the config model
+    that describes it, the grid axes it ranges over (in task order), its
+    worker, header and grid flags, and the run length it requires
+    (``steps``, ``duration`` or None; the other one must be unset). A table
+    with a run length runs each grid point once per replica seed."""
+
+    help: str
     model: str
     axes: tuple[str, ...]
     worker: Callable
     header: str
-    seeded: bool = False
-    needs: tuple[str, ...] = ()
+    flags: tuple[_Flag, ...]
+    run_length: str | None = None
 
 
-KINDS: dict[str, TableKind] = {
-    "discrete-exact": TableKind(
-        "discrete", ("p", "l"), _exact_discrete_point,
+_P = _Flag("--p", "p")
+_L = _Flag("--L", "l")
+
+#: Every table, keyed by the subcommand that writes it.
+TABLES: dict[str, Table] = {
+    "exact-discrete": Table(
+        "closed-form discrete-model tables", "discrete", ("p", "l"), _exact_discrete_point,
         "p,L,N,mean_loss_rate,rate_asymptote,loss_variance,compressibility,crossover_window",
+        (_P, _L, _Flag("--N", "windows", "1000")),
     ),
-    "discrete-sim": TableKind(
-        "discrete", ("p", "l"), _sim_discrete_point,
+    "sim-discrete": Table(
+        "Monte Carlo discrete paths vs exact", "discrete", ("p", "l"), _sim_discrete_point,
         "p,L,N,replica,seed,rate_mc,rate_se,rate_exact,rate_within_3se,"
         "variance_mc,variance_se,variance_exact,variance_within_3se",
-        seeded=True, needs=("steps",),
+        (_P, _L, _Flag("--N", "windows", "100"), _Flag("--steps", "steps", 10**6, int)),
+        run_length="steps",
     ),
-    "fp": TableKind(
-        "fp", ("a", "sigma2"), _fp_point,
+    "fp-eval": Table(
+        "continuum-model evaluator tables", "fp", ("a", "sigma2"), _fp_point,
         "a,sigma2,t,tau,m1,m2,loss_variance,p_loss,m2_short_branch,m2_long_branch",
+        (_Flag("--a", "a"), _Flag("--sigma2", "sigma2"), _Flag("--t", "windows", "1.0")),
     ),
-    "continuous-sim": TableKind(
-        "continuous", ("interarrival_mean", "packet_size", "r_out"), _sim_continuous_point,
+    "sim-continuous": Table(
+        "packet simulator bridged to the continuum", "continuous",
+        ("interarrival_mean", "packet_size", "r_out"), _sim_continuous_point,
         "interarrival_mean,packet_size,r_out,duration,replica,seed,t_window,a_hat,a_se,"
         "sigma2_hat,sigma2_se,mean_mc,mean_se,mean_fp,mean_within_3se,"
         "variance_mc,variance_se,variance_fp,variance_within_3se,volume_conserved",
-        seeded=True, needs=("duration",),
+        (_Flag("--interarrival-mean", "interarrival_mean", "0.01"),
+         _Flag("--packet-size", "packet_size", "0.01"), _Flag("--r-out", "r_out", "1.0"),
+         _Flag("--t-window", "windows", "20"), _Flag("--duration", "duration", 20000.0, float)),
+        run_length="duration",
     ),
 }
 
 
-def table_kind(config: ExperimentConfig) -> str:
-    """The CSV kind a config writes; ``steps`` makes a discrete run Monte Carlo."""
+def _table_name(config: ExperimentConfig) -> str:
+    """The subcommand whose table a config describes; ``steps`` makes a
+    discrete run Monte Carlo."""
     if config.model == "discrete":
-        return "discrete-sim" if config.steps else "discrete-exact"
-    return next(kind for kind, table in KINDS.items() if table.model == config.model)
+        return "sim-discrete" if config.steps else "exact-discrete"
+    return next(name for name, table in TABLES.items() if table.model == config.model)
+
+
+def _csv_name(command: str, model: str) -> str:
+    """The file a subcommand writes: its name with ``_`` for ``-``, and
+    ``sweep_<model>.csv`` for a sweep."""
+    return f"sweep_{model}.csv" if command == "sweep" else command.replace("-", "_") + ".csv"
 
 
 def _run_point(task):
@@ -344,33 +376,34 @@ def run_experiment(config: ExperimentConfig, out_path: Path, jobs: int = 1) -> i
     conservation or when no grid point produced a row; disagreement flags
     are data. A grid point whose evaluator raises is left out of the body
     and named on stderr and in a ``failed_point_<i>`` metadata line (its
-    axis values, its replica and seed where the kind is seeded, and the
-    exception); while other points produce rows it does not change the
-    status. Invalid grids, including grid keys the kind does not use and
+    axis values, its replica and seed where the table has a run length, and
+    the exception); while other points produce rows it does not change the
+    status. Invalid grids, including grid keys the table does not use and
     discrete window lengths that are not integers >= 1, raise
     :class:`ConfigError` before any point runs, as does ``jobs`` below 1.
     At most one worker process runs per task.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    kind = table_kind(config)
-    table = KINDS[kind]
+    name = _table_name(config)
+    table = TABLES[name]
     missing = [axis for axis in table.axes if not config.grid.get(axis)]
-    missing += [field for field in table.needs if not getattr(config, field)]
+    if table.run_length and not getattr(config, table.run_length):
+        missing.append(table.run_length)
     if missing:
-        raise ConfigError(f"[grid] the {kind} table needs {', '.join(missing)}")
+        raise ConfigError(f"[grid] the {name} table needs {', '.join(missing)}")
     unknown = sorted(set(config.grid) - set(table.axes))
     unknown += [field for field in _RUN_LENGTHS
-                if getattr(config, field) is not None and field not in table.needs]
+                if getattr(config, field) is not None and field != table.run_length]
     if unknown:
-        raise ConfigError(f"[grid] {', '.join(unknown)} not used by the {kind} table, "
+        raise ConfigError(f"[grid] {', '.join(unknown)} not used by the {name} table, "
                           f"whose axes are {', '.join(table.axes)}")
     if table.model == "discrete":
         bad = [N for N in config.windows if not (float(N).is_integer() and N >= 1)]
         if bad:
             raise ConfigError(f"[windows] discrete window lengths must be integers >= 1, got {bad}")
     seeds = _replica_seeds(config.seed, config.replicas)
-    replicas = [Seed(r, s) for r, s in enumerate(seeds)] if table.seeded else [None]
+    replicas = [Seed(r, s) for r, s in enumerate(seeds)] if table.run_length else [None]
     points = itertools.product(*(config.grid[axis] for axis in table.axes))
     tasks = [(table.worker, point, config, seed)
              for point, seed in itertools.product(points, replicas)]
@@ -496,45 +529,13 @@ def run_checks() -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Flag(NamedTuple):
-    """A grid flag of a subcommand. ``target`` is a grid axis, ``windows`` or
-    a run length (``steps``, ``duration``). A run-length flag applies on top
-    of --config/--preset when given; its ``default`` fills the field only
-    when neither sets it."""
-
-    name: str
-    target: str
-    default: object = None
-    type: Callable = str
-
-
-_P = _Flag("--p", "p")
-_L = _Flag("--L", "l")
-
-#: subcommand: (help, the CSV kind it writes or None for any, CSV name, grid flags)
-_SUBCOMMANDS = {
-    "exact-discrete": ("closed-form discrete-model tables", "discrete-exact",
-                       "exact_discrete.csv", (_P, _L, _Flag("--N", "windows", "1000"))),
-    "sim-discrete": ("Monte Carlo discrete paths vs exact", "discrete-sim", "sim_discrete.csv",
-                     (_P, _L, _Flag("--N", "windows", "100"),
-                      _Flag("--steps", "steps", 10**6, int))),
-    "fp-eval": ("continuum-model evaluator tables", "fp", "fp_eval.csv",
-                (_Flag("--a", "a"), _Flag("--sigma2", "sigma2"), _Flag("--t", "windows", "1.0"))),
-    "sim-continuous": ("packet simulator bridged to the continuum", "continuous-sim",
-                       "sim_continuous.csv",
-                       (_Flag("--interarrival-mean", "interarrival_mean", "0.01"),
-                        _Flag("--packet-size", "packet_size", "0.01"),
-                        _Flag("--r-out", "r_out", "1.0"), _Flag("--t-window", "windows", "20"),
-                        _Flag("--duration", "duration", 20000.0, float))),
-    "sweep": ("run the full grid from a config file", None, "sweep_{model}.csv", ()),
-}
-
-
-def _resolve(args: argparse.Namespace, kind: str | None, flags) -> ExperimentConfig:
+def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     """The config a subcommand runs: --config, else --preset, else its grid
-    flags; then --out/--seed/--replicas and the run-length flags given on
-    top. A config of another kind than the subcommand's is a
-    :class:`ConfigError`."""
+    flags; then --out/--seed/--replicas and the run-length flag on top, the
+    flag's default only where no run length is set. A config of another
+    table than the subcommand's is a :class:`ConfigError`."""
+    table = TABLES.get(args.command)
+    flags = table.flags if table else ()
     passed = {flag.target: getattr(args, flag.target) for flag in flags}
     given = {flag.target: flag.default if passed[flag.target] is None else passed[flag.target]
              for flag in flags}
@@ -543,13 +544,10 @@ def _resolve(args: argparse.Namespace, kind: str | None, flags) -> ExperimentCon
     elif args.preset:
         config = PRESETS[args.preset]
     elif flags and all(value is not None for value in given.values()):
-        table = KINDS[kind]
-        fields = {k: v for k, v in given.items() if k not in table.axes and k != "windows"}
         config = ExperimentConfig(
             model=table.model,
             grid={axis: _parse_float_list(given[axis]) for axis in table.axes},
             windows=_parse_float_list(given["windows"]),
-            **fields,
         )
     else:
         raise ConfigError("need --config, --preset, or explicit grid flags")
@@ -558,11 +556,9 @@ def _resolve(args: argparse.Namespace, kind: str | None, flags) -> ExperimentCon
     updates.update({field: given[field] for field in _RUN_LENGTHS if field in given
                     and (passed[field] is not None or getattr(config, field) is None)})
     config = replace(config, **updates)
-    if kind is not None and table_kind(config) != kind:
-        raise ConfigError(
-            f"{args.command} writes only the {kind} table, but the config describes "
-            f"a {table_kind(config)} table; run it with sweep"
-        )
+    if table and _table_name(config) != args.command:
+        raise ConfigError(f"{args.command} writes only its own table, but the config "
+                          f"describes the {_table_name(config)} table; run it with sweep")
     return config
 
 
@@ -572,7 +568,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Finite-buffer queue loss statistics: exact, continuum, and Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _, flags) in _SUBCOMMANDS.items():
+    commands = {name: (table.help, table.flags) for name, table in TABLES.items()}
+    commands["sweep"] = ("run the full grid from a config file", ())
+    for name, (help_, flags) in commands.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", type=str, default=None, help="INI config file")
         sp.add_argument("--preset", type=str, default=None, choices=sorted(PRESETS))
@@ -587,10 +585,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "check":
         return run_checks()
-    _, kind, csv_name, flags = _SUBCOMMANDS[args.command]
     try:
-        config = _resolve(args, kind, flags)
-        out = Path(config.out) / csv_name.format(model=config.model)
+        config = _resolve(args)
+        out = Path(config.out) / _csv_name(args.command, config.model)
         return run_experiment(config, out.absolute(), jobs=args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -126,8 +126,6 @@ class TrafficModel:
                 f"mean packet size {mean_size} exceeds 0.05 of the buffer; "
                 "the continuum reduction needs small packets"
             )
-        if self.packet_size.kind == "uniform" and self.packet_size.high > 0.5:
-            raise ValueError("maximum packet size must stay well below the buffer")
 
     @property
     def eta0(self) -> float:

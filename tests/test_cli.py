@@ -76,7 +76,27 @@ class TestConfig:
         out = tmp_path / "res"
         rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert f"[grid] {key} not used by the fp table" in capsys.readouterr().err
+        assert f"[grid] {key} not used by the fp-eval table" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,argv,message", [
+        ("[experiment]\nmodel = fp\n[grid]\na = 0\n[windows]\nt = 0.5\n", [],
+         "[grid] the fp-eval table needs sigma2"),
+        ("[experiment]\nmodel = continuous\n[grid]\ninterarrival_mean = 0.01\n"
+         "packet_size = 0.01\nr_out = 1\n[windows]\nt = 20\n", [],
+         "[grid] the sim-continuous table needs duration"),
+        ("[experiment]\nmodel = fp\n[grid]\na = 0\nsigma2 = 2\n[windows]\n", [],
+         "[windows] is empty"),
+        ("[experiment]\nmodel = fp\n[grid]\na = 0\nsigma2 = 2\n[windows]\nt = 0.5\n",
+         ["--replicas", "0"], "[experiment] replicas must be >= 1"),
+    ], ids=["missing-axis", "missing-duration", "empty-windows", "zero-replicas"])
+    def test_incomplete_config_rejected(self, tmp_path, capsys, text, argv, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "res"
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out)] + argv)
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_windows_n_and_t_together_rejected(self, tmp_path, capsys):
@@ -108,7 +128,7 @@ class TestConfig:
 
 
 class TestSubcommandKind:
-    """Each subcommand writes only its own CSV kind; sweep runs any."""
+    """Each table subcommand writes only its own table; sweep runs any."""
 
     @pytest.mark.parametrize("argv", [
         ["exact-discrete", "--config", str(CONFIGS / "fp.ini")],
@@ -509,6 +529,18 @@ class TestGoldenOutput:
         assert cli.main(GOLDEN[case] + ["--out", str(tmp_path)]) == 0
         (written,) = tmp_path.iterdir()
         assert written.read_text() == (DATA / case / written.name).read_text()
+
+
+class TestReadme:
+    README = Path(__file__).parent.parent / "README.md"
+
+    def test_schemas_list_every_table(self):
+        # The README's schema list names each table's file and header, so a
+        # header change cannot leave the docs behind.
+        after = self.README.read_text().split("\nSchemas:\n\n")[1]
+        schemas = after.split("\n\n")[0].splitlines()
+        for name, table in cli.TABLES.items():
+            assert f"- `{cli._csv_name(name, table.model)}`: `{table.header}`" in schemas
 
 
 class TestModuleBoundaries:

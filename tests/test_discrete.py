@@ -930,6 +930,12 @@ class TestParamValidation:
     def test_q_value(self):
         assert D.DiscreteQueueParams(p=0.75, L=2).q == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("branch", ["spectral", "Exact"])
+    def test_unknown_correlator_branch(self, branch):
+        params = D.DiscreteQueueParams(p=0.5, L=10)
+        with pytest.raises(ValueError, match=f"unknown branch '{branch}'"):
+            D.correlator_r2(params, 5, 50, branch=branch)
+
 
 class TestIntegerArguments:
     """Step counts, states and window lengths take Python ints, NumPy ints

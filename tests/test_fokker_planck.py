@@ -720,10 +720,43 @@ class TestEdgeGuards:
         assert got == F.loss_correlator(F.FpParams(0.0, 2.0), CTRL, 0.5, 0.5, 0.5)
         assert got == 1.4554717762989356e-4
 
+    # a = 2v and sigma2 = 2, so tau = t. Each inversion returned a value with
+    # an error estimate that was a large share of it, within the absolute
+    # 1e-4 that the budget used to allow.
+    @pytest.mark.parametrize("v, tau, evaluate", [
+        (-50.0, 1e12, WALL_EVALUATORS[1]),  # 3.08e-25 (true 3.72e-28), estimate 0.74 of it
+        (-20.0, 1e8, WALL_EVALUATORS[1]),  # estimate 0.049 of the value
+        (-100.0, 1e6, WALL_EVALUATORS[1]),  # estimate 0.016 of the value
+        (-20.0, 1e10, WALL_EVALUATORS[0]),  # m2 = -2.61e-7, estimate 1.36 of |m2|
+    ], ids=["p_loss-v-50", "p_loss-v-20", "p_loss-v-100", "m2-v-20"])
+    def test_unsettled_inversion_is_named(self, v, tau, evaluate):
+        with pytest.raises(F.InversionError, match="did not settle"):
+            evaluate(F.FpParams(a=2.0 * v, sigma2=2.0), tau)
+
     def test_division_by_zero_on_the_contour_is_named(self):
         # v = -100, tau = 5e14: eps^2 W is 0 on a node.
         with pytest.raises(F.InversionError):
             F.loss_probability(F.FpParams(a=-1e5, sigma2=1e3), CTRL, 1e12)
+
+
+class TestInputErrors:
+    PARAMS = F.FpParams(a=1.0, sigma2=2.0)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda p: F.laplace_propagator(p, 1.5, 1.0, 0.5), "positions must lie in"),
+        (lambda p: F.laplace_propagator(p, 0.5, 1.0, -0.1), "positions must lie in"),
+        (lambda p: F.loss_moment_asymptotic(p, 0, 1.0, "short"), "moment order must be >= 1"),
+        (lambda p: F.loss_pdf(p, CTRL, -0.1, 1.0), "lost volume must be >= 0"),
+        (lambda p: F.loss_moment_asymptotic(p, 2, 1.0, "middle"), "unknown regime 'middle'"),
+        (lambda p: F.loss_probability_asymptotic(p, 1.0, "middle"), "unknown regime 'middle'"),
+        (lambda p: F.loss_pdf_asymptotic(p, 0.5, 1.0, "middle"), "unknown regime 'middle'"),
+        (lambda p: F.loss_correlator_asymptotic(p, 0.1, 0.1, 1.0, "middle"),
+         "unknown regime 'middle'"),
+    ], ids=["propagator-to", "propagator-from", "asymptotic-moment-order", "pdf-negative-x",
+            "moment-regime", "probability-regime", "pdf-regime", "correlator-regime"])
+    def test_named_error(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(self.PARAMS)
 
 
 def clear_inversion_caches():

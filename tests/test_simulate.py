@@ -117,6 +117,31 @@ class TestTrafficModel:
             )
 
 
+class TestInputErrors:
+    @pytest.fixture(scope="class")
+    def log(self):
+        return S.run(poisson_traffic(), duration=1000.0, seed=1)
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda log: S.Distribution(kind="uniform", low=0.0), ValueError,
+         "uniform law needs low and high"),
+        # The mean, at least high / 2, is checked before any bound on high.
+        (lambda log: S.TrafficModel(S.Distribution(kind="exponential", mean=0.01),
+                                    S.Distribution(kind="uniform", low=0.0, high=0.6), 1.0),
+         ValueError, "mean packet size 0.3 exceeds 0.05"),
+        (lambda log: S.window_losses(log, t_window=0.0), ValueError,
+         "window length must be positive"),
+        (lambda log: S.window_losses(log, t_window=-5.0), ValueError,
+         "window length must be positive"),
+        (lambda log: S.window_losses(log, t_window=20.0, warmup=1500.0), S.InsufficientDataError,
+         "run too short for any window after warm-up"),
+    ], ids=["uniform-without-bounds", "uniform-too-large", "zero-window", "negative-window",
+            "warmup-past-the-run"])
+    def test_named_error(self, log, call, error, match):
+        with pytest.raises(error, match=match):
+            call(log)
+
+
 class TestRun:
     def test_volume_conservation(self):
         log = S.run(poisson_traffic(), duration=2000.0, seed=42)

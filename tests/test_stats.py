@@ -147,6 +147,15 @@ class TestCorrelationEstimate:
         with pytest.raises(ValueError):
             ST.correlation_estimate(series, [0])
 
+    @pytest.mark.parametrize("values, error, match", [
+        (np.arange(29.0), ST.InsufficientWindowsError, "need at least 30 windows, got 29"),
+        (np.full(100, 3.0), ST.DegenerateSeriesError, "zero variance"),
+    ], ids=["too-few-windows", "zero-variance"])
+    def test_named_error(self, values, error, match):
+        series = ST.WindowedSeries.from_counts(values, 1)
+        with pytest.raises(error, match=match):
+            ST.correlation_estimate(series, [1])
+
 
 class TestWindowedSeries:
     def test_validation(self):
