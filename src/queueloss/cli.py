@@ -73,6 +73,10 @@ class ExperimentConfig:
             raise ConfigError("[experiment] replicas must be >= 1")
         if self.seed < 0:
             raise ConfigError("[experiment] seed must be >= 0")
+        for field in _RUN_LENGTHS:
+            value = getattr(self, field)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"[grid] {field} must be positive and finite, got {value}")
 
 
 #: The config fields that set how long a Monte Carlo run is.
@@ -100,6 +104,8 @@ def load_config(path: str) -> ExperimentConfig:
         grid = dict(parser["grid"]) if parser.has_section("grid") else {}
         duration = grid.pop("duration", None)
         steps = grid.pop("steps", None)
+        if steps is not None and not float(steps).is_integer():
+            raise ConfigError(f"config {path!r}: [grid] steps must be an integer, got {steps}")
         windows = dict(parser["windows"]) if parser.has_section("windows") else {}
         if len(windows) > 1 or not set(windows) <= {"n", "t"}:
             raise ConfigError(f"config {path!r}: [windows] takes one key, n or t, "
@@ -209,6 +215,34 @@ def _exact_discrete_point(point, config: ExperimentConfig, seed: Seed | None) ->
     return rows
 
 
+def _agreement(series: stats.WindowedSeries, scale: float, mean_ref: float,
+               var_ref: float) -> list:
+    """The eight agreement columns of a Monte Carlo series against its
+    predictions: the batch-means mean and its standard error, both divided
+    by ``scale``, the prediction ``mean_ref`` and the flag, then the same
+    four, unscaled, for the variance against ``var_ref``. A flag is 1
+    exactly where |estimate - prediction| <= 3 se, so a zero se, which a
+    series with no losses gives, passes only an exact match."""
+    st = stats.mean_and_variance(series)
+    columns = []
+    for value, se, ref in ((st.mean / scale, st.mean_se / scale, mean_ref),
+                           (st.variance, st.variance_se, var_ref)):
+        columns += [value, se, ref, int(abs(value - ref) <= 3.0 * se)]
+    return columns
+
+
+def _fp_window(params: fokker_planck.FpParams, t: float) -> tuple[float, float]:
+    """(m1, m2), the continuum's first two lost-volume moments over a window
+    of length t."""
+    ctrl = fokker_planck.SeriesControl()
+    return tuple(fokker_planck.loss_moment(params, ctrl, k, t) for k in (1, 2))
+
+
+def _conserved(log: simulate.EventLog) -> bool:
+    """Whether a packet run conserved volume to 1e-9 of what arrived (at least 1)."""
+    return abs(log.conservation_residual()) <= 1e-9 * max(1.0, log.arrived)
+
+
 def _sim_discrete_point(point, config: ExperimentConfig, seed: Seed | None) -> list[list]:
     p, L = point
     params = discrete.DiscreteQueueParams(p=p, L=int(L))
@@ -218,14 +252,8 @@ def _sim_discrete_point(point, config: ExperimentConfig, seed: Seed | None) -> l
     for N in config.windows:
         N = int(N)
         series = stats.WindowedSeries.from_counts(path.window_counts(N), N)
-        st = stats.mean_and_variance(series)
-        rate = st.mean / N
-        rate_se = st.mean_se / N
-        var_exact = discrete.loss_variance_exact(params, N)
-        rate_ok = abs(rate - rate_exact) <= 3.0 * rate_se if rate_se > 0 else True
-        var_ok = abs(st.variance - var_exact) <= 3.0 * st.variance_se
-        rows.append([p, int(L), N, seed.replica, seed.value, rate, rate_se, rate_exact,
-                     int(rate_ok), st.variance, st.variance_se, var_exact, int(var_ok)])
+        rows.append([p, int(L), N, seed.replica, seed.value, *_agreement(
+            series, N, rate_exact, discrete.loss_variance_exact(params, N))])
     return rows
 
 
@@ -236,8 +264,7 @@ def _fp_point(point, config: ExperimentConfig, seed: Seed | None) -> list[list]:
     rows = []
     for t in config.windows:
         tau = params.tau(t)
-        m1 = fokker_planck.loss_moment(params, ctrl, 1, t)
-        m2 = fokker_planck.loss_moment(params, ctrl, 2, t)
+        m1, m2 = _fp_window(params, t)
         p_loss = fokker_planck.loss_probability(params, ctrl, t)
         short = fokker_planck.loss_moment_asymptotic(params, 2, t, "short")
         long_ = fokker_planck.loss_moment_asymptotic(params, 2, t, "long")
@@ -253,25 +280,16 @@ def _sim_continuous_point(point, config: ExperimentConfig, seed: Seed | None) ->
         r_out=r_out,
     )
     log = simulate.run(traffic, duration=config.duration, seed=seed.value)
-    conserved = abs(log.conservation_residual()) <= 1e-9 * max(1.0, log.arrived)
     est = simulate.estimate_drift_diffusion(log, dt=log.sample_dt)
     params = fokker_planck.FpParams(a=est.a, sigma2=est.sigma2)
-    ctrl = fokker_planck.SeriesControl()
     rows = []
     for t_w in config.windows:
         sample = simulate.window_losses(log, t_window=t_w)
-        series = stats.WindowedSeries.from_loss_sample(sample)
-        st = stats.mean_and_variance(series)
-        m1 = fokker_planck.loss_moment(params, ctrl, 1, sample.window_length)
-        m2 = fokker_planck.loss_moment(params, ctrl, 2, sample.window_length)
-        var_pred = m2 - m1 * m1
-        mean_ok = abs(st.mean - m1) <= 3.0 * st.mean_se
-        var_ok = abs(st.variance - var_pred) <= 3.0 * st.variance_se
+        m1, m2 = _fp_window(params, sample.window_length)
         rows.append([ia_mean, size, r_out, config.duration, seed.replica, seed.value, t_w,
                      est.a, est.a_se, est.sigma2, est.sigma2_se,
-                     st.mean, st.mean_se, m1, int(mean_ok),
-                     st.variance, st.variance_se, var_pred, int(var_ok),
-                     int(conserved)])
+                     *_agreement(stats.WindowedSeries.from_loss_sample(sample), 1.0, m1,
+                                 m2 - m1 * m1), int(_conserved(log))])
     return rows
 
 
@@ -462,11 +480,8 @@ def run_checks() -> int:
     report("stationary law is a fixed point", bool(np.abs(pi @ kernel - pi).max() < 1e-10))
     rate = discrete.mean_loss_rate_exact(params)
     report("rate equals boundary weight times p", abs(rate - pi[-1] * params.p) < 1e-12)
-    m = rate
-    report(
-        "one-step loss variance is Bernoulli",
-        abs(discrete.loss_variance_exact(params, 1) - m * (1 - m)) < 1e-12,
-    )
+    report("one-step loss variance is Bernoulli",
+           abs(discrete.loss_variance_exact(params, 1) - rate * (1 - rate)) < 1e-12)
 
     fpp = fokker_planck.FpParams(a=1.0, sigma2=2.0)
     ctrl = fokker_planck.SeriesControl()
@@ -515,10 +530,7 @@ def run_checks() -> int:
         r_out=1.0,
     )
     log = simulate.run(traffic, duration=500.0, seed=9)
-    report(
-        "simulated volume conserved",
-        abs(log.conservation_residual()) < 1e-9 * max(1.0, log.arrived),
-    )
+    report("simulated volume conserved", _conserved(log))
     log_b = simulate.run(traffic, duration=500.0, seed=9)
     report("simulation deterministic under the seed", log.summary() == log_b.summary())
     return 1 if failures else 0

@@ -148,9 +148,8 @@ def _modes(params: DiscreteQueueParams) -> tuple[float, np.ndarray, np.ndarray]:
         w_k = 2 sin^2 theta_k / ((L+1) ((1 - sqrt q)^2 + 4 sqrt q sin^2(theta_k/2))),
 
     a denominator of non-negative terms that cannot cancel near q = 1.
+    Requires 0 < p < 1; every caller screens p in {0, 1} first.
     """
-    if params.is_degenerate:
-        raise DegenerateParamsError("spectral form requires 0 < p < 1")
     L, p = params.L, params.p
     theta = _angles(L)
     lam = 2.0 * math.sqrt(p * (1.0 - p)) * np.cos(theta)

@@ -34,7 +34,11 @@ p(1), the read-only W = W(1, eps; 1) on the nodes of both inversion
 contours, the contour data, the deep-tail cutoff of the lost-volume PDF,
 and two node vectors that hold everything a PDF point needs but x,
 C = p(1) factor (1 + i sigma) / (eps^2 W^2) and B = -1/W, with a bound on
-x below which no step of C e^{x B} can overflow. The record forms
+x below which no step of C e^{x B} can overflow. W = [kappa coth(kappa) +
+v] / eps, kappa = sqrt(eps + v^2), cancels where v < 0 and |eps| << v^2;
+on the nodes with v < 0 and |eps| < v^2 its bracket is formed as
+2 kappa e^{-2 kappa} / (1 - e^{-2 kappa}) + eps / (kappa - v) instead
+(:func:`boundary_return_transform`). The record forms
 eps^2 W^2 only to build C, and raises :class:`InversionError` where it
 overflows on the contour: below tau of about 6.7e-152, as the contour's
 nodes grow as 1/tau, and above v of about 6.7e153, where eps^2 W^2 is
@@ -315,11 +319,21 @@ def laplace_propagator(params: FpParams, ell_to: float, eps, ell_from: float):
 def boundary_return_transform(params: FpParams, eps):
     """Laplace transform of the density at the full wall started there:
     W(1, eps; 1) = [kappa coth(kappa) + v] / eps, kappa = sqrt(eps + v^2).
+
+    Where v < 0 and |eps| << v^2, kappa is close to -v and the bracket
+    cancels. On every node with v < 0 and |eps| < v^2 it is formed as
+    kappa (coth(kappa) - 1) + (kappa + v)
+      = 2 kappa e^{-2 kappa} / (1 - e^{-2 kappa}) + eps / (kappa - v),
+    whose two terms do not cancel.
     """
     v = params.v
     eps_arr = np.asarray(eps, dtype=complex)
     kappa = np.sqrt(eps_arr + v * v)
-    return _shaped_like(eps, (kappa * numerics.coth(kappa) + v) / eps_arr)
+    bracket = np.asarray(kappa * numerics.coth(kappa) + v)
+    near = (np.abs(eps_arr) < v * v) & (v < 0.0)
+    k = kappa[near]
+    bracket[near] = 2.0 * k * np.exp(-2.0 * k) / -np.expm1(-2.0 * k) + eps_arr[near] / (k - v)
+    return _shaped_like(eps, bracket / eps_arr)
 
 
 def halfline_density(params: FpParams, ell_to, t: float, ell_from: float):

@@ -196,6 +196,31 @@ def inverted_propagator(v: float, x: float, y: float, tau: float, dps: int = 40)
         return float(mpmath.invertlaplace(transform, mpmath.mpf(tau), method="talbot"))
 
 
+def wall_transform(v, eps):
+    """W(1, eps; 1) = [kappa coth(kappa) + v] / eps, kappa = sqrt(eps + v^2),
+    in mpmath at its working precision: the form that
+    :func:`F.boundary_return_transform` rewrites where it cancels."""
+    kappa = mpmath.sqrt(eps + v * v)
+    return (kappa * mpmath.coth(kappa) + v) / eps
+
+
+def inverted_wall(k: int, v: float, tau: float, dps: int = 60) -> float:
+    """The loss probability (k = 0) or the k-th loss moment (k >= 2) at
+    reduced drift v and time tau by mpmath's Talbot inversion, at ``dps``
+    digits, of p(1) / (eps^2 W) or k! p(1) W^(k-1) / eps^2 with W from
+    :func:`wall_transform`; independent of the package's W and contour."""
+    with mpmath.workdps(dps):
+        v = mpmath.mpf(v)
+        p1 = 2 * v / -mpmath.expm1(-2 * v) if v else mpmath.mpf(1)
+        if k == 0:
+            def transform(eps):
+                return p1 / (eps * eps * wall_transform(v, eps))
+        else:
+            def transform(eps):
+                return mpmath.factorial(k) * p1 * wall_transform(v, eps) ** (k - 1) / eps**2
+        return float(mpmath.invertlaplace(transform, mpmath.mpf(tau), method="talbot"))
+
+
 def loss_pdf_via_laplace_invert(params, x: float, t: float) -> float:
     """The lost-volume density as :func:`F.loss_pdf` evaluated it when every
     point went through :func:`numerics.laplace_invert`: the same validation,

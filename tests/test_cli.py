@@ -99,6 +99,34 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    DISCRETE = "[experiment]\nmodel = discrete\n[grid]\np = 0.5\nl = 9\n[windows]\nn = 10\n"
+    CONTINUOUS = ("[experiment]\nmodel = continuous\n[grid]\ninterarrival_mean = 0.01\n"
+                  "packet_size = 0.01\nr_out = 1\n[windows]\nt = 20\n")
+
+    @pytest.mark.parametrize("text,line,argv,message", [
+        (DISCRETE, "steps = 1000.7", ["sweep"], "[grid] steps must be an integer, got 1000.7"),
+        (DISCRETE, "steps = 0", ["sweep"], "[grid] steps must be positive and finite, got 0"),
+        (DISCRETE, "steps = 20000", ["sim-discrete", "--steps", "-3"],
+         "[grid] steps must be positive and finite, got -3"),
+        (CONTINUOUS, "duration = -5", ["sweep"],
+         "[grid] duration must be positive and finite, got -5.0"),
+        (CONTINUOUS, "duration = inf", ["sweep"],
+         "[grid] duration must be positive and finite, got inf"),
+        (CONTINUOUS, "duration = 400", ["sim-continuous", "--duration", "-5"],
+         "[grid] duration must be positive and finite, got -5.0"),
+    ], ids=["fractional-steps", "zero-steps", "negative-steps-flag", "negative-duration",
+            "infinite-duration", "negative-duration-flag"])
+    def test_bad_run_length_rejected(self, tmp_path, capsys, text, line, argv, message):
+        # Rejected before any grid point runs: exit 2 and no file, where a
+        # negative duration used to fail every point at run time (exit 1).
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text.replace("[windows]", f"{line}\n[windows]"))
+        out = tmp_path / "res"
+        rc = cli.main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_windows_n_and_t_together_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -304,6 +332,34 @@ class TestSimDiscrete:
             assert row["rate_within_3se"] == "1"
             assert row["variance_within_3se"] == "1"
 
+    def test_zero_loss_path_agrees_on_neither_statistic(self, tmp_path):
+        # At p = 0.3, L = 20 the walk loses one packet in about 1.3e8 steps:
+        # this path of 1e5 loses none, so both standard errors are 0 and
+        # neither flag passes a prediction that is not exactly 0.
+        rc = cli.main(["sim-discrete", "--p", "0.3", "--L", "20", "--N", "100",
+                       "--steps", "100000", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        header, row = (ln.split(",") for ln in read_body(tmp_path / "sim_discrete.csv"))
+        row = dict(zip(header, row))
+        assert [row[k] for k in ("rate_mc", "rate_se", "variance_mc", "variance_se")] == ["0"] * 4
+        assert float(row["rate_exact"]) > 0.0 and float(row["variance_exact"]) > 0.0
+        assert row["rate_within_3se"] == row["variance_within_3se"] == "0"
+
+    @pytest.mark.parametrize("ref, flag", [(0.0, 1), (1e-300, 0)], ids=["equal", "unequal"])
+    def test_zero_se_passes_only_an_exact_match(self, ref, flag):
+        series = cli.stats.WindowedSeries.from_counts(np.zeros(100), 10)
+        assert cli._agreement(series, 10, ref, ref) == [0.0, 0.0, ref, flag] * 2
+
+    def test_flags_compare_the_scaled_mean(self):
+        # The mean and its error are divided by the scale before the
+        # comparison; the variance is compared unscaled.
+        series = cli.stats.WindowedSeries.from_counts(np.arange(100.0) % 7, 10)
+        st = cli.stats.mean_and_variance(series)
+        cols = cli._agreement(series, 10, st.mean / 10 + 2.9 * st.mean_se / 10,
+                              st.variance + 3.1 * st.variance_se)
+        assert cols[:2] == [st.mean / 10, st.mean_se / 10] and cols[3] == 1
+        assert cols[4:6] == [st.variance, st.variance_se] and cols[7] == 0
+
     def test_replicas_have_distinct_seeds(self, tmp_path):
         cli.main(
             [
@@ -494,6 +550,15 @@ class TestCheck:
         assert out.count("PASS") >= 8
         # Each line ends with the check's wall time.
         assert all(re.fullmatch(r"PASS  \S.*\S  \d+\.\d ms", line) for line in out.splitlines())
+
+    def test_check_and_table_share_the_conservation_rule(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_conserved", lambda log: False)
+        assert cli.run_checks() == 1
+        assert "FAIL  simulated volume conserved" in capsys.readouterr().out
+        assert cli.main(GOLDEN["sim-continuous"] + ["--out", str(tmp_path)]) == 1
+        header, *rows = read_body(tmp_path / "sim_continuous.csv")
+        assert header.endswith(",volume_conserved")
+        assert rows and all(row.endswith(",0") for row in rows)
 
     def test_broken_invariant_fails_the_suite(self, capsys, monkeypatch):
         # Kernel rows that sum to 0.5 break the first invariant.

@@ -102,3 +102,34 @@ def test_records_file_rehashes_to_each_part(tmp_path, monkeypatch, capsys):
     moment = F.loss_moment(F.FpParams(a=0.0, sigma2=2.0), F.SeriesControl(), 2, 0.01)
     assert parts["continuum"][0].startswith("moment (")
     assert parts["continuum"][0].endswith(f" {moment.hex()}\n")
+
+
+def test_compare_lists_the_moved_records(tmp_path, capsys):
+    old = ["discrete rate (DiscreteQueueParams(p=0.3, L=2),) 0x1.0000000000000p-1\n",
+           "continuum moment (FpParams(a=-1.0, sigma2=0.5), 2, 100.0) 0x1.0000000000000p+0\n",
+           "continuum p_loss (FpParams(a=-1.0, sigma2=0.5), 100.0) InversionError\n",
+           "walk walk (0.5, 20, 10007, 0) 0x0.0p+0 0x1.4000000000000p+4 0x1.8000000000000p+1\n"]
+    new = [old[0],
+           old[1].replace("0x1.0000000000000p+0", "0x1.0000000000001p+0"),
+           old[2].replace("InversionError", "0x1.0000000000000p-1"),
+           old[3].replace("0x1.4000000000000p+4", "0x1.5000000000000p+4")]
+    paths = [tmp_path / "old.txt", tmp_path / "new.txt", tmp_path / "other.txt"]
+    paths[0].write_text("".join(old))
+    paths[1].write_text("".join(new))
+    assert exact_digest.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "continuum moment (FpParams(a=-1.0, sigma2=0.5), 2, 100.0) 2.22e-16 "
+        "0x1.0000000000000p+0 -> 0x1.0000000000001p+0",
+        "continuum p_loss (FpParams(a=-1.0, sigma2=0.5), 100.0) inf "
+        "InversionError -> 0x1.0000000000000p-1",
+        "walk walk (0.5, 20, 10007, 0) 0.05",
+        "discrete moved 0 of 1 records",
+        "continuum moved 2 of 2 records",
+        "walk moved 1 of 1 records"]
+    # Another grid, or one record short: the files do not compare.
+    paths[2].write_text("".join(old).replace("100.0)", "10.0)"))
+    assert exact_digest.main(["--compare", str(paths[0]), str(paths[2])]) == 1
+    assert capsys.readouterr().out.startswith("grids differ: continuum moment")
+    paths[2].write_text("".join(old[:3]))
+    assert exact_digest.main(["--compare", str(paths[2]), str(paths[0])]) == 1
+    assert capsys.readouterr().out == f"grids differ: {paths[0]} has more records\n"

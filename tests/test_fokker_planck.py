@@ -1,6 +1,8 @@
+import contextlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,10 +14,12 @@ from queueloss import fokker_planck as F
 from reference_numerics import (
     integrate,
     inverted_propagator,
+    inverted_wall,
     loss_pdf_via_fresh_terms,
     loss_pdf_via_laplace_invert,
     mode_sum_loss_correlator,
     quadrature_loss_correlator,
+    wall_transform,
 )
 
 
@@ -720,23 +724,82 @@ class TestEdgeGuards:
         assert got == F.loss_correlator(F.FpParams(0.0, 2.0), CTRL, 0.5, 0.5, 0.5)
         assert got == 1.4554717762989356e-4
 
-    # a = 2v and sigma2 = 2, so tau = t. Each inversion returned a value with
-    # an error estimate that was a large share of it, within the absolute
-    # 1e-4 that the budget used to allow.
-    @pytest.mark.parametrize("v, tau, evaluate", [
-        (-50.0, 1e12, WALL_EVALUATORS[1]),  # 3.08e-25 (true 3.72e-28), estimate 0.74 of it
-        (-20.0, 1e8, WALL_EVALUATORS[1]),  # estimate 0.049 of the value
-        (-100.0, 1e6, WALL_EVALUATORS[1]),  # estimate 0.016 of the value
-        (-20.0, 1e10, WALL_EVALUATORS[0]),  # m2 = -2.61e-7, estimate 1.36 of |m2|
+    # a = 2v and sigma2 = 2, so tau = t. Where v < 0 and |eps| << v^2, the
+    # wall transform's bracket kappa coth(kappa) + v cancels. With that form
+    # on the contour (cancelling_wall_transform) each inversion returned a
+    # value whose error estimate was a large share of it: the settle budget
+    # names it. With the package's form each matches 60-digit mpmath within
+    # 1e-9 (measured at most 7.9e-10).
+    @pytest.mark.parametrize("v, tau, k", [
+        (-50.0, 1e12, 0),  # 3.08e-25 (true 3.72e-28), estimate 0.74 of it
+        (-20.0, 1e8, 0),  # estimate 0.049 of the value
+        (-100.0, 1e6, 0),  # estimate 0.016 of the value
+        (-20.0, 1e10, 2),  # m2 = -2.61e-7, estimate 1.36 of |m2|
     ], ids=["p_loss-v-50", "p_loss-v-20", "p_loss-v-100", "m2-v-20"])
-    def test_unsettled_inversion_is_named(self, v, tau, evaluate):
-        with pytest.raises(F.InversionError, match="did not settle"):
-            evaluate(F.FpParams(a=2.0 * v, sigma2=2.0), tau)
+    def test_unsettled_inversion_is_named(self, v, tau, k):
+        params = F.FpParams(a=2.0 * v, sigma2=2.0)
+        want = inverted_wall(k, v, tau)
+        assert wall_evaluate(k, params, tau) == pytest.approx(want, rel=1e-9, abs=0.0)
+        with cancelling_wall_transform():
+            with pytest.raises(F.InversionError, match="did not settle"):
+                wall_evaluate(k, params, tau)
 
     def test_division_by_zero_on_the_contour_is_named(self):
-        # v = -100, tau = 5e14: eps^2 W is 0 on a node.
-        with pytest.raises(F.InversionError):
-            F.loss_probability(F.FpParams(a=-1e5, sigma2=1e3), CTRL, 1e12)
+        # v = -100, tau = 5e14. With the cancelling form eps^2 W is 0 on a
+        # node; the package's form matches 60-digit mpmath within 1e-9.
+        params = F.FpParams(a=-1e5, sigma2=1e3)
+        assert F.loss_probability(params, CTRL, 1e12) == pytest.approx(
+            inverted_wall(0, -100.0, 5e14), rel=1e-9, abs=0.0)
+        with cancelling_wall_transform():
+            with pytest.raises(F.InversionError):
+                F.loss_probability(params, CTRL, 1e12)
+
+    # The cancelling form's inversions settled here, but off by 3.8e-4 and
+    # 7.3e-4 relative.
+    @pytest.mark.parametrize("v, tau", [(-10.0, 1e12), (-20.0, 1e6)])
+    def test_negative_drift_moment_matches_mpmath(self, v, tau):
+        got = F.loss_moment(F.FpParams(a=2.0 * v, sigma2=2.0), CTRL, 2, tau)
+        assert got == pytest.approx(inverted_wall(2, v, tau), rel=1e-9, abs=0.0)
+
+    # The package's W against 60-digit mpmath on every node of both inversion
+    # contours. The bound 1e-12 is set by the coth of |kappa| just above the
+    # 1e-4 where its series takes over (measured at most 5.8e-13, at small
+    # |v|); where the bracket cancels the error was at most 3.5e-16.
+    @given(v=st.floats(-400.0, 0.0, exclude_max=True), log10_tau=st.floats(-3.0, 14.0))
+    @settings(max_examples=60, deadline=None)
+    @example(v=-50.0, log10_tau=12.0)
+    @example(v=-300.0, log10_tau=12.0)
+    def test_wall_transform_matches_mpmath_on_the_contour(self, v, log10_tau):
+        eps = F.numerics._talbot_contours(10.0**log10_tau)[0]
+        got = F.boundary_return_transform(F.FpParams(a=v, sigma2=1.0), eps)
+        with mpmath.workdps(60):
+            want = np.array([complex(wall_transform(mpmath.mpf(v), mpmath.mpc(e.real, e.imag)))
+                             for e in eps])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def wall_evaluate(k, params, t):
+    """The loss probability (k = 0) or the k-th loss moment at (params, t)."""
+    return F.loss_probability(params, CTRL, t) if k == 0 else F.loss_moment(params, CTRL, k, t)
+
+
+@contextlib.contextmanager
+def cancelling_wall_transform():
+    """Within the block the wall record reads W as [kappa coth(kappa) + v] /
+    eps on every node, the form that cancels at negative drift; the
+    inversion caches are cleared on entry and on exit."""
+
+    def cancelling(params, eps):
+        kappa = np.sqrt(eps + params.v * params.v)
+        return (kappa * F.numerics.coth(kappa) + params.v) / eps
+
+    clear_inversion_caches()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(F, "boundary_return_transform", cancelling)
+            yield
+    finally:
+        clear_inversion_caches()
 
 
 class TestInputErrors:
@@ -877,7 +940,10 @@ class TestWallTransformCache:
     # caches of p(1), W and the contour factors must not move a bit.
     # The loss_pdf values were taken when a point's terms became c e^{x b}
     # (seven of the twelve moved, by at most 2.9e-10 relative); m2, m3 and
-    # p_loss are older.
+    # p_loss are older. The v = -2, tau = 20 row moved by at most 2.2e-10
+    # relative when W took its negative-drift form; its four values are
+    # within 5.6e-10, 1.3e-10, 6.6e-11 and 9.9e-10 of 60-digit mpmath
+    # (7.0e-10, 1.7e-10, 8.3e-11 and 7.6e-10 before).
     PINNED = [
         (-1.0, 0.5, 0.002, 0.01, ('0x1.eb4423d684000p-5', '0x1.471816f8c8400p-20',
                                   '0x1.c78ce930a6800p-25', '0x1.00c13f5ff8000p-9')),
@@ -887,8 +953,8 @@ class TestWallTransformCache:
                                '0x1.6448763d7aaaap-8', '0x1.b68a24b200000p-4')),
         (-1.0, 2.0, 2.0, 0.5, ('0x1.f892a1a999999p-2', '0x1.0a746d4653333p+1',
                                '0x1.2e0257c5b0000p+2', '0x1.edce2c8e66666p-1')),
-        (-1.0, 0.5, 80.0, 1.0, ('0x1.05718a7eccccdp-1', '0x1.718f7ff49999ap+1',
-                                '0x1.ad5df31800000p+2', '0x1.ff59779cccccdp-1')),
+        (-1.0, 0.5, 80.0, 1.0, ('0x1.05718a7f70a3ep-1', '0x1.718f7ff4ccccdp+1',
+                                '0x1.ad5df3181eb85p+2', '0x1.ff59779ae147bp-1')),
         (0.0, 0.5, 0.004, 0.02, ('0x1.4f3792122e000p-1', '0x1.8f1a102432800p-15',
                                  '0x1.92a7371083e00p-19', '0x1.244f96c2f0000p-5')),
         (0.0, 2.0, 0.1, 0.1, ('0x1.a567eb3b00000p-1', '0x1.85bf7f60d8000p-5',

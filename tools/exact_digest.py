@@ -35,6 +35,7 @@ The grid:
 Usage::
 
     python tools/exact_digest.py [--records PATH]
+    python tools/exact_digest.py --compare OLD NEW
 
 Imports ``queueloss`` from ``src/`` next to this directory and prints one
 ``part values sha256`` row per part: ``discrete``, ``continuum``, the
@@ -43,14 +44,19 @@ which ``all`` leaves out.
 ``--records PATH`` also writes every hashed record to PATH, one line each,
 as its part's name followed by the hashed text: the call's label and
 arguments, then the hex form of each value or the exception's type name.
-Two checkouts' record files compare record by record (``diff``, or a
-script that reads the hex values back with ``float.fromhex``).
+``--compare OLD NEW`` reads two such files of the same grid instead, and
+prints each record whose values differ, as its part, call and largest
+relative move (``inf`` where a call's error or value count changed; a
+one-value record adds its old and new values), then per part the number of
+records that moved. It exits 1, naming the first mismatch, where the two
+files do not hold the same calls in the same order.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -232,10 +238,71 @@ def digests(grid: Grid, records=None) -> dict[str, tuple[int, str]]:
             **{name: (d.count, d.h.hexdigest()) for name, d in rest.items()}}
 
 
+def _split(line: str) -> tuple[str, str, list[str]]:
+    """(part, call, values) of one record line; the call, a label and its
+    argument tuple, ends at the last ``") "``, as no value holds a ``)``."""
+    head, _, values = line.rstrip("\n").rpartition(") ")
+    part, _, call = head.partition(" ")
+    return part, call + ")", values.split()
+
+
+def _value(text: str) -> float | str:
+    """A record value: the float of a hex form, or the exception's name."""
+    try:
+        return float.fromhex(text)
+    except ValueError:
+        return text
+
+
+def _move(old: list[str], new: list[str]) -> float:
+    """The largest relative move |new - old| / |old| over the values of a
+    record that differ; inf where the value counts differ, where either side
+    of a move is an exception's name, or where the old value is 0."""
+    if len(old) != len(new):
+        return math.inf
+    moves = [0.0]
+    for a, b in zip(old, new):
+        if a != b:
+            x, y = _value(a), _value(b)
+            numeric = isinstance(x, float) and isinstance(y, float) and x != 0.0
+            moves.append(abs(y - x) / abs(x) if numeric else math.inf)
+    return max(moves)
+
+
+def compare(old_path: Path, new_path: Path) -> int:
+    """Print the records that moved from ``old_path`` to ``new_path``, two
+    ``--records`` files, and per part the count of moved records; 1 if the
+    two grids differ, else 0."""
+    counts: dict[str, list[int]] = {}
+    with old_path.open() as old_file, new_path.open() as new_file:
+        for old_line, new_line in itertools.zip_longest(old_file, new_file):
+            if old_line is None or new_line is None:
+                longer = new_path if old_line is None else old_path
+                print(f"grids differ: {longer} has more records")
+                return 1
+            (part, call, old), (new_part, new_call, new) = _split(old_line), _split(new_line)
+            if (part, call) != (new_part, new_call):
+                print(f"grids differ: {part} {call} against {new_part} {new_call}")
+                return 1
+            count = counts.setdefault(part, [0, 0])
+            count[1] += 1
+            if old != new:
+                count[0] += 1
+                values = f" {old[0]} -> {new[0]}" if len(old) == len(new) == 1 else ""
+                print(f"{part} {call} {_move(old, new):.3g}{values}")
+    for part, (moved, total) in counts.items():
+        print(f"{part} moved {moved} of {total} records")
+    return 0
+
+
 def main(argv: list[str] = ()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--records", type=Path, help="write every hashed record to this file")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="list the records that moved between two --records files")
     args = parser.parse_args(list(argv))
+    if args.compare:
+        return compare(*args.compare)
     if args.records is None:
         rows = digests(Grid())
     else:
